@@ -2,14 +2,17 @@
 
 Exit codes: 0 success, 1 usage or parse failure, 2 infeasible split or
 unsatisfied search, 3 verification failure.  Split parameters accept
-exact rationals ("93/85"), parsed to floats at the last moment.  When
-SYMCUB_OUTPUT_DIR is set, relative output paths are resolved against it.
+exact rationals ("93/85"), parsed to floats at the last moment.  The
+default exactness gates are relative to the largest |moment| of degree
+<= 3; --tolerance sets an absolute one.  When SYMCUB_OUTPUT_DIR is set,
+relative output paths are resolved against it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -45,6 +48,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFICATION = 3
+
+# Default exactness gates, relative to the largest |moment| of degree <= 3
+# so that they scale with the functional; --tolerance is absolute.
+GENERATE_REL_TOLERANCE = 1e-12
+VERIFY_REL_TOLERANCE = 1e-8
 
 
 class _UsageError(Exception):
@@ -98,6 +106,12 @@ def _split_from_args(args, spec: SymmetricMomentSpec) -> MassSplit:
     if compensation:
         return MassSplit(default_split(spec).masses, compensation=True)
     return default_split(spec)
+
+
+def _tolerance(args, spec: SymmetricMomentSpec, relative: float) -> float:
+    if args.tolerance is not None:
+        return args.tolerance
+    return relative * spec.moment_scale
 
 
 def _emit_rule(rule, fmt: str, output: Path | None) -> None:
@@ -187,9 +201,7 @@ def _cmd_generate(args) -> int:
         region_label=region.region.value if region else "custom",
     )
     report = check_exactness(rule, spec, seed=args.seed)
-    tolerance = (
-        args.tolerance if args.tolerance is not None else 1e-12 * max(1.0, spec.m_1)
-    )
+    tolerance = _tolerance(args, spec, GENERATE_REL_TOLERANCE)
     passed = report.max_abs_error <= tolerance
     _emit_rule(rule, args.format, _resolve_output(args.output))
     print(
@@ -216,9 +228,7 @@ def _cmd_verify(args) -> int:
         if witness is not None:
             report = dataclasses.replace(report, degree4_witness=witness)
         classification = classify_nodes(rule, region, args.boundary_tol)
-    tolerance = (
-        args.tolerance if args.tolerance is not None else 1e-8 * max(1.0, spec.m_1)
-    )
+    tolerance = _tolerance(args, spec, VERIFY_REL_TOLERANCE)
     passed = report.max_abs_error <= tolerance
     if args.format == "json":
         payload = {
@@ -322,7 +332,9 @@ def _add_spec_source(parser: _Parser, require_dim: bool) -> None:
     )
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared after it."""
     parser = _Parser(prog="symcub", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -334,14 +346,26 @@ def build_parser() -> _Parser:
     gen.add_argument("--compensate", action="store_true", help="add the compensation node")
     gen.add_argument("--format", choices=["json", "csv", "text"], default="json")
     gen.add_argument("--output", help="write the rule here instead of stdout")
-    gen.add_argument("--tolerance", type=float, default=None, help="absolute exactness tolerance")
+    gen.add_argument(
+        "--tolerance",
+        type=float,
+        default=None,
+        help="absolute exactness tolerance "
+        f"(default {GENERATE_REL_TOLERANCE:g} x the largest |moment|)",
+    )
     gen.add_argument("--seed", type=int, default=0)
     gen.set_defaults(func=_cmd_generate)
 
     ver = sub.add_parser("verify", help="check a rule file against a moment spec")
     ver.add_argument("rule_file", help="rule file (JSON or CSV)")
     _add_spec_source(ver, require_dim=False)
-    ver.add_argument("--tolerance", type=float, default=None)
+    ver.add_argument(
+        "--tolerance",
+        type=float,
+        default=None,
+        help="absolute exactness tolerance "
+        f"(default {VERIFY_REL_TOLERANCE:g} x the largest |moment|)",
+    )
     ver.add_argument("--boundary-tol", type=float, default=1e-9)
     ver.add_argument("--format", choices=["text", "json"], default="text")
     ver.add_argument("--output")

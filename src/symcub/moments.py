@@ -134,6 +134,11 @@ class SymmetricMomentSpec:
                 f"value = {self.m_1 * self.m_xx - self.m_x ** 2!r}"
             )
 
+    @property
+    def moment_scale(self) -> float:
+        """Largest |L(x^alpha)| over the monomials of degree <= 3."""
+        return max(abs(getattr(self, name)) for name in _PATTERN_TO_FIELD.values())
+
     def as_dict(self) -> dict:
         return {
             "n": self.n,
@@ -159,13 +164,14 @@ def _as_exponents(exponents: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 # Sorted nonzero exponent patterns of total degree <= 3 mapped to the
-# seven stored moments.
+# seven stored moments, in field order.  Validation draws its seeded
+# monomial sample class by class in this order.
 _PATTERN_TO_FIELD = {
     (): "m_1",
     (1,): "m_x",
     (2,): "m_xx",
-    (3,): "m_xxx",
     (1, 1): "m_xy",
+    (3,): "m_xxx",
     (2, 1): "m_xxy",
     (1, 1, 1): "m_xyz",
 }

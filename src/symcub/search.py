@@ -27,7 +27,7 @@ from .assembly import CubatureRule, assemble_rule
 from .decomposition import DecompositionConstants, MassSplit, compute_constants
 from .errors import InconsistentAtomError, InfeasibleMomentError, InvalidSplitError
 from .moments import RegionId, SymmetricMomentSpec
-from .validation import NodeClass, classify_nodes, node_margins
+from .validation import node_margins
 
 __all__ = [
     "SearchMode",
@@ -112,26 +112,19 @@ def feasible_region_bounds(
     return bounds
 
 
-def _node_objective_violations(
-    rule: CubatureRule, region: RegionId, mode: SearchMode, tol: float
-) -> int:
-    if mode is SearchMode.FEASIBLE:
-        return 0
-    classes = classify_nodes(rule, region, tol).classes
-    if mode is SearchMode.INTERIOR:
-        return sum(1 for c in classes if c is not NodeClass.INTERIOR)
-    return sum(1 for c in classes if c is NodeClass.EXTERIOR)
-
-
 def _score_candidate(
     rule: CubatureRule, region: RegionId, mode: SearchMode, tol: float
 ) -> tuple[float, float, float]:
-    violations = _node_objective_violations(rule, region, mode, tol)
+    margins = node_margins(region, rule.node_array).min(axis=1)
+    # classify_nodes' thresholds: interior above tol, exterior below -tol
+    if mode is SearchMode.INTERIOR:
+        violations = np.count_nonzero(~(margins > tol))
+    elif mode is SearchMode.INTERIOR_OR_BOUNDARY:
+        violations = np.count_nonzero(margins < -tol)
+    else:
+        violations = 0
     negatives = int(np.sum(rule.weight_array < 0))
-    min_margin = min(
-        float(node_margins(region, node).min()) for node in rule.nodes
-    )
-    return (float(violations), float(negatives), -min_margin)
+    return (float(violations), float(negatives), -float(margins.min()))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

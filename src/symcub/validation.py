@@ -3,8 +3,15 @@
 Exactness is checked in the original coordinates against every monomial
 of total degree <= 3 (for n <= 8 the full set, C(n+3, 3) monomials; for
 larger n the seven symmetry-class representatives plus seeded random
-permutations of each).  Degree-4 probes demonstrate that a degree-3 rule
-is sharp, using the closed-form region moments.
+permutations of each).  A monomial of degree <= 3 has at most three
+variable factors, so it is held as three column indices into the node
+array, padded with an index that points at a column of ones; the rule
+sums come from gathering those columns, at O(m N) cost and memory for m
+monomials and N nodes.  The exact values come from one vectorised lookup
+of each monomial's symmetry class among the spec's seven moments.
+Degree-4 probes (x_i^4 and x_i^2 x_j^2) demonstrate that a degree-3 rule
+is sharp; they are computed as two matrix products on the squared nodes
+against two closed-form region moments.
 """
 
 from __future__ import annotations
@@ -20,10 +27,10 @@ from scipy.optimize import linear_sum_assignment
 from .assembly import CubatureRule
 from .errors import DimensionMismatchError, UnmatchedRuleError
 from .moments import (
+    _PATTERN_TO_FIELD,
     Region,
     RegionId,
     SymmetricMomentSpec,
-    moment_of_monomial,
     region_monomial_moment,
 )
 
@@ -117,29 +124,54 @@ def monomial_exponents(n: int, max_degree: int = 3):
             yield tuple(exps)
 
 
-def _sampled_exponents(n: int, samples_per_class: int, seed: int):
+def _full_columns(n: int) -> np.ndarray:
+    # column triples of every monomial of degree <= 3, in the order of
+    # monomial_exponents; column n is the padding column of ones
+    return np.array([
+        positions + (n,) * (3 - degree)
+        for degree in range(4)
+        for positions in itertools.combinations_with_replacement(range(n), degree)
+    ])
+
+
+def _sampled_columns(n: int, samples_per_class: int, seed: int) -> np.ndarray:
+    # The seven class representatives, then samples_per_class random
+    # permutations of each, class by class.  One `permuted` call over
+    # stacked copies of arange(n) draws the same stream as successive
+    # rng.permutation(representative) calls.
+    patterns = list(_PATTERN_TO_FIELD)
     rng = np.random.default_rng(seed)
-    reps = [
-        (0,) * n,
-        (1,) + (0,) * (n - 1),
-        (2,) + (0,) * (n - 1),
-        (1, 1) + (0,) * (n - 2),
-        (3,) + (0,) * (n - 1),
-        (2, 1) + (0,) * (n - 2),
-        (1, 1, 1) + (0,) * (n - 3),
-    ]
-    out = list(reps)
-    for rep in reps:
-        base = np.asarray(rep)
-        for _ in range(samples_per_class):
-            out.append(tuple(int(v) for v in rng.permutation(base)))
-    return out
+    draws = rng.permuted(
+        np.tile(np.arange(n), (len(patterns) * samples_per_class, 1)), axis=1
+    )
+    # landing[r, b] is the column that position b of the representative
+    # moves to in row r; position n is the padding column
+    landing = np.empty((len(patterns) + len(draws), n + 1), dtype=np.intp)
+    landing[: len(patterns), :n] = np.arange(n)
+    landing[len(patterns) :, :n] = np.argsort(draws, axis=1)
+    landing[:, n] = n
+    # representative positions of each pattern's factors, e.g. (2, 1) -> (0, 0, 1)
+    slots = np.array([
+        [b for b, a in enumerate(pattern) for _ in range(a)] + [n] * (3 - sum(pattern))
+        for pattern in patterns
+    ])
+    row_class = np.concatenate([
+        np.arange(len(patterns)), np.repeat(np.arange(len(patterns)), samples_per_class)
+    ])
+    return np.take_along_axis(landing, slots[row_class], axis=1)
 
 
-def _rule_monomial_values(rule: CubatureRule, exponents: np.ndarray) -> np.ndarray:
-    # (m, N, n) powers collapsed over coordinates; 0**0 == 1 under numpy.
-    powers = rule.node_array[None, :, :] ** exponents[:, None, :]
-    return powers.prod(axis=2) @ rule.weight_array
+def _class_moments(spec: SymmetricMomentSpec, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # degree and number of distinct variables fix the symmetry class
+    n = spec.n
+    ordered = np.sort(columns, axis=1)
+    real = ordered != n
+    degree = real.sum(axis=1)
+    distinct = real[:, 0] + (real[:, 1:] & (ordered[:, 1:] != ordered[:, :-1])).sum(axis=1)
+    table = np.zeros((4, 4))
+    for pattern, name in _PATTERN_TO_FIELD.items():
+        table[sum(pattern), len(pattern)] = getattr(spec, name)
+    return table[degree, distinct], degree
 
 
 def check_exactness(
@@ -154,13 +186,18 @@ def check_exactness(
         raise DimensionMismatchError(
             f"rule has dim {rule.dim} but spec has n = {spec.n}"
         )
-    if spec.n <= FULL_ENUMERATION_MAX_DIM:
-        exps = list(monomial_exponents(spec.n))
+    n = spec.n
+    if n <= FULL_ENUMERATION_MAX_DIM:
+        columns = _full_columns(n)
     else:
-        exps = _sampled_exponents(spec.n, samples_per_class, seed)
-    exp_arr = np.asarray(exps, dtype=float)
-    approx = _rule_monomial_values(rule, exp_arr)
-    exact = np.array([moment_of_monomial(spec, a) for a in exps])
+        columns = _sampled_columns(n, samples_per_class, seed)
+    padded = np.ones((len(rule), n + 1))
+    padded[:, :n] = rule.node_array
+    values = padded[:, columns[:, 0]]
+    values *= padded[:, columns[:, 1]]
+    values *= padded[:, columns[:, 2]]
+    approx = values.T @ rule.weight_array
+    exact, degrees = _class_moments(spec, columns)
     abs_err = np.abs(approx - exact)
 
     scale = max(spec.m_1, float(np.abs(exact).max()))
@@ -168,7 +205,6 @@ def check_exactness(
     rel_err = abs_err / denom
 
     worst = int(np.argmax(abs_err))
-    degrees = exp_arr.sum(axis=1).astype(int)
     per_degree = tuple(
         float(abs_err[degrees == d].max()) if np.any(degrees == d) else 0.0
         for d in range(4)
@@ -176,9 +212,9 @@ def check_exactness(
     return ExactnessReport(
         max_abs_error=float(abs_err[worst]),
         max_rel_error=float(rel_err.max()),
-        worst_monomial=exps[worst],
+        worst_monomial=tuple(np.bincount(columns[worst], minlength=n + 1)[:n].tolist()),
         per_degree_max=per_degree,
-        monomial_count=len(exps),
+        monomial_count=len(columns),
     )
 
 
@@ -187,49 +223,58 @@ def degree4_nonexactness(
 ) -> tuple[tuple[int, ...], float] | None:
     """Find a degree-4 monomial the rule gets wrong by more than 1e-6 * L(1).
 
-    Probes x_i^4 and x_i^2 x_j^2 against the closed-form region moments
-    and returns the worst offender, or None when every probe is matched
-    (which would flag an anomaly for a genuine degree-3 rule).
+    Probes x_i^4 and x_i^2 x_j^2 (i < j) against the closed-form region
+    moments and returns the worst offender, the first in that order on a
+    tie, or None when every probe is matched (which would flag an anomaly
+    for a genuine degree-3 rule).
     """
     if rule.dim != region.n:
         raise DimensionMismatchError(
             f"rule has dim {rule.dim} but region has n = {region.n}"
         )
     n = region.n
-    candidates = []
-    for i in range(n):
-        exps = [0] * n
-        exps[i] = 4
-        candidates.append(tuple(exps))
-    for i, j in itertools.combinations(range(n), 2):
-        exps = [0] * n
-        exps[i] = exps[j] = 2
-        candidates.append(tuple(exps))
-    exp_arr = np.asarray(candidates, dtype=float)
-    approx = _rule_monomial_values(rule, exp_arr)
-    exact = np.array([region_monomial_moment(region, a) for a in candidates])
-    errors = np.abs(approx - exact)
+    squares = rule.node_array * rule.node_array
+    quartic = (squares * squares).T @ rule.weight_array
+    pairs = np.triu_indices(n, 1)
+    square_pairs = ((squares * rule.weight_array[:, None]).T @ squares)[pairs]
+    quartic_exact = region_monomial_moment(region, (4,) + (0,) * (n - 1))
+    pair_exact = region_monomial_moment(region, (2, 2) + (0,) * (n - 2))
+    errors = np.concatenate(
+        [np.abs(quartic - quartic_exact), np.abs(square_pairs - pair_exact)]
+    )
     worst = int(np.argmax(errors))
     threshold = 1e-6 * region_monomial_moment(region, (0,) * n)
     if errors[worst] > threshold:
-        return candidates[worst], float(errors[worst])
+        exps = [0] * n
+        if worst < n:
+            exps[worst] = 4
+        else:
+            exps[pairs[0][worst - n]] = exps[pairs[1][worst - n]] = 2
+        return tuple(exps), float(errors[worst])
     return None
 
 
-def node_margins(region: RegionId, node: Sequence[float]) -> np.ndarray:
-    """Signed constraint margins g_j(x) >= 0 describing the region."""
-    x = np.asarray(node, dtype=float)
-    if x.shape != (region.n,):
+def node_margins(region: RegionId, nodes: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Signed constraint margins g_j(x) >= 0 describing the region.
+
+    Takes one node of shape (n,) or the nodes of a rule as rows of an
+    (N, n) array, and returns the margins along the last axis.
+    """
+    x = np.asarray(nodes, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != region.n:
         raise DimensionMismatchError(
-            f"node has shape {x.shape}, expected ({region.n},)"
+            f"nodes have shape {x.shape}, expected (n,) or (N, n) with n = {region.n}"
         )
     if region.region is Region.SIMPLEX:
-        return np.concatenate([x, [1.0 - x.sum()]])
-    if region.region is Region.BALL_SECTOR:
-        return np.concatenate([x, [1.0 - float(x @ x)]])
-    if region.region is Region.CUBE:
-        return np.concatenate([x, 1.0 - x])
-    raise ValueError(f"unknown region {region.region!r}")
+        outer = 1.0 - x.sum(axis=-1, keepdims=True)
+    elif region.region is Region.BALL_SECTOR:
+        # a dot product per row, summed exactly as x @ x sums one node
+        outer = 1.0 - (x[..., None, :] @ x[..., :, None])[..., 0]
+    elif region.region is Region.CUBE:
+        outer = 1.0 - x
+    else:
+        raise ValueError(f"unknown region {region.region!r}")
+    return np.concatenate([x, outer], axis=-1)
 
 
 def classify_nodes(
@@ -246,8 +291,7 @@ def classify_nodes(
             f"rule has dim {rule.dim} but region has n = {region.n}"
         )
     classes = []
-    for node in rule.nodes:
-        margin = float(node_margins(region, node).min())
+    for margin in node_margins(region, rule.node_array).min(axis=1).tolist():
         if margin < -tol:
             classes.append(NodeClass.EXTERIOR)
         elif margin > tol:

@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from symcub import check_exactness
-from symcub.cli import main
+from symcub import check_exactness, region_spec, RegionId, Region
+from symcub.cli import build_parser, main
 from symcub.reference import load_reference_rule, reference_csv_text
 from symcub.ruleio import loads_csv, loads_json, read_rule
 from symcub.validation import compare_to_reference
@@ -176,6 +176,43 @@ def test_verify_wrong_region_exit_3(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "region, dim, kind", [("simplex", 8, "weight"), ("ball-sector", 16, "coordinate")]
+)
+def test_verify_gate_is_relative_to_moment_scale(tmp_path, capsys, region, dim, kind):
+    # L(1) is 2.5e-5 (simplex, n = 8) and 3.6e-6 (sector, n = 16), so these
+    # corruptions stay below an absolute 1e-8 yet are far above roundoff
+    clean = tmp_path / "clean.json"
+    code, _, _ = _run(
+        capsys, "generate", "--region", region, "--dim", str(dim), "--output", str(clean)
+    )
+    assert code == 0
+    data = json.loads(clean.read_text())
+    if kind == "weight":
+        data["weights"][3] *= 1.0 + 1e-5
+    else:
+        data["nodes"][3][1] += 1e-5
+    corrupted = tmp_path / "corrupted.json"
+    corrupted.write_text(json.dumps(data))
+    scale = region_spec(RegionId(Region(region), dim)).moment_scale
+
+    def verify(path, *extra):
+        code, out, _ = _run(
+            capsys, "verify", str(path), "--region", region, "--format", "json", *extra
+        )
+        return code, json.loads(out)
+
+    code, payload = verify(clean)
+    assert code == 0 and payload["pass"] is True
+    assert payload["tolerance"] == pytest.approx(1e-8 * scale, rel=1e-15)
+    code, payload = verify(corrupted)
+    assert code == 3 and payload["pass"] is False
+    assert payload["exactness"]["max_abs_error"] < 1e-8
+    # an explicit tolerance keeps its absolute meaning
+    code, payload = verify(corrupted, "--tolerance", "1e-8")
+    assert code == 0 and payload["tolerance"] == 1e-8
+
+
 def test_verify_dim_mismatch_exit_1(tmp_path, capsys):
     rule_path = tmp_path / "rule.json"
     _run(capsys, "generate", "--region", "cube", "--dim", "3", "--output", str(rule_path))
@@ -254,6 +291,27 @@ def test_output_dir_env_var(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert (tmp_path / "sub" / "rule.json").exists()
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    rule_path = tmp_path / "rule.json"
+    calls = [
+        ("generate", "--region", "cube", "--dim", "3", "--mu", "1/2,1/4,1/4",
+         "--compensate", "--format", "csv"),
+        ("verify", "--region", "simplex"),  # usage error: no rule file
+        ("generate", "--region", "cube", "--dim", "3", "--output", str(rule_path)),
+        ("verify", str(rule_path), "--region", "cube", "--format", "json"),
+    ]
+    shared = [_run(capsys, *argv) for argv in calls]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 1, 0, 0]
+    assert len(loads_csv(shared[0][1])) == 7
+    assert json.loads(shared[3][1])["pass"] is True
 
 
 def test_console_script_entry_point():

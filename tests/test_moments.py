@@ -13,6 +13,7 @@ from symcub import (
     InvalidMomentSpecError,
     Region,
     RegionId,
+    SymmetricMomentSpec,
     cube_spec,
     load_spec,
     moment_of_monomial,
@@ -103,6 +104,15 @@ def test_moment_dispatch():
     _assert_close(moment_of_monomial(spec, (0, 2, 0)), 1 / 60)
     _assert_close(moment_of_monomial(spec, (0, 0, 0)), spec.m_1)
     _assert_close(moment_of_monomial(simplex_spec(4), (1, 0, 1, 1)), 1 / 5040)
+
+
+def test_moment_scale_is_largest_absolute_moment():
+    assert simplex_spec(3).moment_scale == simplex_spec(3).m_1
+    assert cube_spec(4).moment_scale == 1.0
+    spec = SymmetricMomentSpec(
+        n=3, m_1=1.0, m_x=0.0, m_xx=2.0, m_xy=0.5, m_xxx=-7.0, m_xxy=0.0, m_xyz=0.0
+    )
+    assert spec.moment_scale == 7.0
 
 
 def test_moment_permutation_invariance():

@@ -1,5 +1,8 @@
 """Exactness reports, degree-4 probes, node classification, rule diffs."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,12 +19,14 @@ from symcub import (
     compare_to_reference,
     cube_spec,
     degree4_nonexactness,
+    moment_of_monomial,
     region_monomial_moment,
+    region_spec,
     sector_spec,
     simplex_spec,
 )
 from symcub.reference import load_reference_rule
-from symcub.validation import monomial_exponents
+from symcub.validation import _sampled_columns, monomial_exponents, node_margins
 
 
 def test_monomial_enumeration_count():
@@ -213,3 +218,125 @@ def test_compare_errors():
     truncated = CubatureRule(dim=3, nodes=a.nodes[:-1], weights=a.weights[:-1])
     with pytest.raises(UnmatchedRuleError):
         compare_to_reference(a, truncated)
+
+
+# ---------------------------------------------------------------------------
+# The gathered evaluation against a per-monomial reference.
+
+_CLASS_REPRESENTATIVES = [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+
+
+def _reference_monomials(n, seed=0, samples_per_class=200):
+    """The checked monomials, built one exponent tuple at a time."""
+    if n <= 8:
+        return list(monomial_exponents(n))
+    rng = np.random.default_rng(seed)
+    reps = [pattern + (0,) * (n - len(pattern)) for pattern in _CLASS_REPRESENTATIVES]
+    out = list(reps)
+    for rep in reps:
+        base = np.asarray(rep)
+        for _ in range(samples_per_class):
+            out.append(tuple(int(v) for v in rng.permutation(base)))
+    return out
+
+
+def _reference_exactness(rule, spec, seed=0):
+    exps = _reference_monomials(spec.n, seed)
+    nodes, weights = rule.node_array, rule.weight_array
+    approx = np.array([np.prod(nodes ** np.asarray(a), axis=1) @ weights for a in exps])
+    exact = np.array([moment_of_monomial(spec, a) for a in exps])
+    errors = np.abs(approx - exact)
+    worst = int(np.argmax(errors))
+    return exps[worst], float(errors[worst]), len(exps)
+
+
+def _reference_degree4(rule, region):
+    n = region.n
+    candidates = []
+    for i in range(n):
+        candidates.append(tuple(4 if k == i else 0 for k in range(n)))
+    for i, j in itertools.combinations(range(n), 2):
+        candidates.append(tuple(2 if k in (i, j) else 0 for k in range(n)))
+    nodes, weights = rule.node_array, rule.weight_array
+    errors = np.array([
+        abs(np.prod(nodes ** np.asarray(a), axis=1) @ weights
+            - region_monomial_moment(region, a))
+        for a in candidates
+    ])
+    worst = int(np.argmax(errors))
+    return candidates[worst], float(errors[worst])
+
+
+def _corrupted(rule, kind, rng):
+    nodes = np.array(rule.node_array)
+    weights = np.array(rule.weight_array)
+    i = int(rng.integers(len(weights)))
+    if kind == "weight":
+        weights[i] *= 1.0 + 1e-6
+    else:
+        nodes[i, int(rng.integers(rule.dim))] += 1e-6
+    return CubatureRule(
+        dim=rule.dim, nodes=tuple(map(tuple, nodes.tolist())), weights=tuple(weights.tolist())
+    )
+
+
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 16])
+@pytest.mark.parametrize("kind", ["clean", "weight", "coordinate"])
+def test_gathered_evaluation_matches_per_monomial_reference(region, n, kind):
+    rid = RegionId(region, n)
+    spec = region_spec(rid)
+    rule = build_rule(spec)
+    if kind != "clean":
+        rule = _corrupted(rule, kind, np.random.default_rng(n))
+    scale = spec.moment_scale
+    for seed in (0, 4):
+        report = check_exactness(rule, spec, seed=seed)
+        worst, error, count = _reference_exactness(rule, spec, seed)
+        assert report.monomial_count == count
+        assert abs(report.max_abs_error - error) <= 1e-12 * max(error, scale)
+        if error > 1e-12 * scale:
+            assert report.worst_monomial == worst
+        else:
+            assert report.max_abs_error <= 1e-12 * scale
+    witness = degree4_nonexactness(rule, rid)
+    ref_monomial, ref_error = _reference_degree4(rule, rid)
+    assert witness is not None
+    assert sorted(witness[0]) == sorted(ref_monomial)
+    assert witness[1] == pytest.approx(ref_error, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [9, 16, 40])
+def test_sampled_monomials_follow_the_permutation_stream(n):
+    for seed in (0, 3, 61):
+        columns = _sampled_columns(n, 200, seed)
+        exps = [tuple(np.bincount(c, minlength=n + 1)[:n].tolist()) for c in columns]
+        assert exps == _reference_monomials(n, seed)
+
+
+def test_large_dimension_check_is_bounded():
+    n = 512
+    spec = cube_spec(n)
+    rule = build_rule(spec)
+    tracemalloc.start()
+    try:
+        report = check_exactness(rule, spec)
+        witness = degree4_nonexactness(rule, RegionId(Region.CUBE, n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    assert report.monomial_count == 7 * 201
+    assert report.max_abs_error <= 1e-12 * spec.moment_scale
+    assert witness is not None and sum(witness[0]) == 4
+
+
+@pytest.mark.parametrize("region", list(Region))
+def test_node_margins_rows_match_single_nodes(region):
+    rule = build_rule(region_spec(RegionId(region, 5)))
+    rid = RegionId(region, 5)
+    rows = node_margins(rid, rule.node_array)
+    for node, row in zip(rule.nodes, rows):
+        assert np.array_equal(node_margins(rid, node), row)
+    with pytest.raises(DimensionMismatchError):
+        node_margins(rid, rule.node_array[:, :4])
