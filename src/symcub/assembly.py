@@ -16,6 +16,9 @@ zeroth moment of chain n, whose first and third moments vanish, so adding
 it preserves degree-3 exactness while absorbing the mass residual
 m_1 - sum(mu).
 
+Every node is such a block pattern, so a rule is Theta(n^2) floats
+written block by block into one (N, n) array by slice assignment.
+
 Node ordering is canonical: chain index ascending, node value descending
 within a chain, compensation node last.  Identical inputs produce
 bit-identical rules.
@@ -25,8 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -50,42 +52,95 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CubatureRule:
-    """A weighted point set in R^n with a degree-3 exactness claim."""
+    """A weighted point set in R^n with a degree-3 exactness claim.
+
+    `nodes` is a read-only float64 array of shape (N, dim), one node per
+    row, and `weights` a read-only float64 array of shape (N,).  A
+    float64 array argument is taken over as is and marked read-only, not
+    copied; other sequences are converted once.  Rules compare by
+    identity: use ``np.array_equal`` on the arrays to compare contents.
+    """
 
     dim: int
-    nodes: tuple[tuple[float, ...], ...]
-    weights: tuple[float, ...]
+    nodes: np.ndarray
+    weights: np.ndarray
     degree: int = 3
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.nodes) != len(self.weights):
+        nodes = np.asarray(self.nodes, dtype=np.float64)
+        weights = np.asarray(self.weights, dtype=np.float64)
+        if nodes.size == 0:
+            nodes = nodes.reshape(0, self.dim)
+        if nodes.ndim != 2 or nodes.shape[1] != self.dim:
             raise ValueError(
-                f"{len(self.nodes)} nodes but {len(self.weights)} weights"
+                f"nodes have shape {nodes.shape}, expected (N, {self.dim})"
             )
-        for node in self.nodes:
-            if len(node) != self.dim:
-                raise ValueError(f"node {node} does not have dim {self.dim}")
+        if weights.shape != (len(nodes),):
+            raise ValueError(
+                f"{len(nodes)} nodes but weights of shape {weights.shape}"
+            )
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.weights)
 
-    @cached_property
+    @property
     def node_array(self) -> np.ndarray:
-        arr = np.asarray(self.nodes, dtype=float).reshape(len(self.nodes), self.dim)
-        arr.setflags(write=False)
-        return arr
+        """The nodes, as an (N, dim) array; the same object as `nodes`."""
+        return self.nodes
 
-    @cached_property
+    @property
     def weight_array(self) -> np.ndarray:
-        arr = np.asarray(self.weights, dtype=float)
-        arr.setflags(write=False)
-        return arr
+        """The weights, as an (N,) array; the same object as `weights`."""
+        return self.weights
 
     def total_weight(self) -> float:
-        return math.fsum(self.weights)
+        return math.fsum(self.weights.tolist())
+
+
+def _write_chain(
+    out: np.ndarray,
+    row: int,
+    k: int,
+    ts: Sequence[float],
+    consts: DecompositionConstants,
+    n: int,
+) -> int:
+    """Write the chain-k images of node values ts into rows row, row + 1, ...
+
+    Returns the next free row.  The trailing gamma block of a row is not
+    written: `out` must already hold gamma there, which filling it with
+    gamma once (`_gamma_filled`) does for every row.
+    """
+    if k == 1:
+        for t in ts:
+            out[row] = (t - consts.c_n) / n
+            row += 1
+        return row
+    gamma = consts.gamma
+    lead = n - k + 1
+    for t in ts:
+        if k == n:
+            beta = gamma - (t + consts.c_2) / 2.0
+            out[row, 0] = beta + t
+        else:
+            beta = gamma - t / (n - k + 2)
+            out[row, :lead] = beta + (t - consts.c_mid) / lead
+        out[row, lead] = beta
+        row += 1
+    return row
+
+
+def _gamma_filled(rows: int, consts: DecompositionConstants, n: int) -> np.ndarray:
+    out = np.empty((rows, n))
+    out.fill(consts.gamma)
+    return out
 
 
 def map_node(
@@ -94,16 +149,9 @@ def map_node(
     """Map a chain-k one-dimensional node value t back to a point of R^n."""
     if not 1 <= k <= n:
         raise ValueError(f"chain index must be in [1, {n}], got {k}")
-    if k == 1:
-        eta = (t - consts.c_n) / n
-        return (eta,) * n
-    gamma = consts.gamma
-    if k == n:
-        beta = gamma - (t + consts.c_2) / 2.0
-        return (beta + t, beta) + (gamma,) * (n - 2)
-    beta = gamma - t / (n - k + 2)
-    alpha = beta + (t - consts.c_mid) / (n - k + 1)
-    return (alpha,) * (n - k + 1) + (beta,) + (gamma,) * (k - 2)
+    out = _gamma_filled(1, consts, n)
+    _write_chain(out, 0, k, (t,), consts, n)
+    return tuple(out[0].tolist())
 
 
 def compensation_node(consts: DecompositionConstants, n: int) -> tuple[float, ...]:
@@ -121,13 +169,17 @@ def assemble_rule(
     """Solve all chains and package the rule.
 
     Generically returns 2n nodes, or 2n + 1 when the split carries a
-    compensation node.  An infeasible chain raises
-    :class:`InfeasibleMomentError` tagged with the chain index and the
-    lower bound on its mass that would restore feasibility.
+    compensation node; an atomic chain contributes one node instead of
+    two.  Each node is written straight into its row of one (N, n) array.
+    An infeasible chain raises :class:`InfeasibleMomentError` tagged with
+    the chain index and the lower bound on its mass that would restore
+    feasibility.
     """
     chain = reduced_moment_chain(spec, split, consts)
-    nodes: list[tuple[float, ...]] = []
+    n = spec.n
+    nodes = _gamma_filled(2 * n + split.compensation, consts, n)
     weights: list[float] = []
+    row = 0
     for entry in chain:
         try:
             one_dim = solve_two_point(entry)
@@ -140,11 +192,10 @@ def assemble_rule(
                 chain=entry.k,
                 mass_bound=bound,
             ) from exc
-        for t, w in zip(one_dim.nodes, one_dim.weights):
-            nodes.append(map_node(entry.k, t, consts, spec.n))
-            weights.append(w)
+        row = _write_chain(nodes, row, entry.k, one_dim.nodes, consts, n)
+        weights.extend(one_dim.weights)
     if split.compensation:
-        nodes.append(compensation_node(consts, spec.n))
+        row = _write_chain(nodes, row, n, (0.0,), consts, n)
         weights.append(spec.m_1 - math.fsum(split.masses))
     metadata = {
         "region": region_label,
@@ -153,10 +204,7 @@ def assemble_rule(
         "constants": {"c_n": consts.c_n, "c_mid": consts.c_mid, "gamma": consts.gamma},
     }
     return CubatureRule(
-        dim=spec.n,
-        nodes=tuple(nodes),
-        weights=tuple(weights),
-        metadata=metadata,
+        dim=n, nodes=nodes[:row], weights=np.array(weights), metadata=metadata
     )
 
 

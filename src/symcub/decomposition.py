@@ -33,6 +33,7 @@ __all__ = [
     "DecompositionConstants",
     "MassSplit",
     "OneDimMoments",
+    "chain_higher_moments",
     "compute_constants",
     "default_split",
     "reduced_moment_chain",
@@ -163,29 +164,40 @@ def remaining_mass(split: MassSplit, m_1: float, k: int) -> float:
     return m_1 - math.fsum(split.masses[:k])
 
 
-def reduced_moment_chain(
+def _add_exact(partials: list[float], x: float) -> None:
+    """Add x to the exact sum held as non-overlapping partials (Shewchuk)."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
+def chain_higher_moments(
     spec: SymmetricMomentSpec,
-    split: MassSplit,
     consts: DecompositionConstants,
-) -> list[OneDimMoments]:
-    """Moments of the n reduced one-dimensional functionals.
+    masses: Sequence[float],
+    count: int,
+) -> list[tuple[float, float, float]]:
+    """Moments (m1, m2, m3) of chains 1 .. count of the reduced functionals.
 
-    Entry 1 uses the full base moments shifted by c_n; entries 2 .. n-1
+    Chain 1 uses the full base moments shifted by c_n; chains 2 .. n-1
     use the middle-chain formulas with the remaining mass ahead of the
-    chain; entry n is (mu_n, 0, 2*L(x1^2 - x1*x2), 0) with the odd
-    moments exactly zero by construction.
+    chain, m_1 - sum(mu_1 .. mu_{k-1}); chain n is (0, 2*L(x1^2 - x1*x2),
+    0) with the odd moments exactly zero by construction.  Chain k reads
+    only masses[:k - 1].  The remaining mass comes from one running exact
+    sum, rounded once per chain, so it equals m_1 - fsum(masses[:k - 1])
+    bit for bit at O(1) amortised cost per chain.
     """
-    if consts.n != spec.n:
-        raise InvalidSplitError(
-            f"constants were computed for n = {consts.n}, spec has n = {spec.n}"
-        )
-    validate_split(split, spec)
     n = spec.n
-    mu = split.masses
     d2 = spec.m_xx - spec.m_xy
-    e3 = -(spec.m_xxx - 3.0 * spec.m_xxy + 2.0 * spec.m_xyz)
     c = consts.c_n
-
     m1 = n * spec.m_x + c * spec.m_1
     m2 = (
         n * spec.m_xx
@@ -201,23 +213,45 @@ def reduced_moment_chain(
         + 3.0 * n * c * c * spec.m_x
         + c**3 * spec.m_1
     )
-    entries = [OneDimMoments(1, mu[0], m1, m2, m3)]
-
+    out = [(m1, m2, m3)]
+    e3 = -(spec.m_xxx - 3.0 * spec.m_xxy + 2.0 * spec.m_xyz)
     cm = consts.c_mid
-    for k in range(2, n):
-        peeled = k - 1
-        mass_ahead = remaining_mass(split, spec.m_1, peeled)
-        f2 = (n - peeled) * (n - peeled + 1)
-        f3 = f2 * (n - peeled + 2)
-        entries.append(
-            OneDimMoments(
-                k,
-                mu[k - 1],
+    m_1 = spec.m_1
+    peeled_sum: list[float] = []  # exact sum of mu_1 .. mu_{k-1} as partials
+    for k in range(2, min(count, n - 1) + 1):
+        _add_exact(peeled_sum, masses[k - 2])
+        mass_ahead = m_1 - math.fsum(peeled_sum)
+        f2 = (n - k + 1) * (n - k + 2)
+        out.append(
+            (
                 cm * mass_ahead,
                 f2 * d2 + cm * cm * mass_ahead,
-                f3 * e3 + cm**3 * mass_ahead,
+                f2 * (n - k + 3) * e3 + cm**3 * mass_ahead,
             )
         )
+    if count >= n:
+        out.append((0.0, 2.0 * d2, 0.0))
+    return out
 
-    entries.append(OneDimMoments(n, mu[n - 1], 0.0, 2.0 * d2, 0.0))
-    return entries
+
+def reduced_moment_chain(
+    spec: SymmetricMomentSpec,
+    split: MassSplit,
+    consts: DecompositionConstants,
+) -> list[OneDimMoments]:
+    """Moments of the n reduced one-dimensional functionals.
+
+    Entry k carries mu_k as its zeroth moment and the higher moments of
+    :func:`chain_higher_moments`.
+    """
+    if consts.n != spec.n:
+        raise InvalidSplitError(
+            f"constants were computed for n = {consts.n}, spec has n = {spec.n}"
+        )
+    validate_split(split, spec)
+    mu = split.masses
+    rows = chain_higher_moments(spec, consts, mu, spec.n)
+    return [
+        OneDimMoments(k, mu[k - 1], m1, m2, m3)
+        for k, (m1, m2, m3) in enumerate(rows, start=1)
+    ]

@@ -233,7 +233,17 @@ def _spec_from_region(region: RegionId) -> SymmetricMomentSpec:
         field: region_monomial_moment(region, rep)
         for field, rep in _class_representatives(region.n).items()
     }
-    return SymmetricMomentSpec(n=region.n, **values)
+    try:
+        return SymmetricMomentSpec(n=region.n, **values)
+    except InvalidMomentSpecError as exc:
+        # every built-in moment is positive, so a zero is a float64 underflow
+        zeros = [name for name, value in values.items() if value == 0.0]
+        if not zeros:
+            raise
+        raise InvalidMomentSpecError(
+            f"{region.label} moments at n = {region.n} underflow float64: "
+            f"{', '.join(zeros)} round to 0.0 (L(1) = {values['m_1']!r})"
+        ) from exc
 
 
 def simplex_spec(n: int) -> SymmetricMomentSpec:

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .assembly import CubatureRule, assemble_rule
 from .decomposition import MassSplit, compute_constants
 from .errors import CubatureError
@@ -137,7 +139,7 @@ def _parse_table_csv(text: str, name: str) -> CubatureRule:
     weights = []
     notes = {}
     for index, row in enumerate(rows[1:]):
-        nodes.append(tuple(float(c) for c in row[:dim]))
+        nodes.append([float(c) for c in row[:dim]])
         weights.append(float(row[dim]))
         note = row[dim + 1].strip() if len(row) > dim + 1 else ""
         if note:
@@ -146,7 +148,7 @@ def _parse_table_csv(text: str, name: str) -> CubatureRule:
     if notes:
         metadata["notes"] = notes
     return CubatureRule(
-        dim=dim, nodes=tuple(nodes), weights=tuple(weights), metadata=metadata
+        dim=dim, nodes=np.array(nodes), weights=np.array(weights), metadata=metadata
     )
 
 
@@ -181,11 +183,13 @@ def write_table_csv(name: str, rule: CubatureRule, path: str | Path) -> None:
         f"# compensation: {str(spec_entry.compensation).lower()}",
         ",".join(f"x{i + 1}" for i in range(rule.dim)) + ",weight,note",
     ]
-    for index, (node, weight) in enumerate(zip(rule.nodes, rule.weights)):
+    for index, (node, weight) in enumerate(
+        zip(rule.nodes.tolist(), rule.weights.tolist())
+    ):
         note = ""
         if (
             spec_entry.compensation
-            and index == len(rule.nodes) - 1
+            and index == len(rule) - 1
             and spec_entry.published_compensation_weight is not None
         ):
             note = f"published={spec_entry.published_compensation_weight}"

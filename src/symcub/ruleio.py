@@ -2,17 +2,19 @@
 
 JSON schema: {"dim", "degree", "nodes": [[...]], "weights": [...],
 "metadata": {...}}.  CSV carries one node per line, n coordinate columns
-then the weight, under a header row.  Floats are written with repr so
-that CSV and JSON serializations of the same rule parse back to
-bit-identical arrays.
+then the weight, under a header row.  Floats are written with the repr
+of plain Python floats (the arrays go through ``tolist``), so that CSV
+and JSON serializations of the same rule parse back to bit-identical
+arrays.  Readers convert each parsed document to the rule's arrays once.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import math
 from pathlib import Path
+
+import numpy as np
 
 from .assembly import CubatureRule
 from .errors import CubatureError
@@ -34,17 +36,26 @@ def rule_to_json_dict(rule: CubatureRule) -> dict:
     return {
         "dim": rule.dim,
         "degree": rule.degree,
-        "nodes": [list(node) for node in rule.nodes],
-        "weights": list(rule.weights),
+        "nodes": rule.nodes.tolist(),
+        "weights": rule.weights.tolist(),
         "metadata": dict(rule.metadata),
     }
+
+
+def _float_array(values) -> np.ndarray:
+    """Nested numbers as one float64 array, with float()'s rules for the rest."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        # strings, nulls or other objects: float() parses or rejects each
+        arr = np.vectorize(float, otypes=[np.float64])(arr)
+    return arr.astype(np.float64, copy=False)
 
 
 def rule_from_json_dict(data: dict) -> CubatureRule:
     try:
         dim = int(data["dim"])
-        nodes = tuple(tuple(float(x) for x in node) for node in data["nodes"])
-        weights = tuple(float(w) for w in data["weights"])
+        nodes = _float_array(data["nodes"])
+        weights = _float_array(data["weights"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CubatureError(f"malformed rule document: {exc}") from exc
     return CubatureRule(
@@ -73,7 +84,7 @@ def loads_json(text: str) -> CubatureRule:
 def dumps_csv(rule: CubatureRule) -> str:
     out = io.StringIO()
     out.write(",".join(f"x{i + 1}" for i in range(rule.dim)) + ",weight\n")
-    for node, weight in zip(rule.nodes, rule.weights):
+    for node, weight in zip(rule.nodes.tolist(), rule.weights.tolist()):
         out.write(",".join(repr(x) for x in node) + f",{weight!r}\n")
     return out.getvalue()
 
@@ -109,11 +120,11 @@ def loads_csv(text: str) -> CubatureRule:
             raise CubatureError(
                 f"line {lineno}: expected {dim} coordinates, got {len(values) - 1}"
             )
-        nodes.append(tuple(values[:-1]))
+        nodes.append(values[:-1])
         weights.append(values[-1])
     if not nodes:
         raise CubatureError("no rule rows found in CSV input")
-    return CubatureRule(dim=dim, nodes=tuple(nodes), weights=tuple(weights))
+    return CubatureRule(dim=dim, nodes=np.array(nodes), weights=np.array(weights))
 
 
 def render_text(rule: CubatureRule) -> str:
@@ -125,11 +136,11 @@ def render_text(rule: CubatureRule) -> str:
     ]
     header = "".join(f"{f'x{i + 1}':>19}" for i in range(rule.dim)) + f"{'weight':>19}"
     lines.append(header)
-    for node, weight in zip(rule.nodes, rule.weights):
+    for node, weight in zip(rule.nodes.tolist(), rule.weights.tolist()):
         lines.append(
             "".join(f"{x:>19.14f}" for x in node) + f"{weight:>19.14f}"
         )
-    lines.append(f"sum of weights = {math.fsum(rule.weights)!r}")
+    lines.append(f"sum of weights = {rule.total_weight()!r}")
     return "\n".join(lines) + "\n"
 
 

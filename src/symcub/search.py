@@ -24,7 +24,12 @@ from typing import Sequence
 import numpy as np
 
 from .assembly import CubatureRule, assemble_rule
-from .decomposition import DecompositionConstants, MassSplit, compute_constants
+from .decomposition import (
+    DecompositionConstants,
+    MassSplit,
+    chain_higher_moments,
+    compute_constants,
+)
 from .errors import InconsistentAtomError, InfeasibleMomentError, InvalidSplitError
 from .moments import RegionId, SymmetricMomentSpec
 from .validation import node_margins
@@ -77,45 +82,27 @@ def feasible_region_bounds(
     """Per-chain lower bounds on mu_k keeping each chain two-point feasible.
 
     The Hankel condition mu_k * m2 - m1^2 > 0 gives mu_k > m1^2 / m2,
-    where m1 and m2 of chain k depend on the masses of earlier chains
-    through the remaining mass.  Bounds are returned for chains
-    1 .. len(masses_so_far) + 1 (capped at n); the last chain has m1 = 0,
-    so its bound is 0.
+    where m1 and m2 of chain k come from
+    :func:`~symcub.decomposition.chain_higher_moments` and depend on the
+    masses of earlier chains through the remaining mass.  Bounds are
+    returned for chains 1 .. len(masses_so_far) + 1 (capped at n); the
+    last chain has m1 = 0, so its bound is 0.
     """
     n = spec.n
     prefix = [float(m) for m in masses_so_far]
     if len(prefix) > n:
         raise InvalidSplitError(f"got {len(prefix)} masses for n = {n}")
     count = min(len(prefix) + 1, n)
-    c = consts.c_n
-    bounds = []
-    for k in range(1, count + 1):
-        if k == 1:
-            m1 = n * spec.m_x + c * spec.m_1
-            m2 = (
-                n * spec.m_xx
-                + n * (n - 1) * spec.m_xy
-                + 2.0 * n * c * spec.m_x
-                + c * c * spec.m_1
-            )
-        elif k == n:
-            bounds.append(0.0)
-            continue
-        else:
-            peeled = k - 1
-            mass_ahead = spec.m_1 - math.fsum(prefix[:peeled])
-            m1 = consts.c_mid * mass_ahead
-            m2 = (n - peeled) * (n - peeled + 1) * (spec.m_xx - spec.m_xy) + (
-                consts.c_mid**2 * mass_ahead
-            )
-        bounds.append(m1 * m1 / m2 if m2 > 0 else math.inf)
-    return bounds
+    return [
+        m1 * m1 / m2 if m2 > 0 else math.inf
+        for m1, m2, _ in chain_higher_moments(spec, consts, prefix, count)
+    ]
 
 
 def _score_candidate(
     rule: CubatureRule, region: RegionId, mode: SearchMode, tol: float
 ) -> tuple[float, float, float]:
-    margins = node_margins(region, rule.node_array).min(axis=1)
+    margins = node_margins(region, rule.nodes).min(axis=1)
     # classify_nodes' thresholds: interior above tol, exterior below -tol
     if mode is SearchMode.INTERIOR:
         violations = np.count_nonzero(~(margins > tol))
@@ -123,7 +110,7 @@ def _score_candidate(
         violations = np.count_nonzero(margins < -tol)
     else:
         violations = 0
-    negatives = int(np.sum(rule.weight_array < 0))
+    negatives = int(np.sum(rule.weights < 0))
     return (float(violations), float(negatives), -float(margins.min()))
 
 

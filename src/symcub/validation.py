@@ -192,11 +192,11 @@ def check_exactness(
     else:
         columns = _sampled_columns(n, samples_per_class, seed)
     padded = np.ones((len(rule), n + 1))
-    padded[:, :n] = rule.node_array
+    padded[:, :n] = rule.nodes
     values = padded[:, columns[:, 0]]
     values *= padded[:, columns[:, 1]]
     values *= padded[:, columns[:, 2]]
-    approx = values.T @ rule.weight_array
+    approx = values.T @ rule.weights
     exact, degrees = _class_moments(spec, columns)
     abs_err = np.abs(approx - exact)
 
@@ -233,10 +233,10 @@ def degree4_nonexactness(
             f"rule has dim {rule.dim} but region has n = {region.n}"
         )
     n = region.n
-    squares = rule.node_array * rule.node_array
-    quartic = (squares * squares).T @ rule.weight_array
+    squares = rule.nodes * rule.nodes
+    quartic = (squares * squares).T @ rule.weights
     pairs = np.triu_indices(n, 1)
-    square_pairs = ((squares * rule.weight_array[:, None]).T @ squares)[pairs]
+    square_pairs = ((squares * rule.weights[:, None]).T @ squares)[pairs]
     quartic_exact = region_monomial_moment(region, (4,) + (0,) * (n - 1))
     pair_exact = region_monomial_moment(region, (2, 2) + (0,) * (n - 2))
     errors = np.concatenate(
@@ -291,14 +291,14 @@ def classify_nodes(
             f"rule has dim {rule.dim} but region has n = {region.n}"
         )
     classes = []
-    for margin in node_margins(region, rule.node_array).min(axis=1).tolist():
+    for margin in node_margins(region, rule.nodes).min(axis=1).tolist():
         if margin < -tol:
             classes.append(NodeClass.EXTERIOR)
         elif margin > tol:
             classes.append(NodeClass.INTERIOR)
         else:
             classes.append(NodeClass.BOUNDARY)
-    weights = rule.weight_array
+    weights = rule.weights
     return NodeClassification(
         classes=tuple(classes),
         tol=tol,
@@ -328,12 +328,12 @@ def compare_to_reference(
         raise UnmatchedRuleError(
             f"rules have {len(rule)} and {len(reference)} nodes"
         )
-    delta = rule.node_array[:, None, :] - reference.node_array[None, :, :]
+    delta = rule.nodes[:, None, :] - reference.nodes[None, :, :]
     distance = np.sqrt((delta**2).sum(axis=2))
     rows, cols = linear_sum_assignment(distance)
     node_dev = float(distance[rows, cols].max())
     weight_dev = float(
-        np.abs(rule.weight_array[rows] - reference.weight_array[cols]).max()
+        np.abs(rule.weights[rows] - reference.weights[cols]).max()
     )
     return RuleDiff(
         max_node_distance=node_dev,

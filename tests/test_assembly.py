@@ -1,13 +1,18 @@
 """Node maps, compensation node, and full rule assembly."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from symcub import (
+    CubatureRule,
     InfeasibleMomentError,
     MassSplit,
+    Region,
+    RegionId,
     assemble_rule,
     build_rule,
     compensation_node,
@@ -17,11 +22,13 @@ from symcub import (
     map_node,
     moment_of_monomial,
     reduced_moment_chain,
+    region_spec,
     sector_spec,
     simplex_spec,
     solve_two_point,
 )
 from symcub.reference import load_reference_rule
+from symcub.search import feasible_region_bounds
 from symcub.validation import compare_to_reference
 
 
@@ -110,7 +117,7 @@ def test_weight_passthrough():
     for entry in reduced_moment_chain(spec, split, consts):
         expected.extend(solve_two_point(entry).weights)
     rule = assemble_rule(spec, split, consts)
-    assert rule.weights == tuple(expected)
+    assert np.array_equal(rule.weights, expected)
 
 
 @pytest.mark.parametrize("make", [simplex_spec, sector_spec, cube_spec])
@@ -138,8 +145,8 @@ def test_rule_is_deterministic():
     spec = sector_spec(3)
     a = build_rule(spec)
     b = build_rule(spec)
-    assert a.nodes == b.nodes
-    assert a.weights == b.weights
+    assert np.array_equal(a.nodes, b.nodes)
+    assert np.array_equal(a.weights, b.weights)
 
 
 def test_canonical_ordering():
@@ -196,3 +203,117 @@ def test_exactness_by_direct_summation_n2():
             for node, w in zip(rule.nodes, rule.weights)
         )
         assert quad == pytest.approx(moment_of_monomial(spec, exps), abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The array-native assembly against a rule built one node at a time.
+
+
+def _per_node_reference(spec, split):
+    """Nodes and weights built row by row from map_node, as tuples."""
+    consts = compute_constants(spec)
+    nodes, weights = [], []
+    for entry in reduced_moment_chain(spec, split, consts):
+        one_dim = solve_two_point(entry)
+        for t, w in zip(one_dim.nodes, one_dim.weights):
+            nodes.append(map_node(entry.k, t, consts, spec.n))
+            weights.append(w)
+    if split.compensation:
+        nodes.append(compensation_node(consts, spec.n))
+        weights.append(spec.m_1 - math.fsum(split.masses))
+    return np.array(nodes).reshape(len(nodes), spec.n), np.array(weights)
+
+
+def _split(spec, kind, rng):
+    n = spec.n
+    if kind == "default":
+        return default_split(spec)
+    t = rng.uniform(0.9, 1.1, n)
+    if kind == "random":
+        t *= n / t.sum()
+        return MassSplit.from_t(list(t), spec)
+    return MassSplit.from_t(list(t), spec, compensation=True)
+
+
+def _assert_matches_reference(spec, split):
+    rule = build_rule(spec, split)
+    nodes, weights = _per_node_reference(spec, split)
+    assert rule.nodes.shape == nodes.shape
+    assert np.array_equal(rule.nodes, nodes)
+    assert np.array_equal(rule.weights, weights)
+    return rule
+
+
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 33, 128])
+@pytest.mark.parametrize("kind", ["default", "random", "compensated"])
+def test_assembly_is_bit_identical_to_per_node_reference(region, n, kind):
+    spec = region_spec(RegionId(region, n))
+    _assert_matches_reference(spec, _split(spec, kind, np.random.default_rng(n)))
+
+
+def test_assembly_is_bit_identical_to_per_node_reference_cube512():
+    spec = cube_spec(512)
+    rule = _assert_matches_reference(
+        spec, _split(spec, "compensated", np.random.default_rng(512))
+    )
+    assert rule.nodes.shape == (1025, 512)
+
+
+@pytest.mark.parametrize("region, n", [(Region.SIMPLEX, 128), (Region.BALL_SECTOR, 256)])
+def test_collapsed_rules_keep_rows_and_bits(region, n):
+    # atomic chains write one row instead of two; the rule is the filled
+    # prefix of the array
+    spec = region_spec(RegionId(region, n))
+    rule = _assert_matches_reference(spec, default_split(spec))
+    assert len(rule) < 2 * n
+
+
+def test_rule_arrays_are_read_only():
+    rule = build_rule(sector_spec(4), MassSplit(default_split(sector_spec(4)).masses, True))
+    assert rule.nodes.dtype == np.float64 and rule.weights.dtype == np.float64
+    assert rule.node_array is rule.nodes and rule.weight_array is rule.weights
+    with pytest.raises(ValueError):
+        rule.nodes[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        rule.weights[0] = 1.0
+    with pytest.raises(ValueError):
+        rule.nodes[-1] = 0.0
+
+
+def test_rule_from_sequences_validates_shapes():
+    rule = CubatureRule(dim=2, nodes=((0.0, 1.0), (1.0, 0.0)), weights=(0.5, 0.5))
+    assert rule.nodes.shape == (2, 2) and len(rule) == 2
+    assert CubatureRule(dim=3, nodes=(), weights=()).nodes.shape == (0, 3)
+    with pytest.raises(ValueError):
+        CubatureRule(dim=3, nodes=((0.0, 1.0),), weights=(1.0,))
+    with pytest.raises(ValueError):
+        CubatureRule(dim=2, nodes=((0.0, 1.0),), weights=(1.0, 2.0))
+
+
+def test_infeasible_middle_chain_reports_chain_and_bound():
+    spec = sector_spec(6)
+    consts = compute_constants(spec)
+    prefix = default_split(spec).masses[:2]
+    bound = feasible_region_bounds(spec, consts, prefix)[2]
+    mass = 0.5 * bound
+    tail = (spec.m_1 - math.fsum(prefix) - mass) / 3
+    with pytest.raises(InfeasibleMomentError) as info:
+        assemble_rule(spec, MassSplit(prefix + (mass,) + (tail,) * 3), consts)
+    assert info.value.chain == 3
+    assert info.value.mass_bound == bound
+    assert "mu_3" in str(info.value)
+
+
+def test_compensated_cube512_build_allocates_about_one_node_array():
+    # the node array is written in place: no per-node objects and no copy
+    spec = cube_spec(512)
+    split = _split(spec, "compensated", np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        rule = build_rule(spec, split)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rule.nodes.shape == (1025, 512)
+    assert peak <= 1.5 * rule.nodes.nbytes

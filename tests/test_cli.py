@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from symcub import check_exactness, region_spec, RegionId, Region
@@ -239,8 +240,8 @@ def test_csv_and_json_outputs_parse_identically(tmp_path, capsys):
             "--format", fmt, "--output", str(path),
         )
         assert code == 0
-    assert read_rule(json_path).nodes == read_rule(csv_path).nodes
-    assert read_rule(json_path).weights == read_rule(csv_path).weights
+    assert np.array_equal(read_rule(json_path).nodes, read_rule(csv_path).nodes)
+    assert np.array_equal(read_rule(json_path).weights, read_rule(csv_path).weights)
 
 
 def test_search_cli(capsys):

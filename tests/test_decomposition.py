@@ -155,6 +155,32 @@ def test_chain_mass_conservation_random_splits():
                 assert all(e.m0 > 0 for e in chain)
 
 
+@pytest.mark.parametrize("make", [simplex_spec, sector_spec])
+@pytest.mark.parametrize("n", [3, 8, 33])
+def test_chain_remaining_mass_is_the_exact_prefix_sum(make, n):
+    # the running prefix sum must round exactly like fsum over each prefix,
+    # also when the masses span hundreds of binary orders of magnitude
+    spec = make(n)
+    consts = compute_constants(spec)
+    rng = np.random.default_rng(n)
+    for low, high in [(0.5, 1.5), (-200.0, 200.0)]:
+        if low > 0:
+            masses = rng.uniform(low, high, n) * spec.m_1 / n
+        else:
+            masses = 10.0 ** rng.uniform(low, high, n)
+        split = MassSplit(tuple(masses), compensation=True)
+        chain = reduced_moment_chain(spec, split, consts)
+        d2 = spec.m_xx - spec.m_xy
+        e3 = -(spec.m_xxx - 3.0 * spec.m_xxy + 2.0 * spec.m_xyz)
+        cm = consts.c_mid
+        for entry in chain[1:-1]:
+            ahead = remaining_mass(split, spec.m_1, entry.k - 1)
+            f2 = (n - entry.k + 1) * (n - entry.k + 2)
+            assert entry.m1 == cm * ahead
+            assert entry.m2 == f2 * d2 + cm * cm * ahead
+            assert entry.m3 == f2 * (n - entry.k + 3) * e3 + cm**3 * ahead
+
+
 def test_centrally_symmetric_spec_has_odd_moments_zero():
     spec = SymmetricMomentSpec(
         n=3, m_1=1.0, m_x=0.0, m_xx=1 / 3, m_xy=1 / 9, m_xxx=0.0, m_xxy=0.0, m_xyz=0.0

@@ -223,6 +223,15 @@ def test_spec_invariants_name_the_inequality(kwargs, fragment):
         SymmetricMomentSpec(**spec_from)
 
 
+@pytest.mark.parametrize("region, n", [(Region.BALL_SECTOR, 340), (Region.SIMPLEX, 200)])
+def test_region_moment_underflow_is_named(region, n):
+    with pytest.raises(InvalidMomentSpecError) as info:
+        region_spec(RegionId(region, n))
+    message = str(info.value)
+    assert f"{region.value} moments at n = {n} underflow float64" in message
+    assert "m_1" in message and "L(1)" in message
+
+
 def _cube_dict(n=3):
     return {
         "n": n,

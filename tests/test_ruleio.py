@@ -1,8 +1,11 @@
 """Rule serialization round trips."""
 
+import json
+
+import numpy as np
 import pytest
 
-from symcub import build_rule, sector_spec, simplex_spec
+from symcub import MassSplit, build_rule, cube_spec, default_split, sector_spec, simplex_spec
 from symcub.errors import CubatureError
 from symcub.ruleio import (
     dumps_csv,
@@ -18,8 +21,8 @@ from symcub.ruleio import (
 def test_json_roundtrip_bit_identical():
     rule = build_rule(sector_spec(3), region_label="ball-sector")
     parsed = loads_json(dumps_json(rule))
-    assert parsed.nodes == rule.nodes
-    assert parsed.weights == rule.weights
+    assert np.array_equal(parsed.nodes, rule.nodes)
+    assert np.array_equal(parsed.weights, rule.weights)
     assert parsed.dim == rule.dim
     assert parsed.metadata["region"] == "ball-sector"
 
@@ -27,16 +30,16 @@ def test_json_roundtrip_bit_identical():
 def test_csv_roundtrip_bit_identical():
     rule = build_rule(simplex_spec(4))
     parsed = loads_csv(dumps_csv(rule))
-    assert parsed.nodes == rule.nodes
-    assert parsed.weights == rule.weights
+    assert np.array_equal(parsed.nodes, rule.nodes)
+    assert np.array_equal(parsed.weights, rule.weights)
 
 
 def test_csv_and_json_agree():
     rule = build_rule(simplex_spec(3))
     from_json = loads_json(dumps_json(rule))
     from_csv = loads_csv(dumps_csv(rule))
-    assert from_json.nodes == from_csv.nodes
-    assert from_json.weights == from_csv.weights
+    assert np.array_equal(from_json.nodes, from_csv.nodes)
+    assert np.array_equal(from_json.weights, from_csv.weights)
 
 
 def test_file_roundtrip_with_suffix_sniffing(tmp_path):
@@ -45,8 +48,8 @@ def test_file_roundtrip_with_suffix_sniffing(tmp_path):
         path = tmp_path / name
         write_rule(rule, path, fmt)
         parsed = read_rule(path)
-        assert parsed.nodes == rule.nodes
-        assert parsed.weights == rule.weights
+        assert np.array_equal(parsed.nodes, rule.nodes)
+        assert np.array_equal(parsed.weights, rule.weights)
 
 
 def test_render_text_mentions_values():
@@ -72,3 +75,36 @@ def test_unknown_format_rejected(tmp_path):
     rule = build_rule(simplex_spec(3))
     with pytest.raises(ValueError):
         write_rule(rule, tmp_path / "rule.xyz", "yaml")
+
+
+@pytest.mark.parametrize(
+    "spec, compensation",
+    [(simplex_spec(3), False), (sector_spec(4), True), (cube_spec(8), False)],
+)
+def test_serializers_write_plain_float_reprs(spec, compensation):
+    rule = build_rule(spec, MassSplit(default_split(spec).masses, compensation))
+    nodes, weights = rule.nodes.tolist(), rule.weights.tolist()
+    as_json, as_csv, as_text = dumps_json(rule), dumps_csv(rule), render_text(rule)
+    for text in (as_json, as_csv, as_text):
+        assert "np." not in text and "float64" not in text
+    data = json.loads(as_json)
+    assert data["nodes"] == nodes and data["weights"] == weights
+    rows = as_csv.splitlines()[1:]
+    assert rows == [
+        ",".join(repr(x) for x in node) + f",{w!r}" for node, w in zip(nodes, weights)
+    ]
+    assert as_text.splitlines()[-1] == f"sum of weights = {rule.total_weight()!r}"
+    for parsed in (loads_json(as_json), loads_csv(as_csv)):
+        assert np.array_equal(parsed.nodes, rule.nodes)
+        assert np.array_equal(parsed.weights, rule.weights)
+        assert parsed.nodes.tobytes() == rule.nodes.tobytes()
+        assert parsed.weights.tobytes() == rule.weights.tobytes()
+
+
+def test_json_reader_parses_strings_and_rejects_nulls():
+    rule = loads_json('{"dim": 2, "nodes": [["0.5", 1]], "weights": ["0.25"]}')
+    assert rule.nodes.tolist() == [[0.5, 1.0]] and rule.weights.tolist() == [0.25]
+    with pytest.raises(CubatureError):
+        loads_json('{"dim": 2, "nodes": [[0.5, null]], "weights": [1.0]}')
+    with pytest.raises(CubatureError):
+        loads_json('{"dim": 2, "nodes": [[0.5], [0.5, 1.0]], "weights": [1.0, 1.0]}')

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from symcub import (
@@ -53,6 +54,24 @@ def _chain_with_mass(spec, consts, prefix, mass):
     tail = (spec.m_1 - sum(prefix) - mass) / tail_count
     masses = tuple(prefix) + (mass,) + (tail,) * tail_count
     return reduced_moment_chain(spec, MassSplit(masses), consts)[k - 1]
+
+
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("n", [3, 8, 33])
+def test_bounds_are_the_chain_moment_ratio(region, n):
+    # one source for the chain moments: each bound is m1^2 / m2 of the
+    # chain entry that reduced_moment_chain builds from the same prefix
+    spec = region_spec(RegionId(region, n))
+    consts = compute_constants(spec)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        masses = tuple(rng.uniform(0.5, 1.5, n) * spec.m_1 / n)
+        chain = reduced_moment_chain(spec, MassSplit(masses, compensation=True), consts)
+        for p in range(n + 1):
+            bounds = feasible_region_bounds(spec, consts, masses[:p])
+            assert len(bounds) == min(p + 1, n)
+            for bound, entry in zip(bounds, chain):
+                assert bound == entry.m1 * entry.m1 / entry.m2
 
 
 @pytest.mark.parametrize("k", [1, 2])
