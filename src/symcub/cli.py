@@ -20,8 +20,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import reference, ruleio
-from .assembly import assemble_rule
-from .decomposition import MassSplit, compute_constants, default_split
+from .assembly import build_rule
+from .decomposition import MassSplit, default_split
 from .errors import CubatureError, InfeasibleMomentError
 from .moments import (
     Region,
@@ -72,14 +72,17 @@ def _parse_numbers(text: str) -> list[float]:
         raise _UsageError(f"cannot parse number list {text!r}: {exc}") from exc
 
 
-def _resolve_output(path: str | None) -> Path | None:
-    if path is None:
-        return None
-    resolved = Path(path)
+def _write_output(text: str, output: str | None) -> None:
+    """Write to --output, resolved against SYMCUB_OUTPUT_DIR, or to stdout."""
+    if output is None:
+        sys.stdout.write(text)
+        return
+    path = Path(output)
     base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not resolved.is_absolute():
-        resolved = Path(base) / resolved
-    return resolved
+    if base and not path.is_absolute():
+        path = Path(base) / path
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
 
 
 def _spec_from_args(args, dim_hint: int | None = None) -> tuple[SymmetricMomentSpec, RegionId | None]:
@@ -112,19 +115,6 @@ def _tolerance(args, spec: SymmetricMomentSpec, relative: float) -> float:
     if args.tolerance is not None:
         return args.tolerance
     return relative * spec.moment_scale
-
-
-def _emit_rule(rule, fmt: str, output: Path | None) -> None:
-    if output is not None:
-        output.parent.mkdir(parents=True, exist_ok=True)
-        ruleio.write_rule(rule, output, fmt)
-        return
-    if fmt == "json":
-        sys.stdout.write(ruleio.dumps_json(rule))
-    elif fmt == "csv":
-        sys.stdout.write(ruleio.dumps_csv(rule))
-    else:
-        sys.stdout.write(ruleio.render_text(rule))
 
 
 def _report_to_dict(report: ExactnessReport) -> dict:
@@ -193,17 +183,11 @@ def _render_report(
 def _cmd_generate(args) -> int:
     spec, region = _spec_from_args(args)
     split = _split_from_args(args, spec)
-    consts = compute_constants(spec)
-    rule = assemble_rule(
-        spec,
-        split,
-        consts,
-        region_label=region.region.value if region else "custom",
-    )
+    rule = build_rule(spec, split, region_label=region.label if region else "custom")
     report = check_exactness(rule, spec, seed=args.seed)
     tolerance = _tolerance(args, spec, GENERATE_REL_TOLERANCE)
     passed = report.max_abs_error <= tolerance
-    _emit_rule(rule, args.format, _resolve_output(args.output))
+    _write_output(ruleio._DUMPS[args.format](rule), args.output)
     print(
         f"generated {len(rule)} nodes (dim {rule.dim}); "
         f"max abs exactness error = {report.max_abs_error:.3e} "
@@ -241,12 +225,7 @@ def _cmd_verify(args) -> int:
         rendered = json.dumps(payload, indent=2) + "\n"
     else:
         rendered = _render_report(report, classification, tolerance, passed)
-    output = _resolve_output(args.output)
-    if output is not None:
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(rendered, encoding="utf-8")
-    else:
-        sys.stdout.write(rendered)
+    _write_output(rendered, args.output)
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 
@@ -283,12 +262,7 @@ def _cmd_search(args) -> int:
             rendered += ruleio.render_text(result.rule)
     else:
         rendered = json.dumps(payload, indent=2) + "\n"
-    output = _resolve_output(args.output)
-    if output is not None:
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(rendered, encoding="utf-8")
-    else:
-        sys.stdout.write(rendered)
+    _write_output(rendered, args.output)
     return EXIT_OK if result.satisfied else EXIT_INFEASIBLE
 
 

@@ -14,8 +14,12 @@ sector of the unit ball, and the unit cube.  Region moments are available
 at arbitrary degree, which the validation layer uses to demonstrate
 non-exactness at degree 4.
 
-All built-in moments are computed with exact integer factorials and
-double factorials, converted to floats only at the end.
+A zero exponent contributes a factor of exactly 1 to each closed form,
+so a built-in moment is evaluated from its nonzero exponent pattern as
+one ratio of two exact integers (factorials or double factorials), taken
+by a single int/int true division.  That division is correctly rounded,
+so it equals ``float(Fraction(num, den))`` bit for bit; the ball sector
+then multiplies by a power of pi/2.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -93,6 +96,22 @@ class RegionId:
         return self.region.value
 
 
+# Sorted nonzero exponent patterns of total degree <= 3 mapped to the
+# seven stored moments, in field order.  Validation draws its seeded
+# monomial sample class by class in this order.  A pattern with more
+# factors than n has no monomial in n variables.  The custom-spec JSON
+# key of a moment is its field name without the underscore.
+_PATTERN_TO_FIELD = {
+    (): "m_1",
+    (1,): "m_x",
+    (2,): "m_xx",
+    (1, 1): "m_xy",
+    (3,): "m_xxx",
+    (2, 1): "m_xxy",
+    (1, 1, 1): "m_xyz",
+}
+
+
 @dataclass(frozen=True)
 class SymmetricMomentSpec:
     """The seven degree-<=3 moments of a permutation-symmetric functional.
@@ -115,7 +134,7 @@ class SymmetricMomentSpec:
 
     def __post_init__(self):
         _check_dim(self.n)
-        for name in ("m_1", "m_x", "m_xx", "m_xy", "m_xxx", "m_xxy", "m_xyz"):
+        for name in _PATTERN_TO_FIELD.values():
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.n == 2:
             object.__setattr__(self, "m_xyz", 0.0)
@@ -139,18 +158,6 @@ class SymmetricMomentSpec:
         """Largest |L(x^alpha)| over the monomials of degree <= 3."""
         return max(abs(getattr(self, name)) for name in _PATTERN_TO_FIELD.values())
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m1": self.m_1,
-            "mx": self.m_x,
-            "mxx": self.m_xx,
-            "mxy": self.m_xy,
-            "mxxx": self.m_xxx,
-            "mxxy": self.m_xxy,
-            "mxyz": self.m_xyz,
-        }
-
 
 def _as_exponents(exponents: Sequence[int], n: int) -> tuple[int, ...]:
     exps = tuple(int(a) for a in exponents)
@@ -161,20 +168,6 @@ def _as_exponents(exponents: Sequence[int], n: int) -> tuple[int, ...]:
     if any(a < 0 for a in exps):
         raise DegreeOutOfRangeError(f"exponents must be >= 0, got {exps}")
     return exps
-
-
-# Sorted nonzero exponent patterns of total degree <= 3 mapped to the
-# seven stored moments, in field order.  Validation draws its seeded
-# monomial sample class by class in this order.
-_PATTERN_TO_FIELD = {
-    (): "m_1",
-    (1,): "m_x",
-    (2,): "m_xx",
-    (1, 1): "m_xy",
-    (3,): "m_xxx",
-    (2, 1): "m_xxy",
-    (1, 1, 1): "m_xyz",
-}
 
 
 def moment_of_monomial(spec: SymmetricMomentSpec, exponents: Sequence[int]) -> float:
@@ -191,6 +184,22 @@ def moment_of_monomial(spec: SymmetricMomentSpec, exponents: Sequence[int]) -> f
     return getattr(spec, _PATTERN_TO_FIELD[pattern])
 
 
+def _pattern_moment(region: RegionId, pattern: Sequence[int]) -> float:
+    """Moment over a built-in region of a monomial with these nonzero exponents."""
+    total = sum(pattern)
+    if region.region is Region.SIMPLEX:
+        num = math.prod(math.factorial(a) for a in pattern)
+        return num / math.factorial(region.n + total)
+    if region.region is Region.BALL_SECTOR:
+        num = math.prod(double_factorial(a - 1) for a in pattern)
+        n_odd = sum(a % 2 for a in pattern)
+        rational = num / double_factorial(region.n + total)
+        return rational * (math.pi / 2.0) ** ((region.n - n_odd) // 2)
+    if region.region is Region.CUBE:
+        return 1 / math.prod(a + 1 for a in pattern)
+    raise ValueError(f"unknown region {region.region!r}")
+
+
 def region_monomial_moment(region: RegionId, exponents: Sequence[int]) -> float:
     """Exact moment of x^alpha over a built-in region, any total degree.
 
@@ -200,50 +209,23 @@ def region_monomial_moment(region: RegionId, exponents: Sequence[int]) -> float:
     Cube:  prod(1 / (alpha_i + 1))
     """
     exps = _as_exponents(exponents, region.n)
-    total = sum(exps)
-    if region.region is Region.SIMPLEX:
-        num = math.prod(math.factorial(a) for a in exps)
-        return float(Fraction(num, math.factorial(region.n + total)))
-    if region.region is Region.BALL_SECTOR:
-        num = math.prod(double_factorial(a - 1) for a in exps)
-        n_odd = sum(1 for a in exps if a % 2 == 1)
-        rational = Fraction(num, double_factorial(region.n + total))
-        return float(rational) * (math.pi / 2.0) ** ((region.n - n_odd) // 2)
-    if region.region is Region.CUBE:
-        return float(Fraction(1, math.prod(a + 1 for a in exps)))
-    raise ValueError(f"unknown region {region.region!r}")
-
-
-def _class_representatives(n: int) -> dict[str, tuple[int, ...]]:
-    reps = {
-        "m_1": (0,) * n,
-        "m_x": (1,) + (0,) * (n - 1),
-        "m_xx": (2,) + (0,) * (n - 1),
-        "m_xy": (1, 1) + (0,) * (n - 2),
-        "m_xxx": (3,) + (0,) * (n - 1),
-        "m_xxy": (2, 1) + (0,) * (n - 2),
-    }
-    if n >= 3:
-        reps["m_xyz"] = (1, 1, 1) + (0,) * (n - 3)
-    return reps
+    return _pattern_moment(region, [a for a in exps if a > 0])
 
 
 def _spec_from_region(region: RegionId) -> SymmetricMomentSpec:
     values = {
-        field: region_monomial_moment(region, rep)
-        for field, rep in _class_representatives(region.n).items()
+        field: _pattern_moment(region, pattern)
+        for pattern, field in _PATTERN_TO_FIELD.items()
+        if len(pattern) <= region.n
     }
-    try:
-        return SymmetricMomentSpec(n=region.n, **values)
-    except InvalidMomentSpecError as exc:
-        # every built-in moment is positive, so a zero is a float64 underflow
-        zeros = [name for name, value in values.items() if value == 0.0]
-        if not zeros:
-            raise
+    # every built-in moment is positive, so a zero is a float64 underflow
+    zeros = [name for name, value in values.items() if value == 0.0]
+    if zeros:
         raise InvalidMomentSpecError(
             f"{region.label} moments at n = {region.n} underflow float64: "
             f"{', '.join(zeros)} round to 0.0 (L(1) = {values['m_1']!r})"
-        ) from exc
+        )
+    return SymmetricMomentSpec(n=region.n, **values)
 
 
 def simplex_spec(n: int) -> SymmetricMomentSpec:
@@ -266,9 +248,6 @@ def region_spec(region: RegionId) -> SymmetricMomentSpec:
     return _spec_from_region(region)
 
 
-_SPEC_KEYS = ("n", "m1", "mx", "mxx", "mxy", "mxxx", "mxxy", "mxyz")
-
-
 def spec_from_dict(data: Mapping) -> SymmetricMomentSpec:
     """Build a spec from a flat key/value mapping (the custom-spec schema).
 
@@ -276,7 +255,8 @@ def spec_from_dict(data: Mapping) -> SymmetricMomentSpec:
     For n = 2, mxyz may be absent; if present it is ignored.  Unknown keys
     are rejected.
     """
-    unknown = sorted(set(data) - set(_SPEC_KEYS))
+    keys = {field: field.replace("_", "") for field in _PATTERN_TO_FIELD.values()}
+    unknown = sorted(set(data) - {"n", *keys.values()})
     if unknown:
         raise InvalidMomentSpecError(f"unknown keys in moment spec: {unknown}")
     try:
@@ -286,25 +266,18 @@ def spec_from_dict(data: Mapping) -> SymmetricMomentSpec:
     if not isinstance(n, int) or isinstance(n, bool):
         raise InvalidMomentSpecError(f"'n' must be an integer, got {n!r}")
     _check_dim(n)
-    required = list(_SPEC_KEYS[1:-1]) + (["mxyz"] if n >= 3 else [])
     values = {}
-    for key in required:
+    for pattern, field in _PATTERN_TO_FIELD.items():
+        if len(pattern) > n:
+            continue
+        key = keys[field]
         if key not in data:
             raise InvalidMomentSpecError(f"moment spec is missing key {key!r}")
         value = data[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InvalidMomentSpecError(f"value for {key!r} must be a number, got {value!r}")
-        values[key] = float(value)
-    return SymmetricMomentSpec(
-        n=n,
-        m_1=values["m1"],
-        m_x=values["mx"],
-        m_xx=values["mxx"],
-        m_xy=values["mxy"],
-        m_xxx=values["mxxx"],
-        m_xxy=values["mxxy"],
-        m_xyz=values.get("mxyz", 0.0),
-    )
+        values[field] = float(value)
+    return SymmetricMomentSpec(n=n, **values)
 
 
 def load_spec(path: str | Path) -> SymmetricMomentSpec:

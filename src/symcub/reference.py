@@ -16,22 +16,18 @@ silently.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from .assembly import CubatureRule, assemble_rule
-from .decomposition import MassSplit, compute_constants
+from . import ruleio
+from .assembly import CubatureRule, build_rule
+from .decomposition import MassSplit
 from .errors import CubatureError
 from .moments import Region, RegionId, region_spec
 
 __all__ = [
     "TableSpec",
-    "all_table_names",
     "load_reference_rule",
     "numbered_table_names",
     "reference_csv_text",
@@ -99,10 +95,6 @@ def numbered_table_names() -> tuple[str, ...]:
     return _NUMBERED
 
 
-def all_table_names() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
-
-
 def table_spec(name: str) -> TableSpec:
     try:
         return _REGISTRY[name]
@@ -119,42 +111,19 @@ def reference_csv_text(name: str) -> str:
     )
 
 
-def _parse_table_csv(text: str, name: str) -> CubatureRule:
-    meta: dict[str, str] = {}
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line.lstrip("#").partition(":")
-            meta[key.strip()] = value.strip()
-            continue
-        rows.append(next(csv.reader(io.StringIO(line))))
-    header = rows[0]
-    if header[-1] != "note" or header[-2] != "weight":
-        raise CubatureError(f"unexpected header in table {name}: {header}")
-    dim = len(header) - 2
-    nodes = []
-    weights = []
-    notes = {}
-    for index, row in enumerate(rows[1:]):
-        nodes.append([float(c) for c in row[:dim]])
-        weights.append(float(row[dim]))
-        note = row[dim + 1].strip() if len(row) > dim + 1 else ""
-        if note:
-            notes[index] = note
-    metadata = {"table": name, **meta}
-    if notes:
-        metadata["notes"] = notes
-    return CubatureRule(
-        dim=dim, nodes=np.array(nodes), weights=np.array(weights), metadata=metadata
-    )
-
-
 def load_reference_rule(name: str) -> CubatureRule:
-    """Parse a shipped reference table into a rule."""
-    return _parse_table_csv(reference_csv_text(name), name)
+    """Parse a shipped reference table into a rule.
+
+    The ``# key:`` lines and the note column are not read; the number of
+    coordinate columns must match the registry dimension.
+    """
+    rule = ruleio.loads_csv(reference_csv_text(name))
+    dim = table_spec(name).dim
+    if rule.dim != dim:
+        raise CubatureError(
+            f"table {name} has {rule.dim} coordinate columns, expected dim {dim}"
+        )
+    return rule
 
 
 def regenerate_table(name: str) -> CubatureRule:
@@ -164,12 +133,7 @@ def regenerate_table(name: str) -> CubatureRule:
     split = MassSplit.from_t(
         spec_entry.t_values, moment_spec, compensation=spec_entry.compensation
     )
-    return assemble_rule(
-        moment_spec,
-        split,
-        compute_constants(moment_spec),
-        region_label=spec_entry.region.value,
-    )
+    return build_rule(moment_spec, split, region_label=spec_entry.region.value)
 
 
 def write_table_csv(name: str, rule: CubatureRule, path: str | Path) -> None:

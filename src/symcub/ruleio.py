@@ -144,17 +144,16 @@ def render_text(rule: CubatureRule) -> str:
     return "\n".join(lines) + "\n"
 
 
+# rule serializers by format name, for write_rule and the CLI's --format
+_DUMPS = {"json": dumps_json, "csv": dumps_csv, "text": render_text}
+
+
 def write_rule(rule: CubatureRule, path: str | Path, fmt: str | None = None) -> None:
     path = Path(path)
     fmt = fmt or ("csv" if path.suffix.lower() == ".csv" else "json")
-    if fmt == "json":
-        path.write_text(dumps_json(rule), encoding="utf-8")
-    elif fmt == "csv":
-        path.write_text(dumps_csv(rule), encoding="utf-8")
-    elif fmt == "text":
-        path.write_text(render_text(rule), encoding="utf-8")
-    else:
+    if fmt not in _DUMPS:
         raise ValueError(f"unknown rule format {fmt!r}")
+    path.write_text(_DUMPS[fmt](rule), encoding="utf-8")
 
 
 def read_rule(path: str | Path) -> CubatureRule:

@@ -142,7 +142,7 @@ def test_criterion_4_exactness_sweep():
             spec = region_spec(RegionId(region, n))
             consts = compute_constants(spec)
             rng = np.random.default_rng(zlib.crc32(f"{region.value}:{n}".encode()))
-            bound = 1e-12 * max(1.0, abs(spec.m_1))
+            bound = 1e-12 * spec.moment_scale  # the `generate` gate
             for _ in range(100):
                 split = _random_feasible_split(spec, consts, rng)
                 rule = assemble_rule(spec, split, consts)
@@ -155,7 +155,7 @@ def test_criterion_4_exactness_sweep():
         4,
         ok,
         f"{rules} rules over n=2..8, all regions; worst error at "
-        f"{worst:.2e} of the 1e-12*max(1, L(1)) bound; {elapsed:.2f} s",
+        f"{worst:.2e} of the 1e-12*max|moment| bound; {elapsed:.2f} s",
     )
 
 

@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from symcub import check_exactness, region_spec, RegionId, Region
+import symcub
+from symcub import CubatureError, check_exactness, reference, region_spec, RegionId, Region
 from symcub.cli import build_parser, main
 from symcub.reference import load_reference_rule, reference_csv_text
 from symcub.ruleio import loads_csv, loads_json, read_rule
@@ -284,14 +287,32 @@ def test_tables_cli(tmp_path, capsys):
     assert math.fsum(table5.weights) == pytest.approx(1 / 24, rel=1e-12)
 
 
-def test_output_dir_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SYMCUB_OUTPUT_DIR", str(tmp_path))
-    code, _, _ = _run(
-        capsys,
-        "generate", "--region", "simplex", "--dim", "3", "--output", "sub/rule.json",
-    )
+def test_reference_table_dim_must_match_registry(monkeypatch):
+    # table1 has 3 coordinate columns; the registry says table2 is 4-D
+    table1 = reference_csv_text("table1")
+    monkeypatch.setattr(reference, "reference_csv_text", lambda name: table1)
+    with pytest.raises(CubatureError, match="table2 has 3 coordinate columns"):
+        reference.load_reference_rule("table2")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--region", "simplex", "--dim", "3"),
+        ("verify", "RULE", "--region", "simplex"),
+        ("search", "--region", "simplex", "--dim", "3", "--max-evals", "2000"),
+    ],
+    ids=["generate", "verify", "search"],
+)
+def test_output_dir_env_var(tmp_path, capsys, monkeypatch, argv):
+    rule_path = tmp_path / "rule.json"
+    _run(capsys, "generate", "--region", "simplex", "--dim", "3", "--output", str(rule_path))
+    monkeypatch.setenv("SYMCUB_OUTPUT_DIR", str(tmp_path / "out"))
+    argv = [str(rule_path) if arg == "RULE" else arg for arg in argv]
+    code, out, _ = _run(capsys, *argv, "--output", "sub/result")
     assert code == 0
-    assert (tmp_path / "sub" / "rule.json").exists()
+    assert out == ""
+    assert (tmp_path / "out" / "sub" / "result").read_text()
 
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys):
@@ -316,10 +337,16 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the same symcub as this process, installed or not
+    package_root = str(Path(symcub.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    )}
     proc = subprocess.run(
         [sys.executable, "-m", "symcub.cli", "generate", "--region", "simplex", "--dim", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dim"] == 3

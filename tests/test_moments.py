@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -223,13 +224,75 @@ def test_spec_invariants_name_the_inequality(kwargs, fragment):
         SymmetricMomentSpec(**spec_from)
 
 
-@pytest.mark.parametrize("region, n", [(Region.BALL_SECTOR, 340), (Region.SIMPLEX, 200)])
+# the fields each case rounds to 0.0
+_UNDERFLOW_ZEROS = {
+    (Region.BALL_SECTOR, 340): "m_1, m_x, m_xx, m_xy, m_xxx, m_xxy, m_xyz",
+    (Region.SIMPLEX, 200): "m_1, m_x, m_xx, m_xy, m_xxx, m_xxy, m_xyz",
+    # L(1) is still positive here, but the cubic moments are not
+    (Region.BALL_SECTOR, 310): "m_xxx, m_xxy, m_xyz",
+    (Region.SIMPLEX, 175): "m_xxx, m_xxy, m_xyz",
+}
+
+
+@pytest.mark.parametrize("region, n", list(_UNDERFLOW_ZEROS))
 def test_region_moment_underflow_is_named(region, n):
     with pytest.raises(InvalidMomentSpecError) as info:
         region_spec(RegionId(region, n))
     message = str(info.value)
-    assert f"{region.value} moments at n = {n} underflow float64" in message
-    assert "m_1" in message and "L(1)" in message
+    zeros = _UNDERFLOW_ZEROS[region, n]
+    assert f"{region.value} moments at n = {n} underflow float64: {zeros} round" in message
+    assert "L(1)" in message
+
+
+def _reference_region_moment(region, exps):
+    # the closed forms over the full length-n exponent tuple, rounded once
+    # through Fraction; m!! is prod(range(m, 0, -2)), 1 for m <= 0
+    n, total = region.n, sum(exps)
+    if region.region is Region.SIMPLEX:
+        num = math.prod(math.factorial(a) for a in exps)
+        return float(Fraction(num, math.factorial(n + total)))
+    if region.region is Region.BALL_SECTOR:
+        num = math.prod(math.prod(range(a - 1, 0, -2)) for a in exps)
+        n_odd = sum(1 for a in exps if a % 2 == 1)
+        rational = Fraction(num, math.prod(range(n + total, 0, -2)))
+        return float(rational) * (math.pi / 2.0) ** ((n - n_odd) // 2)
+    return float(Fraction(1, math.prod(a + 1 for a in exps)))
+
+
+_CLASS_HEADS = {
+    "m_1": (),
+    "m_x": (1,),
+    "m_xx": (2,),
+    "m_xy": (1, 1),
+    "m_xxx": (3,),
+    "m_xxy": (2, 1),
+    "m_xyz": (1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 33, 128, 160, 256, 300, 512])
+def test_region_moments_bit_identical_to_fraction_reference(region, n):
+    rid = RegionId(region, n)
+
+    def full(head):
+        return tuple(head) + (0,) * (n - len(head))
+
+    for head in [(), (4,), (2, 2)]:
+        got = region_monomial_moment(rid, full(head))
+        assert got.hex() == _reference_region_moment(rid, full(head)).hex(), head
+    expected = {
+        field: _reference_region_moment(rid, full(head))
+        for field, head in _CLASS_HEADS.items()
+        if len(head) <= n
+    }
+    if 0.0 in expected.values():
+        with pytest.raises(InvalidMomentSpecError, match="underflow float64"):
+            region_spec(rid)
+        return
+    spec = region_spec(rid)
+    for field, value in expected.items():
+        assert getattr(spec, field).hex() == value.hex(), field
 
 
 def _cube_dict(n=3):
