@@ -6,11 +6,10 @@ truncated moment problems, yielding rules with 2n nodes (or 2n + 1 with
 one compensation node).  See README.md for usage.
 """
 
-from .assembly import CubatureRule, assemble_rule, build_rule, compensation_node, map_node
+from .assembly import CubatureRule, assemble_rule, build_rule, map_node
 from .decomposition import (
     DecompositionConstants,
     MassSplit,
-    OneDimMoments,
     compute_constants,
     default_split,
     reduced_moment_chain,
@@ -27,7 +26,7 @@ from .errors import (
     InvalidSplitError,
     UnmatchedRuleError,
 )
-from .moment1d import Feasibility, OneDimRule, hankel_feasibility, solve_two_point
+from .moment1d import Feasibility, hankel_feasibility, solve_two_point
 from .moments import (
     Region,
     RegionId,
@@ -77,8 +76,6 @@ __all__ = [
     "MassSplit",
     "NodeClass",
     "NodeClassification",
-    "OneDimMoments",
-    "OneDimRule",
     "Region",
     "RegionId",
     "RuleDiff",
@@ -92,7 +89,6 @@ __all__ = [
     "check_exactness",
     "classify_nodes",
     "compare_to_reference",
-    "compensation_node",
     "compute_constants",
     "cube_spec",
     "default_split",

@@ -35,6 +35,7 @@ import numpy as np
 from .decomposition import (
     DecompositionConstants,
     MassSplit,
+    _chain_mass_bound,
     compute_constants,
     default_split,
     reduced_moment_chain,
@@ -47,7 +48,6 @@ __all__ = [
     "CubatureRule",
     "assemble_rule",
     "build_rule",
-    "compensation_node",
     "map_node",
 ]
 
@@ -154,11 +154,6 @@ def map_node(
     return tuple(out[0].tolist())
 
 
-def compensation_node(consts: DecompositionConstants, n: int) -> tuple[float, ...]:
-    """The k = n node image of t = 0, which carries the mass residual."""
-    return map_node(n, 0.0, consts, n)
-
-
 def assemble_rule(
     spec: SymmetricMomentSpec,
     split: MassSplit,
@@ -180,20 +175,20 @@ def assemble_rule(
     nodes = _gamma_filled(2 * n + split.compensation, consts, n)
     weights: list[float] = []
     row = 0
-    for entry in chain:
+    for k, (m0, m1, m2, m3) in enumerate(chain, start=1):
         try:
-            one_dim = solve_two_point(entry)
+            ts, ws = solve_two_point(m0, m1, m2, m3)
         except InfeasibleMomentError as exc:
-            bound = entry.m1**2 / entry.m2 if entry.m2 > 0 else math.inf
+            bound = _chain_mass_bound(m1, m2)
             raise InfeasibleMomentError(
-                f"chain {entry.k} is infeasible (m0*m2 - m1^2 = {exc.hankel:.6e}); "
-                f"feasibility needs mu_{entry.k} > {bound:.9g}",
+                f"chain {k} is infeasible (m0*m2 - m1^2 = {exc.hankel:.6e}); "
+                f"feasibility needs mu_{k} > {bound:.9g}",
                 hankel=exc.hankel,
-                chain=entry.k,
+                chain=k,
                 mass_bound=bound,
             ) from exc
-        row = _write_chain(nodes, row, entry.k, one_dim.nodes, consts, n)
-        weights.extend(one_dim.weights)
+        row = _write_chain(nodes, row, k, ts, consts, n)
+        weights.extend(ws)
     if split.compensation:
         row = _write_chain(nodes, row, n, (0.0,), consts, n)
         weights.append(spec.m_1 - math.fsum(split.masses))

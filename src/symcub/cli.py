@@ -5,7 +5,7 @@ unsatisfied search, 3 verification failure.  Split parameters accept
 exact rationals ("93/85"), parsed to floats at the last moment.  The
 default exactness gates are relative to the largest |moment| of degree
 <= 3; --tolerance sets an absolute one.  When SYMCUB_OUTPUT_DIR is set,
-relative output paths are resolved against it.
+relative --output and --output-dir paths are resolved against it.
 """
 
 from __future__ import annotations
@@ -72,15 +72,18 @@ def _parse_numbers(text: str) -> list[float]:
         raise _UsageError(f"cannot parse number list {text!r}: {exc}") from exc
 
 
+def _output_path(path: str) -> Path:
+    """`path`, resolved against SYMCUB_OUTPUT_DIR when it is relative."""
+    # pathlib drops the base for an absolute path and skips an empty one
+    return Path(os.environ.get(OUTPUT_DIR_ENV, ""), path)
+
+
 def _write_output(text: str, output: str | None) -> None:
-    """Write to --output, resolved against SYMCUB_OUTPUT_DIR, or to stdout."""
+    """Write to --output, resolved by :func:`_output_path`, or to stdout."""
     if output is None:
         sys.stdout.write(text)
         return
-    path = Path(output)
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not path.is_absolute():
-        path = Path(base) / path
+    path = _output_path(output)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
 
@@ -267,7 +270,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    out_dir = Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV, "tables"))
+    # without --output-dir: SYMCUB_OUTPUT_DIR itself, else ./tables
+    default = "" if os.environ.get(OUTPUT_DIR_ENV) else "tables"
+    out_dir = _output_path(args.output_dir or default)
     out_dir.mkdir(parents=True, exist_ok=True)
     all_ok = True
     for name in reference.numbered_table_names():

@@ -32,7 +32,6 @@ from .moments import SymmetricMomentSpec
 __all__ = [
     "DecompositionConstants",
     "MassSplit",
-    "OneDimMoments",
     "chain_higher_moments",
     "compute_constants",
     "default_split",
@@ -96,20 +95,6 @@ class MassSplit:
                 f"expected {spec.n} t-parameters, got {len(t)}"
             )
         return cls(tuple(tk * spec.m_1 / spec.n for tk in t), compensation)
-
-
-@dataclass(frozen=True)
-class OneDimMoments:
-    """Moments (m0, m1, m2, m3) of the chain-k reduced functional."""
-
-    k: int
-    m0: float
-    m1: float
-    m2: float
-    m3: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.m0, self.m1, self.m2, self.m3)
 
 
 def compute_constants(spec: SymmetricMomentSpec) -> DecompositionConstants:
@@ -234,24 +219,29 @@ def chain_higher_moments(
     return out
 
 
+def _chain_mass_bound(m1: float, m2: float) -> float:
+    """Lower bound m1^2 / m2 on a chain's mass for two-point feasibility.
+
+    The Hankel condition mu * m2 - m1^2 > 0 holds iff mu > m1^2 / m2;
+    with m2 <= 0 no mass restores it and the bound is infinite.
+    """
+    return m1 * m1 / m2 if m2 > 0 else math.inf
+
+
 def reduced_moment_chain(
     spec: SymmetricMomentSpec,
     split: MassSplit,
     consts: DecompositionConstants,
-) -> list[OneDimMoments]:
-    """Moments of the n reduced one-dimensional functionals.
+) -> list[tuple[float, float, float, float]]:
+    """Moments (m0, m1, m2, m3) of the n reduced one-dimensional functionals.
 
-    Entry k carries mu_k as its zeroth moment and the higher moments of
-    :func:`chain_higher_moments`.
+    List position k - 1 is chain k: it carries mu_k as its zeroth moment
+    and the higher moments of :func:`chain_higher_moments`.
     """
     if consts.n != spec.n:
         raise InvalidSplitError(
             f"constants were computed for n = {consts.n}, spec has n = {spec.n}"
         )
     validate_split(split, spec)
-    mu = split.masses
-    rows = chain_higher_moments(spec, consts, mu, spec.n)
-    return [
-        OneDimMoments(k, mu[k - 1], m1, m2, m3)
-        for k, (m1, m2, m3) in enumerate(rows, start=1)
-    ]
+    rows = chain_higher_moments(spec, consts, split.masses, spec.n)
+    return [(mu, m1, m2, m3) for mu, (m1, m2, m3) in zip(split.masses, rows)]

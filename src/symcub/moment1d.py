@@ -1,9 +1,11 @@
 """Truncated one-dimensional moment problems of order 3.
 
-Given moments (m0, m1, m2, m3), find at most two nodes and weights
-reproducing all four.  Feasibility follows the Hankel criterion:
-H = m0*m2 - m1^2 must be positive for a genuine two-point rule with real
-distinct nodes and positive weights; H ~ 0 collapses to a single atom.
+A problem is four floats (m0, m1, m2, m3); its solution is a pair
+``(nodes, weights)`` of equal-length tuples holding at most two nodes,
+in descending order, with the weights that reproduce all four moments.
+Feasibility follows the Hankel criterion: H = m0*m2 - m1^2 must be
+positive for a genuine two-point rule with real distinct nodes and
+positive weights; H ~ 0 collapses to a single atom.
 
 The two-point solver forms the monic quadratic p(t) = t^2 + b*t + c that
 is orthogonal to 1 and t, i.e.
@@ -20,17 +22,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
-from .decomposition import OneDimMoments
 from .errors import InconsistentAtomError, InfeasibleMomentError
 
 __all__ = [
     "Feasibility",
-    "OneDimRule",
-    "hankel_determinant",
     "hankel_feasibility",
-    "hankel_tolerance",
     "solve_two_point",
 ]
 
@@ -41,49 +38,36 @@ class Feasibility(enum.Enum):
     INDEFINITE = "indefinite"
 
 
-@dataclass(frozen=True)
-class OneDimRule:
-    """One or two nodes with weights matching four moments.
-
-    Nodes are sorted in descending order.  For POSITIVE_DEFINITE input the
-    nodes are distinct and both weights positive.
-    """
-
-    nodes: tuple[float, ...]
-    weights: tuple[float, ...]
-    feasibility: Feasibility
-
-    def moment(self, order: int) -> float:
-        return math.fsum(w * t**order for t, w in zip(self.nodes, self.weights))
-
-
-def hankel_determinant(m: OneDimMoments) -> float:
-    return m.m0 * m.m2 - m.m1 * m.m1
-
-
-def hankel_tolerance(m: OneDimMoments) -> float:
+def _classify(m0: float, m1: float, m2: float) -> tuple[Feasibility, float]:
+    """The Hankel class of (m0, m1, m2) and the determinant H itself."""
+    hankel = m0 * m2 - m1 * m1
     # scaled by the Hankel determinant's own terms; an absolute floor
     # would misclassify functionals with factorially small total mass
     # (the simplex beyond n = 8) as atomic
-    return 1e-13 * max(m.m0 * abs(m.m2), m.m1 * m.m1)
+    tol = 1e-13 * max(m0 * abs(m2), m1 * m1)
+    if m0 > 0 and hankel > tol:
+        return Feasibility.POSITIVE_DEFINITE, hankel
+    if m0 > 0 and abs(hankel) <= tol:
+        return Feasibility.ATOMIC, hankel
+    return Feasibility.INDEFINITE, hankel
 
 
-def hankel_feasibility(m: OneDimMoments) -> Feasibility:
-    """Classify moments as two-point feasible, atomic, or indefinite."""
-    hankel = hankel_determinant(m)
-    tol = hankel_tolerance(m)
-    if m.m0 > 0 and hankel > tol:
-        return Feasibility.POSITIVE_DEFINITE
-    if m.m0 > 0 and abs(hankel) <= tol:
-        return Feasibility.ATOMIC
-    return Feasibility.INDEFINITE
+def hankel_feasibility(m0: float, m1: float, m2: float, m3: float) -> Feasibility:
+    """Classify (m0, m1, m2, m3) as two-point feasible, atomic, or indefinite.
+
+    The class depends on m0, m1 and m2 only; m3 is taken so that a chain's
+    four moments can be passed as they come.
+    """
+    return _classify(m0, m1, m2)[0]
 
 
-def _quadratic_coefficients(m: OneDimMoments) -> tuple[float, float]:
+def _quadratic_coefficients(
+    m0: float, m1: float, m2: float, m3: float
+) -> tuple[float, float]:
     # Eliminate on [[m1, m0], [m2, m1]] [b, c]^T = [-m2, -m3] with the
     # larger pivot in the first column.
-    a11, a12, r1 = m.m1, m.m0, -m.m2
-    a21, a22, r2 = m.m2, m.m1, -m.m3
+    a11, a12, r1 = m1, m0, -m2
+    a21, a22, r2 = m2, m1, -m3
     if abs(a21) > abs(a11):
         a11, a12, r1, a21, a22, r2 = a21, a22, r2, a11, a12, r1
     factor = a21 / a11
@@ -94,39 +78,34 @@ def _quadratic_coefficients(m: OneDimMoments) -> tuple[float, float]:
     return b, c
 
 
-def _atomic_rule(m: OneDimMoments) -> OneDimRule:
-    node = m.m1 / m.m0
-    scale = max(1.0, abs(m.m2), abs(m.m3))
-    tol = 1e-10 * scale
-    if abs(m.m2 - node * node * m.m0) > tol or abs(m.m3 - node**3 * m.m0) > tol:
-        raise InconsistentAtomError(
-            f"rank-1 moments are not a point mass: m = {m.as_tuple()}"
-        )
-    return OneDimRule((node,), (m.m0,), Feasibility.ATOMIC)
-
-
-def solve_two_point(m: OneDimMoments, allow_indefinite: bool = False) -> OneDimRule:
+def solve_two_point(
+    m0: float, m1: float, m2: float, m3: float
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Solve the order-3 truncated moment problem for (m0, m1, m2, m3).
 
-    POSITIVE_DEFINITE moments yield two distinct real nodes with positive
-    weights.  ATOMIC moments yield a single node m1/m0 with weight m0,
-    provided m2 and m3 are consistent with a point mass.  INDEFINITE
-    moments raise :class:`InfeasibleMomentError` unless `allow_indefinite`
-    is set, in which case a rule with one negative weight is returned when
-    the nodes are still real.
+    Returns ``(nodes, weights)``.  POSITIVE_DEFINITE moments yield two
+    distinct real nodes ``(t_hi, t_lo)`` with positive weights.  ATOMIC
+    moments yield the single node m1/m0 with weight m0, provided m2 and
+    m3 are consistent with a point mass (:class:`InconsistentAtomError`
+    otherwise).  INDEFINITE moments raise :class:`InfeasibleMomentError`.
     """
-    feasibility = hankel_feasibility(m)
+    feasibility, hankel = _classify(m0, m1, m2)
     if feasibility is Feasibility.ATOMIC:
-        return _atomic_rule(m)
-    hankel = hankel_determinant(m)
-    if feasibility is Feasibility.INDEFINITE and not allow_indefinite:
+        node = m1 / m0
+        tol = 1e-10 * max(1.0, abs(m2), abs(m3))
+        if abs(m2 - node * node * m0) > tol or abs(m3 - node**3 * m0) > tol:
+            raise InconsistentAtomError(
+                f"rank-1 moments are not a point mass: m = {(m0, m1, m2, m3)}"
+            )
+        return (node,), (m0,)
+    if feasibility is Feasibility.INDEFINITE:
         raise InfeasibleMomentError(
             f"moments are not positive definite: m0*m2 - m1^2 = {hankel:.6e} "
-            f"(m0 = {m.m0!r})",
+            f"(m0 = {m0!r})",
             hankel=hankel,
         )
 
-    b, c = _quadratic_coefficients(m)
+    b, c = _quadratic_coefficients(m0, m1, m2, m3)
     disc = b * b - 4.0 * c
     if disc <= 0:
         raise InfeasibleMomentError(
@@ -136,8 +115,8 @@ def solve_two_point(m: OneDimMoments, allow_indefinite: bool = False) -> OneDimR
     # Stable root pair: q and c/q avoid cancellation between -b and sqrt.
     root = math.sqrt(disc)
     q = -(b + math.copysign(root, b if b != 0.0 else 1.0)) / 2.0
-    t_pair = (q, c / q)
-    t_hi, t_lo = (t_pair[0], t_pair[1]) if t_pair[0] >= t_pair[1] else (t_pair[1], t_pair[0])
-    w_hi = (m.m1 - m.m0 * t_lo) / (t_hi - t_lo)
-    w_lo = m.m0 - w_hi
-    return OneDimRule((t_hi, t_lo), (w_hi, w_lo), feasibility)
+    t_hi, t_lo = q, c / q
+    if t_hi < t_lo:
+        t_hi, t_lo = t_lo, t_hi
+    w_hi = (m1 - m0 * t_lo) / (t_hi - t_lo)
+    return (t_hi, t_lo), (w_hi, m0 - w_hi)

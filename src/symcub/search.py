@@ -27,6 +27,7 @@ from .assembly import CubatureRule, assemble_rule
 from .decomposition import (
     DecompositionConstants,
     MassSplit,
+    _chain_mass_bound,
     chain_higher_moments,
     compute_constants,
 )
@@ -94,7 +95,7 @@ def feasible_region_bounds(
         raise InvalidSplitError(f"got {len(prefix)} masses for n = {n}")
     count = min(len(prefix) + 1, n)
     return [
-        m1 * m1 / m2 if m2 > 0 else math.inf
+        _chain_mass_bound(m1, m2)
         for m1, m2, _ in chain_higher_moments(spec, consts, prefix, count)
     ]
 

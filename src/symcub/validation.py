@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -104,7 +104,6 @@ class RuleDiff:
     max_weight_deviation: float
     node_tol: float
     weight_tol: float
-    pairing: tuple[tuple[int, int], ...] = field(repr=False, default=())
 
     @property
     def passed(self) -> bool:
@@ -340,5 +339,4 @@ def compare_to_reference(
         max_weight_deviation=weight_dev,
         node_tol=node_tol,
         weight_tol=weight_tol,
-        pairing=tuple(zip(rows.tolist(), cols.tolist())),
     )

@@ -15,7 +15,6 @@ from symcub import (
     Feasibility,
     MassSplit,
     NodeClass,
-    OneDimMoments,
     Region,
     RegionId,
     assemble_rule,
@@ -61,7 +60,7 @@ def _random_feasible_split(spec, consts, rng, compensation=False, scale=1.0):
         masses = tuple(t * spec.m_1 / spec.n * scale)
         split = MassSplit(masses, compensation=compensation)
         chain = reduced_moment_chain(spec, split, consts)
-        if all(hankel_feasibility(e) is Feasibility.POSITIVE_DEFINITE for e in chain):
+        if all(hankel_feasibility(*m) is Feasibility.POSITIVE_DEFINITE for m in chain):
             return split
     raise RuntimeError("no feasible split found")
 
@@ -193,13 +192,13 @@ def test_criterion_6_one_dimensional_solver_oracle():
         order = np.argsort(t)[::-1]
         t, w = t[order], w[order]
         moments = [float(w[0] * t[0] ** j + w[1] * t[1] ** j) for j in range(4)]
-        rule = solve_two_point(OneDimMoments(1, *moments))
-        for got, expected in zip(rule.nodes, t):
+        nodes, weights = solve_two_point(*moments)
+        for got, expected in zip(nodes, t):
             worst_node = max(worst_node, abs(got - expected) / max(1.0, abs(expected)))
-        for got, expected in zip(rule.weights, w):
+        for got, expected in zip(weights, w):
             worst_weight = max(worst_weight, abs(got - expected) / expected)
         hankel = moments[0] * moments[2] - moments[1] ** 2
-        lhs = rule.weights[0] * rule.weights[1] * (rule.nodes[0] - rule.nodes[1]) ** 2
+        lhs = weights[0] * weights[1] * (nodes[0] - nodes[1]) ** 2
         worst_identity = max(worst_identity, abs(lhs - hankel) / hankel)
     ok = worst_node <= 1e-9 and worst_weight <= 1e-9 and worst_identity <= 1e-12
     _verdict(

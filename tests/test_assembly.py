@@ -1,5 +1,6 @@
 """Node maps, compensation node, and full rule assembly."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -15,7 +16,6 @@ from symcub import (
     RegionId,
     assemble_rule,
     build_rule,
-    compensation_node,
     compute_constants,
     cube_spec,
     default_split,
@@ -75,25 +75,19 @@ def test_map_node_coordinate_multiplicities():
 
 def test_compensation_node_simplex4():
     consts = compute_constants(simplex_spec(4))
-    node = compensation_node(consts, 4)
+    node = map_node(4, 0.0, consts, 4)
     assert node == pytest.approx((2 / 7, 2 / 7, 1 / 7, 1 / 7), abs=1e-15)
 
 
 def test_compensation_node_simplex3():
     consts = compute_constants(simplex_spec(3))
-    assert compensation_node(consts, 3) == pytest.approx((1 / 3, 1 / 3, 1 / 6), abs=1e-15)
+    assert map_node(3, 0.0, consts, 3) == pytest.approx((1 / 3, 1 / 3, 1 / 6), abs=1e-15)
 
 
 def test_compensation_node_cube3():
     # c_mid = 0 and gamma = 1/2 put the compensation node at the center
     consts = compute_constants(cube_spec(3))
-    assert compensation_node(consts, 3) == pytest.approx((0.5, 0.5, 0.5), abs=1e-14)
-
-
-def test_compensation_node_equals_map_at_zero():
-    for make, n in [(simplex_spec, 3), (sector_spec, 4), (cube_spec, 2)]:
-        consts = compute_constants(make(n))
-        assert compensation_node(consts, n) == map_node(n, 0.0, consts, n)
+    assert map_node(3, 0.0, consts, 3) == pytest.approx((0.5, 0.5, 0.5), abs=1e-14)
 
 
 def test_assembled_rule_matches_reference_table1():
@@ -114,8 +108,8 @@ def test_weight_passthrough():
     consts = compute_constants(spec)
     split = default_split(spec)
     expected = []
-    for entry in reduced_moment_chain(spec, split, consts):
-        expected.extend(solve_two_point(entry).weights)
+    for moments in reduced_moment_chain(spec, split, consts):
+        expected.extend(solve_two_point(*moments)[1])
     rule = assemble_rule(spec, split, consts)
     assert np.array_equal(rule.weights, expected)
 
@@ -213,13 +207,13 @@ def _per_node_reference(spec, split):
     """Nodes and weights built row by row from map_node, as tuples."""
     consts = compute_constants(spec)
     nodes, weights = [], []
-    for entry in reduced_moment_chain(spec, split, consts):
-        one_dim = solve_two_point(entry)
-        for t, w in zip(one_dim.nodes, one_dim.weights):
-            nodes.append(map_node(entry.k, t, consts, spec.n))
+    chain = reduced_moment_chain(spec, split, consts)
+    for k, moments in enumerate(chain, start=1):
+        for t, w in zip(*solve_two_point(*moments)):
+            nodes.append(map_node(k, t, consts, spec.n))
             weights.append(w)
     if split.compensation:
-        nodes.append(compensation_node(consts, spec.n))
+        nodes.append(map_node(spec.n, 0.0, consts, spec.n))
         weights.append(spec.m_1 - math.fsum(split.masses))
     return np.array(nodes).reshape(len(nodes), spec.n), np.array(weights)
 
@@ -292,17 +286,28 @@ def test_rule_from_sequences_validates_shapes():
 
 
 def test_infeasible_middle_chain_reports_chain_and_bound():
-    spec = sector_spec(6)
-    consts = compute_constants(spec)
-    prefix = default_split(spec).masses[:2]
-    bound = feasible_region_bounds(spec, consts, prefix)[2]
-    mass = 0.5 * bound
-    tail = (spec.m_1 - math.fsum(prefix) - mass) / 3
-    with pytest.raises(InfeasibleMomentError) as info:
-        assemble_rule(spec, MassSplit(prefix + (mass,) + (tail,) * 3), consts)
-    assert info.value.chain == 3
-    assert info.value.mass_bound == bound
-    assert "mu_3" in str(info.value)
+    # every middle chain: the error's mass bound is feasible_region_bounds'
+    # bound, bit for bit
+    for region, n in itertools.product(Region, (4, 6, 8)):
+        spec = region_spec(RegionId(region, n))
+        consts = compute_constants(spec)
+        default = default_split(spec).masses
+        for k in range(2, n):
+            prefix = default[: k - 1]
+            bound = feasible_region_bounds(spec, consts, prefix)[k - 1]
+            # c_mid = 0 (the cube) zeroes m1, so any positive mass is feasible
+            mass = 0.5 * bound if bound > 0 else 1e-3 * default[k - 1]
+            tail = (spec.m_1 - math.fsum(prefix) - mass) / (n - k)
+            split = MassSplit(prefix + (mass,) + (tail,) * (n - k))
+            if bound == 0.0:
+                assert consts.c_mid == 0.0
+                assemble_rule(spec, split, consts)
+                continue
+            with pytest.raises(InfeasibleMomentError) as info:
+                assemble_rule(spec, split, consts)
+            assert info.value.chain == k
+            assert info.value.mass_bound == bound
+            assert f"mu_{k}" in str(info.value)
 
 
 def test_compensated_cube512_build_allocates_about_one_node_array():

@@ -298,21 +298,30 @@ def test_reference_table_dim_must_match_registry(monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("generate", "--region", "simplex", "--dim", "3"),
-        ("verify", "RULE", "--region", "simplex"),
-        ("search", "--region", "simplex", "--dim", "3", "--max-evals", "2000"),
+        ("generate", "--region", "simplex", "--dim", "3", "--output"),
+        ("verify", "RULE", "--region", "simplex", "--output"),
+        ("search", "--region", "simplex", "--dim", "3", "--max-evals", "2000", "--output"),
+        ("tables", "--output-dir"),
     ],
-    ids=["generate", "verify", "search"],
+    ids=["generate", "verify", "search", "tables"],
 )
 def test_output_dir_env_var(tmp_path, capsys, monkeypatch, argv):
     rule_path = tmp_path / "rule.json"
     _run(capsys, "generate", "--region", "simplex", "--dim", "3", "--output", str(rule_path))
     monkeypatch.setenv("SYMCUB_OUTPUT_DIR", str(tmp_path / "out"))
+    monkeypatch.chdir(tmp_path)
     argv = [str(rule_path) if arg == "RULE" else arg for arg in argv]
-    code, out, _ = _run(capsys, *argv, "--output", "sub/result")
+    code, out, _ = _run(capsys, *argv, "sub/result")
     assert code == 0
-    assert out == ""
-    assert (tmp_path / "out" / "sub" / "result").read_text()
+    written = tmp_path / "out" / "sub" / "result"
+    if argv[0] == "tables":
+        # tables prints its report and writes one CSV per table
+        assert out.endswith(f"to {written}\n")
+        assert (written / "table1.csv").read_text()
+        assert not (tmp_path / "sub").exists()
+    else:
+        assert out == ""
+        assert written.read_text()
 
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys):

@@ -98,25 +98,24 @@ def test_split_from_t_parses_rationals():
 def test_reduced_chain_simplex3_default():
     spec = simplex_spec(3)
     chain = reduced_moment_chain(spec, default_split(spec), compute_constants(spec))
-    assert [e.k for e in chain] == [1, 2, 3]
-    m = chain[0]
-    assert m.as_tuple() == pytest.approx((1 / 18, -1 / 72, 32 / 4320, -70 / 25920), rel=1e-13)
-    m = chain[1]
-    assert m.as_tuple() == pytest.approx(
+    assert len(chain) == 3
+    assert chain[0] == pytest.approx((1 / 18, -1 / 72, 32 / 4320, -70 / 25920), rel=1e-13)
+    assert chain[1] == pytest.approx(
         (1 / 18, -1 / 27, 1 / 20 + 1 / 81, -1 / 15 - 1 / 243), rel=1e-13
     )
-    m = chain[2]
-    assert m.m0 == pytest.approx(1 / 18, rel=1e-15)
-    assert m.m1 == 0.0 and m.m3 == 0.0
-    assert m.m2 == pytest.approx(1 / 60, rel=1e-15)
+    m0, m1, m2, m3 = chain[2]
+    assert m0 == pytest.approx(1 / 18, rel=1e-15)
+    assert m1 == 0.0 and m3 == 0.0
+    assert m2 == pytest.approx(1 / 60, rel=1e-15)
 
 
 def test_last_chain_entry_zeros_are_exact():
     for make, n in [(simplex_spec, 5), (sector_spec, 4), (cube_spec, 3)]:
         spec = make(n)
         chain = reduced_moment_chain(spec, default_split(spec), compute_constants(spec))
-        assert chain[-1].m1 == 0.0
-        assert chain[-1].m3 == 0.0
+        _, m1, _, m3 = chain[-1]
+        assert m1 == 0.0
+        assert m3 == 0.0
 
 
 def test_remaining_mass():
@@ -150,9 +149,9 @@ def test_chain_mass_conservation_random_splits():
                 t *= n / t.sum()
                 split = MassSplit(tuple(t * spec.m_1 / n))
                 chain = reduced_moment_chain(spec, split, consts)
-                total = math.fsum(e.m0 for e in chain)
+                total = math.fsum(m0 for m0, _, _, _ in chain)
                 assert abs(total - spec.m_1) <= 1e-12 * spec.m_1
-                assert all(e.m0 > 0 for e in chain)
+                assert all(m0 > 0 for m0, _, _, _ in chain)
 
 
 @pytest.mark.parametrize("make", [simplex_spec, sector_spec])
@@ -173,12 +172,13 @@ def test_chain_remaining_mass_is_the_exact_prefix_sum(make, n):
         d2 = spec.m_xx - spec.m_xy
         e3 = -(spec.m_xxx - 3.0 * spec.m_xxy + 2.0 * spec.m_xyz)
         cm = consts.c_mid
-        for entry in chain[1:-1]:
-            ahead = remaining_mass(split, spec.m_1, entry.k - 1)
-            f2 = (n - entry.k + 1) * (n - entry.k + 2)
-            assert entry.m1 == cm * ahead
-            assert entry.m2 == f2 * d2 + cm * cm * ahead
-            assert entry.m3 == f2 * (n - entry.k + 3) * e3 + cm**3 * ahead
+        for k in range(2, n):
+            _, m1, m2, m3 = chain[k - 1]
+            ahead = remaining_mass(split, spec.m_1, k - 1)
+            f2 = (n - k + 1) * (n - k + 2)
+            assert m1 == cm * ahead
+            assert m2 == f2 * d2 + cm * cm * ahead
+            assert m3 == f2 * (n - k + 3) * e3 + cm**3 * ahead
 
 
 def test_centrally_symmetric_spec_has_odd_moments_zero():
@@ -188,9 +188,9 @@ def test_centrally_symmetric_spec_has_odd_moments_zero():
     consts = compute_constants(spec)
     assert consts.c_n == 0.0
     chain = reduced_moment_chain(spec, default_split(spec), consts)
-    for entry in chain:
-        assert entry.m1 == 0.0
-        assert entry.m3 == 0.0
+    for _, m1, _, m3 in chain:
+        assert m1 == 0.0
+        assert m3 == 0.0
 
 
 def test_validate_split_errors():

@@ -10,29 +10,25 @@ from symcub import (
     Feasibility,
     InconsistentAtomError,
     InfeasibleMomentError,
-    OneDimMoments,
     hankel_feasibility,
     solve_two_point,
 )
 
 
-def _m(m0, m1, m2, m3, k=1):
-    return OneDimMoments(k, m0, m1, m2, m3)
-
-
 def test_hankel_classification():
-    assert hankel_feasibility(_m(1, 0, 1, 0)) is Feasibility.POSITIVE_DEFINITE
-    assert hankel_feasibility(_m(1, 1, 1, 1)) is Feasibility.ATOMIC
-    assert hankel_feasibility(_m(1, 0, -1, 0)) is Feasibility.INDEFINITE
-    assert hankel_feasibility(_m(-1, 0, 1, 0)) is Feasibility.INDEFINITE
+    assert hankel_feasibility(1, 0, 1, 0) is Feasibility.POSITIVE_DEFINITE
+    assert hankel_feasibility(1, 1, 1, 1) is Feasibility.ATOMIC
+    assert hankel_feasibility(1, 0, -1, 0) is Feasibility.INDEFINITE
+    assert hankel_feasibility(-1, 0, 1, 0) is Feasibility.INDEFINITE
 
 
 def test_symmetric_two_point():
-    rule = solve_two_point(_m(1 / 18, 0.0, 1 / 60, 0.0))
+    moments = (1 / 18, 0.0, 1 / 60, 0.0)
+    nodes, weights = solve_two_point(*moments)
     root = math.sqrt(0.3)
-    assert rule.nodes == pytest.approx((root, -root), rel=1e-14)
-    assert rule.weights == pytest.approx((1 / 36, 1 / 36), rel=1e-13)
-    assert rule.feasibility is Feasibility.POSITIVE_DEFINITE
+    assert nodes == pytest.approx((root, -root), rel=1e-14)
+    assert weights == pytest.approx((1 / 36, 1 / 36), rel=1e-13)
+    assert hankel_feasibility(*moments) is Feasibility.POSITIVE_DEFINITE
 
 
 def test_two_point_against_independent_elimination():
@@ -48,51 +44,46 @@ def test_two_point_against_independent_elimination():
     t_lo = (-float(b) - disc) / 2
     w_hi = (float(m1) - float(m0) * t_lo) / (t_hi - t_lo)
 
-    rule = solve_two_point(_m(float(m0), float(m1), float(m2), float(m3)))
-    assert rule.nodes == pytest.approx((t_hi, t_lo), rel=1e-14)
-    assert rule.weights == pytest.approx((w_hi, float(m0) - w_hi), rel=1e-13)
+    nodes, weights = solve_two_point(float(m0), float(m1), float(m2), float(m3))
+    assert nodes == pytest.approx((t_hi, t_lo), rel=1e-14)
+    assert weights == pytest.approx((w_hi, float(m0) - w_hi), rel=1e-13)
     # the published first-table weights, rounded to 14 digits
-    assert rule.weights[0] == pytest.approx(0.01469064053612, abs=5e-13)
-    assert rule.weights[1] == pytest.approx(0.04086491501944, abs=5e-13)
+    assert weights[0] == pytest.approx(0.01469064053612, abs=5e-13)
+    assert weights[1] == pytest.approx(0.04086491501944, abs=5e-13)
 
 
 def test_all_four_moments_reproduced():
-    rule = solve_two_point(_m(0.0555555555556, -0.0138888888889, 0.00740740740741, -0.00270061728395))
-    for order in range(4):
-        target = [0.0555555555556, -0.0138888888889, 0.00740740740741, -0.00270061728395][order]
-        assert rule.moment(order) == pytest.approx(target, rel=1e-12)
+    moments = (0.0555555555556, -0.0138888888889, 0.00740740740741, -0.00270061728395)
+    nodes, weights = solve_two_point(*moments)
+    for order, target in enumerate(moments):
+        got = math.fsum(w * t**order for t, w in zip(nodes, weights))
+        assert got == pytest.approx(target, rel=1e-12)
 
 
 def test_atomic_point_mass():
-    rule = solve_two_point(_m(2.0, 2.0, 2.0, 2.0))
-    assert rule.nodes == (1.0,)
-    assert rule.weights == (2.0,)
-    assert rule.feasibility is Feasibility.ATOMIC
+    moments = (2.0, 2.0, 2.0, 2.0)
+    assert hankel_feasibility(*moments) is Feasibility.ATOMIC
+    nodes, weights = solve_two_point(*moments)
+    assert nodes == (1.0,)
+    assert weights == (2.0,)
 
 
 def test_atomic_inconsistent_third_moment():
+    assert hankel_feasibility(1.0, 1.0, 1.0, 5.0) is Feasibility.ATOMIC
     with pytest.raises(InconsistentAtomError):
-        solve_two_point(_m(1.0, 1.0, 1.0, 5.0))
+        solve_two_point(1.0, 1.0, 1.0, 5.0)
 
 
 def test_indefinite_raises_with_hankel():
     with pytest.raises(InfeasibleMomentError) as info:
-        solve_two_point(_m(1.0, 0.0, -1.0, 0.0))
+        solve_two_point(1.0, 0.0, -1.0, 0.0)
     assert info.value.hankel == pytest.approx(-1.0)
     assert "m0*m2 - m1^2" in str(info.value)
 
 
-def test_allow_indefinite_recovers_signed_rule():
-    # weights (2, -0.5) at nodes (1, -1): moments (1.5, 2.5, 1.5, 2.5)
-    rule = solve_two_point(_m(1.5, 2.5, 1.5, 2.5), allow_indefinite=True)
-    assert rule.nodes == pytest.approx((1.0, -1.0), rel=1e-12)
-    assert rule.weights == pytest.approx((2.0, -0.5), rel=1e-12)
-    assert rule.feasibility is Feasibility.INDEFINITE
-
-
 def test_nodes_sorted_descending():
-    rule = solve_two_point(_m(1.0, -0.5, 1.0, -0.875))
-    assert rule.nodes[0] > rule.nodes[1]
+    nodes, _ = solve_two_point(1.0, -0.5, 1.0, -0.875)
+    assert nodes[0] > nodes[1]
 
 
 def _random_instances(count, rng):
@@ -112,14 +103,14 @@ def test_roundtrip_recovery_and_identities():
     rng = np.random.default_rng(99)
     for t, w in _random_instances(2000, rng):
         moments = [float(w[0] * t[0] ** j + w[1] * t[1] ** j) for j in range(4)]
-        rule = solve_two_point(_m(*moments))
-        assert rule.nodes == pytest.approx(tuple(t), rel=1e-9)
-        assert rule.weights == pytest.approx(tuple(w), rel=1e-9)
+        nodes, weights = solve_two_point(*moments)
+        assert nodes == pytest.approx(tuple(t), rel=1e-9)
+        assert weights == pytest.approx(tuple(w), rel=1e-9)
 
         m0, m1, m2, m3 = moments
         hankel = m0 * m2 - m1 * m1
-        t1, t2 = rule.nodes
-        w1, w2 = rule.weights
+        t1, t2 = nodes
+        w1, w2 = weights
         # weight identity: w1 w2 (t1 - t2)^2 = m0 m2 - m1^2
         assert w1 * w2 * (t1 - t2) ** 2 == pytest.approx(hankel, rel=1e-12)
         # discriminant identity: b^2 - 4c = (m0 b^2 + 4 m1 b + 4 m2)/m0 > 0

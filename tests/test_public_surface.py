@@ -1,0 +1,83 @@
+"""The public surface: every exported name resolves, and the package's is pinned."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import symcub
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(symcub.__path__))
+
+# Adding or removing a public name is a deliberate change to this list.
+PACKAGE_ALL = [
+    "CubatureError",
+    "CubatureRule",
+    "DecompositionConstants",
+    "DegreeOutOfRangeError",
+    "DimensionMismatchError",
+    "ExactnessReport",
+    "Feasibility",
+    "InconsistentAtomError",
+    "InfeasibleMomentError",
+    "InvalidDimensionError",
+    "InvalidMomentSpecError",
+    "InvalidSplitError",
+    "MassSplit",
+    "NodeClass",
+    "NodeClassification",
+    "Region",
+    "RegionId",
+    "RuleDiff",
+    "SearchMode",
+    "SearchObjective",
+    "SearchResult",
+    "SymmetricMomentSpec",
+    "UnmatchedRuleError",
+    "assemble_rule",
+    "build_rule",
+    "check_exactness",
+    "classify_nodes",
+    "compare_to_reference",
+    "compute_constants",
+    "cube_spec",
+    "default_split",
+    "degree4_nonexactness",
+    "feasible_region_bounds",
+    "hankel_feasibility",
+    "load_spec",
+    "map_node",
+    "moment_of_monomial",
+    "reduced_moment_chain",
+    "region_monomial_moment",
+    "region_spec",
+    "remaining_mass",
+    "search_masses",
+    "sector_spec",
+    "simplex_spec",
+    "solve_two_point",
+    "spec_from_dict",
+]
+
+
+def test_package_all_is_pinned():
+    assert PACKAGE_ALL == sorted(PACKAGE_ALL)
+    assert symcub.__all__ == PACKAGE_ALL
+
+
+def test_package_names_resolve():
+    missing = [name for name in symcub.__all__ if not hasattr(symcub, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("module_name", SUBMODULES)
+def test_module_names_resolve(module_name):
+    module = importlib.import_module(f"symcub.{module_name}")
+    names = getattr(module, "__all__", [])  # errors.py exports by name only
+    assert len(set(names)) == len(names)
+    missing = [name for name in names if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_submodules_are_found():
+    assert {"assembly", "cli", "decomposition", "moment1d", "validation"} <= set(SUBMODULES)

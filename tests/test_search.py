@@ -70,8 +70,8 @@ def test_bounds_are_the_chain_moment_ratio(region, n):
         for p in range(n + 1):
             bounds = feasible_region_bounds(spec, consts, masses[:p])
             assert len(bounds) == min(p + 1, n)
-            for bound, entry in zip(bounds, chain):
-                assert bound == entry.m1 * entry.m1 / entry.m2
+            for bound, (_, m1, m2, _) in zip(bounds, chain):
+                assert bound == m1 * m1 / m2
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -83,8 +83,8 @@ def test_bounds_agree_with_solver_flip(k):
     assert bound > 0
     above = _chain_with_mass(spec, consts, prefix, bound * (1 + 1e-6))
     below = _chain_with_mass(spec, consts, prefix, bound * (1 - 1e-6))
-    assert hankel_feasibility(above) is Feasibility.POSITIVE_DEFINITE
-    assert hankel_feasibility(below) is not Feasibility.POSITIVE_DEFINITE
+    assert hankel_feasibility(*above) is Feasibility.POSITIVE_DEFINITE
+    assert hankel_feasibility(*below) is not Feasibility.POSITIVE_DEFINITE
 
 
 def test_search_interior_simplex3():
