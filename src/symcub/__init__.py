@@ -13,7 +13,6 @@ from .decomposition import (
     compute_constants,
     default_split,
     reduced_moment_chain,
-    remaining_mass,
 )
 from .errors import (
     CubatureError,
@@ -101,7 +100,6 @@ __all__ = [
     "reduced_moment_chain",
     "region_monomial_moment",
     "region_spec",
-    "remaining_mass",
     "search_masses",
     "sector_spec",
     "simplex_spec",

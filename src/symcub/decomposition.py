@@ -36,7 +36,6 @@ __all__ = [
     "compute_constants",
     "default_split",
     "reduced_moment_chain",
-    "remaining_mass",
     "validate_split",
 ]
 
@@ -137,16 +136,6 @@ def validate_split(split: MassSplit, spec: SymmetricMomentSpec) -> None:
                 f"masses sum to {total!r} but m_1 = {spec.m_1!r}; "
                 "enable compensation or rescale the split"
             )
-
-
-def remaining_mass(split: MassSplit, m_1: float, k: int) -> float:
-    """Mass left after the first k chains: m_1 - sum(mu_1 .. mu_k).
-
-    k = 0 returns m_1 itself; k = n returns the compensation residual.
-    """
-    if not 0 <= k <= len(split.masses):
-        raise InvalidSplitError(f"k must be in [0, {len(split.masses)}], got {k}")
-    return m_1 - math.fsum(split.masses[:k])
 
 
 def _add_exact(partials: list[float], x: float) -> None:

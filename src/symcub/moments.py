@@ -134,10 +134,13 @@ class SymmetricMomentSpec:
 
     def __post_init__(self):
         _check_dim(self.n)
-        for name in _PATTERN_TO_FIELD.values():
-            object.__setattr__(self, name, float(getattr(self, name)))
         if self.n == 2:
             object.__setattr__(self, "m_xyz", 0.0)
+        for name in _PATTERN_TO_FIELD.values():
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise InvalidMomentSpecError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
         if not self.m_1 > 0:
             raise InvalidMomentSpecError(f"m_1 > 0 violated: m_1 = {self.m_1!r}")
         if not self.m_xx > 0:

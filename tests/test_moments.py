@@ -212,6 +212,12 @@ def test_invalid_dimension():
         (dict(m_xx=-0.1), "m_xx > 0"),
         (dict(m_xy=0.5), "m_xx - m_xy > 0"),
         (dict(m_x=1.0), "m_1*m_xx - m_x^2 >= 0"),
+        # each of these passes every inequality above
+        (dict(m_x=math.nan), "m_x must be finite"),
+        (dict(m_xy=-math.inf), "m_xy must be finite"),
+        (dict(m_xxx=math.inf), "m_xxx must be finite"),
+        (dict(m_xxy=math.nan), "m_xxy must be finite"),
+        (dict(m_xyz=-math.inf), "m_xyz must be finite"),
     ],
 )
 def test_spec_invariants_name_the_inequality(kwargs, fragment):

@@ -1,7 +1,11 @@
 """The public surface: every exported name resolves, and the package's is pinned."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,7 +55,6 @@ PACKAGE_ALL = [
     "reduced_moment_chain",
     "region_monomial_moment",
     "region_spec",
-    "remaining_mass",
     "search_masses",
     "sector_spec",
     "simplex_spec",
@@ -81,3 +84,17 @@ def test_module_names_resolve(module_name):
 
 def test_submodules_are_found():
     assert {"assembly", "cli", "decomposition", "moment1d", "validation"} <= set(SUBMODULES)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency
+    src = str(Path(symcub.__file__).parents[1])
+    code = (
+        "import sys, symcub, symcub.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -25,8 +25,18 @@ from symcub import (
     sector_spec,
     simplex_spec,
 )
-from symcub.reference import load_reference_rule
-from symcub.validation import _sampled_columns, monomial_exponents, node_margins
+from symcub.reference import load_reference_rule, numbered_table_names, regenerate_table
+from symcub.validation import _sampled_columns, node_margins
+
+
+def monomial_exponents(n, max_degree=3):
+    """Reference: every exponent vector of length n and total degree <= max_degree."""
+    for degree in range(max_degree + 1):
+        for positions in itertools.combinations_with_replacement(range(n), degree):
+            exps = [0] * n
+            for p in positions:
+                exps[p] += 1
+            yield tuple(exps)
 
 
 def test_monomial_enumeration_count():
@@ -218,6 +228,63 @@ def test_compare_errors():
     truncated = CubatureRule(dim=3, nodes=a.nodes[:-1], weights=a.weights[:-1])
     with pytest.raises(UnmatchedRuleError):
         compare_to_reference(a, truncated)
+
+
+def _assignment_diff(linear_sum_assignment, rule, reference):
+    """Reference: the deviations under a minimum-cost assignment."""
+    delta = rule.nodes[:, None, :] - reference.nodes[None, :, :]
+    distance = np.sqrt((delta**2).sum(axis=2))
+    rows, cols = linear_sum_assignment(distance)
+    return (
+        float(distance[rows, cols].max()),
+        float(np.abs(rule.weights[rows] - reference.weights[cols]).max()),
+    )
+
+
+def _compare_pairs():
+    for name in (*numbered_table_names(), "table3_interior"):
+        yield regenerate_table(name), load_reference_rule(name)
+    rng = np.random.default_rng(6)
+    for region in Region:
+        for n in [2, 3, 4, 5, 8, 16, 33, 64]:
+            rule = build_rule(region_spec(RegionId(region, n)))
+            for scale in [0.0, 1e-12, 1e-9, 1e-6]:
+                perm = rng.permutation(len(rule))
+                nodes = rule.nodes[perm] + scale * rng.standard_normal(rule.nodes.shape)
+                weights = rule.weights[perm] + scale * rng.standard_normal(len(rule))
+                yield rule, CubatureRule(dim=n, nodes=nodes, weights=weights)
+
+
+def test_nearest_node_pairing_matches_the_assignment_solver():
+    solver = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    for rule, other in _compare_pairs():
+        for a, b in [(rule, other), (other, rule)]:
+            diff = compare_to_reference(a, b)
+            expected = _assignment_diff(solver, a, b)
+            assert (diff.max_node_distance, diff.max_weight_deviation) == expected
+
+
+def test_shared_nearest_node_does_not_match():
+    p, q = np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.1, 0.2])
+    e1 = np.array([1e-3, 0.0, 0.0])
+    rule = CubatureRule(dim=3, nodes=np.array([p, p + e1, q]), weights=np.ones(3))
+    other = CubatureRule(dim=3, nodes=np.array([p, q, q + e1]), weights=np.ones(3))
+    diff = compare_to_reference(rule, other)
+    assert diff.max_node_distance == np.inf
+    assert diff.passed is False
+
+
+def test_compare_to_reference_memory_is_bounded():
+    rule = build_rule(cube_spec(128))
+    shuffled = CubatureRule(dim=128, nodes=rule.nodes[::-1], weights=rule.weights[::-1])
+    tracemalloc.start()
+    try:
+        diff = compare_to_reference(rule, shuffled)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert diff.max_node_distance == 0.0 and diff.max_weight_deviation == 0.0
 
 
 # ---------------------------------------------------------------------------
