@@ -19,6 +19,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import reference, ruleio
 from .assembly import build_rule
 from .decomposition import MassSplit, default_split
@@ -121,16 +123,10 @@ def _tolerance(args, spec: SymmetricMomentSpec, relative: float) -> float:
 
 
 def _report_to_dict(report: ExactnessReport) -> dict:
-    data = {
-        "max_abs_error": report.max_abs_error,
-        "max_rel_error": report.max_rel_error,
-        "worst_monomial": list(report.worst_monomial),
-        "per_degree_max": list(report.per_degree_max),
-        "monomial_count": report.monomial_count,
-    }
-    if report.degree4_witness is not None:
-        exps, err = report.degree4_witness
-        data["degree4_witness"] = {"monomial": list(exps), "error": err}
+    data = dataclasses.asdict(report)
+    witness = data.pop("degree4_witness")
+    if witness is not None:
+        data["degree4_witness"] = {"monomial": witness[0], "error": witness[1]}
     return data
 
 
@@ -153,10 +149,12 @@ def _render_report(
     tolerance: float,
     passed: bool,
 ) -> str:
+    worst = f"monomial {report.worst_monomial}"
+    if report.worst_monomial is None:  # the directional probe; argmax keeps a NaN
+        worst = f"degree {np.argmax(report.per_degree_max)} (random-direction probe)"
     lines = [
         f"exactness over {report.monomial_count} monomials of degree <= 3:",
-        f"  max abs error = {report.max_abs_error:.6e} at monomial "
-        f"{report.worst_monomial}",
+        f"  max abs error = {report.max_abs_error:.6e} at {worst}",
         f"  max rel error = {report.max_rel_error:.6e}",
         "  per-degree max = "
         + ", ".join(f"d{d}: {e:.3e}" for d, e in enumerate(report.per_degree_max)),
@@ -187,7 +185,7 @@ def _cmd_generate(args) -> int:
     spec, region = _spec_from_args(args)
     split = _split_from_args(args, spec)
     rule = build_rule(spec, split, region_label=region.label if region else "custom")
-    report = check_exactness(rule, spec, seed=args.seed)
+    report = check_exactness(rule, spec)
     tolerance = _tolerance(args, spec, GENERATE_REL_TOLERANCE)
     passed = report.max_abs_error <= tolerance
     _write_output(ruleio._DUMPS[args.format](rule), args.output)
@@ -208,7 +206,7 @@ def _cmd_verify(args) -> int:
         raise _UsageError(
             f"rule has dim {rule.dim} but moment spec has n = {spec.n}"
         )
-    report = check_exactness(rule, spec, seed=args.seed)
+    report = check_exactness(rule, spec)
     classification = None
     if region is not None:
         witness = degree4_nonexactness(rule, region)
@@ -332,7 +330,6 @@ def build_parser() -> _Parser:
         help="absolute exactness tolerance "
         f"(default {GENERATE_REL_TOLERANCE:g} x the largest |moment|)",
     )
-    gen.add_argument("--seed", type=int, default=0)
     gen.set_defaults(func=_cmd_generate)
 
     ver = sub.add_parser("verify", help="check a rule file against a moment spec")
@@ -348,7 +345,6 @@ def build_parser() -> _Parser:
     ver.add_argument("--boundary-tol", type=float, default=1e-9)
     ver.add_argument("--format", choices=["text", "json"], default="text")
     ver.add_argument("--output")
-    ver.add_argument("--seed", type=int, default=0)
     ver.set_defaults(func=_cmd_verify)
 
     sea = sub.add_parser("search", help="search mass splits for node placement")

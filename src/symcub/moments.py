@@ -97,9 +97,8 @@ class RegionId:
 
 
 # Sorted nonzero exponent patterns of total degree <= 3 mapped to the
-# seven stored moments, in field order.  Validation draws its seeded
-# monomial sample class by class in this order.  A pattern with more
-# factors than n has no monomial in n variables.  The custom-spec JSON
+# seven stored moments, in field order.  A pattern with more factors
+# than n has no monomial in n variables.  The custom-spec JSON
 # key of a moment is its field name without the underscore.
 _PATTERN_TO_FIELD = {
     (): "m_1",

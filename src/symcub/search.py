@@ -63,6 +63,8 @@ class SearchObjective:
     def __post_init__(self):
         if self.max_evals <= 0:
             raise ValueError(f"max_evals must be > 0, got {self.max_evals}")
+        if not 0 <= self.boundary_tol < math.inf:
+            raise ValueError(f"boundary_tol must be finite and >= 0, got {self.boundary_tol}")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,12 @@
 """Verification: polynomial exactness, node classification, rule diffs.
 
 Exactness is checked in the original coordinates against every monomial
-of total degree <= 3 (for n <= 8 the full set, C(n+3, 3) monomials; for
-larger n the seven symmetry-class representatives plus seeded random
-permutations of each).  A monomial of degree <= 3 has at most three
-variable factors, so it is held as three column indices into the node
-array, padded with an index that points at a column of ones; the rule
-sums come from gathering those columns, at O(m N) cost and memory for m
-monomials and N nodes.  The exact values come from one vectorised lookup
-of each monomial's symmetry class among the spec's seven moments.
+of total degree <= 3.  For n <= 8 each monomial is held as three column
+indices into the node array, padded with the index of a column of ones,
+and its exact value is looked up by symmetry class among the seven
+moments.  Above that the check probes random directions v: a rule is
+exact at degree <= 3 iff sum w (v.x)^d = L((v.x)^d) for d <= 3 and all
+v, a closed form in the seven moments and the symmetric sums of v.
 Degree-4 probes (x_i^4 and x_i^2 x_j^2) demonstrate that a degree-3 rule
 is sharp; they are computed as two matrix products on the squared nodes
 against two closed-form region moments.
@@ -18,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,8 +45,10 @@ __all__ = [
 ]
 
 # Full monomial enumeration is used up to this dimension; beyond it the
-# check samples random permutations of the seven class representatives.
+# check probes standard normal directions from a fixed seed.
 FULL_ENUMERATION_MAX_DIM = 8
+_PROBE_SEED = 0
+_PROBE_DIRECTIONS = 4
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class ExactnessReport:
 
     max_abs_error: float
     max_rel_error: float
-    worst_monomial: tuple[int, ...]
+    worst_monomial: tuple[int, ...] | None  # None above FULL_ENUMERATION_MAX_DIM
     per_degree_max: tuple[float, float, float, float]
     monomial_count: int
     degree4_witness: tuple[tuple[int, ...], float] | None = None
@@ -121,63 +122,66 @@ def _full_columns(n: int) -> np.ndarray:
     ])
 
 
-def _sampled_columns(n: int, samples_per_class: int, seed: int) -> np.ndarray:
-    # The seven class representatives, then samples_per_class random
-    # permutations of each, class by class.  One `permuted` call over
-    # stacked copies of arange(n) draws the same stream as successive
-    # rng.permutation(representative) calls.
-    patterns = list(_PATTERN_TO_FIELD)
-    rng = np.random.default_rng(seed)
-    draws = rng.permuted(
-        np.tile(np.arange(n), (len(patterns) * samples_per_class, 1)), axis=1
-    )
-    # landing[r, b] is the column that position b of the representative
-    # moves to in row r; position n is the padding column
-    landing = np.empty((len(patterns) + len(draws), n + 1), dtype=np.intp)
-    landing[: len(patterns), :n] = np.arange(n)
-    landing[len(patterns) :, :n] = np.argsort(draws, axis=1)
-    landing[:, n] = n
-    # representative positions of each pattern's factors, e.g. (2, 1) -> (0, 0, 1)
-    slots = np.array([
-        [b for b, a in enumerate(pattern) for _ in range(a)] + [n] * (3 - sum(pattern))
-        for pattern in patterns
-    ])
-    row_class = np.concatenate([
-        np.arange(len(patterns)), np.repeat(np.arange(len(patterns)), samples_per_class)
-    ])
-    return np.take_along_axis(landing, slots[row_class], axis=1)
-
-
 def _class_moments(spec: SymmetricMomentSpec, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # degree and number of distinct variables fix the symmetry class
-    n = spec.n
-    ordered = np.sort(columns, axis=1)
-    real = ordered != n
-    degree = real.sum(axis=1)
-    distinct = real[:, 0] + (real[:, 1:] & (ordered[:, 1:] != ordered[:, :-1])).sum(axis=1)
+    # degree and number of distinct variables fix the symmetry class; the
+    # columns of each monomial are sorted, padding last
+    degree = (columns != spec.n).sum(axis=1)
+    distinct = degree - ((columns[:, 1:] == columns[:, :-1]) & (columns[:, 1:] != spec.n)).sum(axis=1)
     table = np.zeros((4, 4))
     for pattern, name in _PATTERN_TO_FIELD.items():
         table[sum(pattern), len(pattern)] = getattr(spec, name)
     return table[degree, distinct], degree
 
 
-def check_exactness(
-    rule: CubatureRule,
-    spec: SymmetricMomentSpec,
-    *,
-    seed: int = 0,
-    samples_per_class: int = 200,
-) -> ExactnessReport:
-    """Compare rule sums against spec moments for all degree <= 3 monomials."""
+def _directional_report(rule: CubatureRule, spec: SymmetricMomentSpec) -> ExactnessReport:
+    v = np.random.default_rng(_PROBE_SEED).standard_normal((spec.n, _PROBE_DIRECTIONS))
+    # e2 and e3 of v by running prefix sums; p1^3 - 3 p1 p2 + 2 p3 would cancel
+    pad = np.zeros((1, _PROBE_DIRECTIONS))
+    e2_terms = v * np.vstack([pad, np.cumsum(v, axis=0)[:-1]])
+    e3 = (v * np.vstack([pad, np.cumsum(e2_terms, axis=0)[:-1]])).sum(axis=0)
+    e1, e2, p2, p3 = v.sum(axis=0), e2_terms.sum(axis=0), (v**2).sum(axis=0), (v**3).sum(axis=0)
+    targets = (
+        np.full(_PROBE_DIRECTIONS, spec.m_1),
+        spec.m_x * e1,
+        spec.m_xx * p2 + 2 * spec.m_xy * e2,
+        spec.m_xxx * p3 + 3 * spec.m_xxy * (e1 * p2 - p3) + 6 * spec.m_xyz * e3,
+    )
+    y = rule.nodes @ v
+    rel = np.empty((4, _PROBE_DIRECTIONS))
+    for d, target in enumerate(targets):
+        # on the rule's own scale sum |w| |y|^d, or on |target| when that
+        # is larger: an empty rule has no scale of its own
+        own = np.maximum(np.abs(rule.weights) @ np.abs(y**d), np.abs(target))
+        rel[d] = np.abs(rule.weights @ y**d - target) / np.where(own > 0, own, 1.0)
+    # numpy maxima, not Python's max(), so that a NaN propagates
+    per_degree = spec.moment_scale * rel.max(axis=1)
+    return ExactnessReport(
+        max_abs_error=float(per_degree.max()),
+        max_rel_error=float(rel.max()),
+        worst_monomial=None,
+        per_degree_max=tuple(per_degree.tolist()),
+        monomial_count=math.comb(spec.n + 3, 3),
+    )
+
+
+def check_exactness(rule: CubatureRule, spec: SymmetricMomentSpec) -> ExactnessReport:
+    """Compare rule sums against spec moments for all degree <= 3 monomials.
+
+    Up to FULL_ENUMERATION_MAX_DIM the errors are per monomial and the
+    worst one is named.  Above it, max_rel_error is the largest
+    |sum w (v.x)^d - L((v.x)^d)| / sum |w| |v.x|^d over the probes, and
+    each degree's absolute error is its largest ratio times
+    spec.moment_scale: a detector on the rule's own scale, not a
+    per-monomial bound.
+    """
     if rule.dim != spec.n:
         raise DimensionMismatchError(
             f"rule has dim {rule.dim} but spec has n = {spec.n}"
         )
     n = spec.n
-    if n <= FULL_ENUMERATION_MAX_DIM:
-        columns = _full_columns(n)
-    else:
-        columns = _sampled_columns(n, samples_per_class, seed)
+    if n > FULL_ENUMERATION_MAX_DIM:
+        return _directional_report(rule, spec)
+    columns = _full_columns(n)
     padded = np.ones((len(rule), n + 1))
     padded[:, :n] = rule.nodes
     values = padded[:, columns[:, 0]]
@@ -192,15 +196,11 @@ def check_exactness(
     rel_err = abs_err / denom
 
     worst = int(np.argmax(abs_err))
-    per_degree = tuple(
-        float(abs_err[degrees == d].max()) if np.any(degrees == d) else 0.0
-        for d in range(4)
-    )
     return ExactnessReport(
         max_abs_error=float(abs_err[worst]),
         max_rel_error=float(rel_err.max()),
         worst_monomial=tuple(np.bincount(columns[worst], minlength=n + 1)[:n].tolist()),
-        per_degree_max=per_degree,
+        per_degree_max=tuple(float(abs_err[degrees == d].max()) for d in range(4)),
         monomial_count=len(columns),
     )
 
@@ -277,6 +277,8 @@ def classify_nodes(
         raise DimensionMismatchError(
             f"rule has dim {rule.dim} but region has n = {region.n}"
         )
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     classes = []
     for margin in node_margins(region, rule.nodes).min(axis=1).tolist():
         if margin < -tol:

@@ -247,6 +247,55 @@ def test_verify_parse_failure_exit_1(tmp_path, capsys):
     assert _run(capsys, "verify", str(bad), "--region", "simplex")[0] == 1
 
 
+def test_exactness_check_has_no_seed(tmp_path, capsys):
+    rule_path = tmp_path / "rule.json"
+    assert _run(capsys, "generate", "--region", "cube", "--dim", "9", "--seed", "1")[0] == 1
+    _run(capsys, "generate", "--region", "cube", "--dim", "9", "--output", str(rule_path))
+    assert _run(capsys, "verify", str(rule_path), "--region", "cube", "--seed", "1")[0] == 1
+
+
+def test_verify_above_dim8_names_the_worst_degree(tmp_path, capsys):
+    rule_path = tmp_path / "rule.json"
+    _run(capsys, "generate", "--region", "simplex", "--dim", "12", "--output", str(rule_path))
+    code, out, _ = _run(
+        capsys, "verify", str(rule_path), "--region", "simplex", "--format", "json"
+    )
+    exactness = json.loads(out)["exactness"]
+    assert code == 0
+    assert exactness["worst_monomial"] is None
+    assert exactness["monomial_count"] == math.comb(15, 3)
+    code, out, _ = _run(capsys, "verify", str(rule_path), "--region", "simplex")
+    assert code == 0
+    assert "at degree " in out and "PASS" in out
+
+
+@pytest.mark.parametrize("region, dim", [("simplex", 101), ("ball-sector", 200)])
+def test_generate_rejects_collapsed_rules(capsys, region, dim):
+    # chains taken as atoms leave fewer than 2n nodes and a wrong rule
+    code, out, err = _run(capsys, "generate", "--region", region, "--dim", str(dim))
+    assert code == 3
+    assert len(loads_json(out)) < 2 * dim
+    assert "FAIL" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--region", "simplex", "--dim", "4", "--boundary-tol", "-0.05",
+         "--max-evals", "1000"),
+        ("verify", "TABLE", "--region", "simplex", "--boundary-tol", "-0.5"),
+        ("verify", "TABLE", "--region", "simplex", "--boundary-tol", "inf"),
+    ],
+)
+def test_negative_or_non_finite_boundary_tol_exit_1(tmp_path, capsys, argv):
+    table_path = tmp_path / "table1.csv"
+    table_path.write_text(reference_csv_text("table1"))
+    argv = [str(table_path) if a == "TABLE" else a for a in argv]
+    code, _, err = _run(capsys, *argv)
+    assert code == 1
+    assert "tol" in err
+
+
 def test_csv_and_json_outputs_parse_identically(tmp_path, capsys):
     json_path = tmp_path / "rule.json"
     csv_path = tmp_path / "rule.csv"

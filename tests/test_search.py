@@ -181,3 +181,8 @@ def test_search_unsatisfied_reports_best_effort():
 def test_objective_validation():
     with pytest.raises(ValueError):
         SearchObjective(max_evals=0)
+    # a negative tolerance would count exterior nodes as interior
+    for tol in (-0.05, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SearchObjective(boundary_tol=tol)
+    assert SearchObjective(boundary_tol=0.0).boundary_tol == 0.0
