@@ -39,13 +39,7 @@ from .moments import (
     simplex_spec,
     spec_from_dict,
 )
-from .search import (
-    SearchMode,
-    SearchObjective,
-    SearchResult,
-    feasible_region_bounds,
-    search_masses,
-)
+from .search import SearchMode, SearchObjective, SearchResult, search_masses
 from .validation import (
     ExactnessReport,
     NodeClass,
@@ -92,7 +86,6 @@ __all__ = [
     "cube_spec",
     "default_split",
     "degree4_nonexactness",
-    "feasible_region_bounds",
     "hankel_feasibility",
     "load_spec",
     "map_node",

@@ -70,7 +70,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_numbers(text: str) -> list[float]:
     try:
         return [float(Fraction(part.strip())) for part in text.split(",") if part.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise _UsageError(f"cannot parse number list {text!r}: {exc}") from exc
 
 
@@ -93,12 +93,12 @@ def _write_output(text: str, output: str | None) -> None:
 def _spec_from_args(args, dim_hint: int | None = None) -> tuple[SymmetricMomentSpec, RegionId | None]:
     if getattr(args, "spec", None):
         spec = load_spec(args.spec)
-        if getattr(args, "dim", None) and args.dim != spec.n:
+        if args.dim is not None and args.dim != spec.n:
             raise _UsageError(
                 f"--dim {args.dim} contradicts spec file dimension n = {spec.n}"
             )
         return spec, None
-    dim = getattr(args, "dim", None) or dim_hint
+    dim = dim_hint if args.dim is None else args.dim
     if dim is None:
         raise _UsageError("--dim is required with --region")
     region = RegionId(Region(args.region), dim)
@@ -235,11 +235,8 @@ def _cmd_search(args) -> int:
         raise _UsageError("search needs --region; node placement is region-relative")
     spec, region = _spec_from_args(args)
     objective = SearchObjective(
-        mode=SearchMode(args.mode),
-        allow_compensation=args.allow_compensation,
-        max_evals=args.max_evals,
-        seed=args.seed,
-        boundary_tol=args.boundary_tol,
+        mode=SearchMode(args.mode), allow_compensation=args.allow_compensation,
+        max_evals=args.max_evals, boundary_tol=args.boundary_tol,
     )
     result = search_masses(spec, region, objective)
     payload = {
@@ -254,7 +251,7 @@ def _cmd_search(args) -> int:
     if args.format == "text":
         lines = [
             f"search ({args.mode}) on {args.region} dim {args.dim}: "
-            f"{result.message} after {result.evaluations} evaluations"
+            f"{result.message} after {result.evaluations} walks"
         ]
         if result.split is not None:
             lines.append(f"masses: {list(result.split.masses)}")
@@ -356,7 +353,6 @@ def build_parser() -> _Parser:
     )
     sea.add_argument("--allow-compensation", action="store_true")
     sea.add_argument("--max-evals", type=int, default=5000)
-    sea.add_argument("--seed", type=int, default=0)
     sea.add_argument("--boundary-tol", type=float, default=1e-9)
     sea.add_argument("--format", choices=["json", "text"], default="json")
     sea.add_argument("--output")

@@ -153,6 +153,27 @@ def _add_exact(partials: list[float], x: float) -> None:
     partials[i:] = [x]
 
 
+def _middle_chain_moments(spec: SymmetricMomentSpec, consts: DecompositionConstants):
+    """The map (k, r) -> (m1, m2, m3) of chain 2 <= k <= n-1 with mass r ahead of it.
+
+    The mass ahead of chain k is m_1 - sum(mu_1 .. mu_{k-1}).
+    """
+    n = spec.n
+    d2 = spec.m_xx - spec.m_xy
+    e3 = -(spec.m_xxx - 3.0 * spec.m_xxy + 2.0 * spec.m_xyz)
+    cm = consts.c_mid
+
+    def moments(k: int, mass_ahead: float) -> tuple[float, float, float]:
+        f2 = (n - k + 1) * (n - k + 2)
+        return (
+            cm * mass_ahead,
+            f2 * d2 + cm * cm * mass_ahead,
+            f2 * (n - k + 3) * e3 + cm**3 * mass_ahead,
+        )
+
+    return moments
+
+
 def chain_higher_moments(
     spec: SymmetricMomentSpec,
     consts: DecompositionConstants,
@@ -162,12 +183,10 @@ def chain_higher_moments(
     """Moments (m1, m2, m3) of chains 1 .. count of the reduced functionals.
 
     Chain 1 uses the full base moments shifted by c_n; chains 2 .. n-1
-    use the middle-chain formulas with the remaining mass ahead of the
-    chain, m_1 - sum(mu_1 .. mu_{k-1}); chain n is (0, 2*L(x1^2 - x1*x2),
-    0) with the odd moments exactly zero by construction.  Chain k reads
-    only masses[:k - 1].  The remaining mass comes from one running exact
-    sum, rounded once per chain, so it equals m_1 - fsum(masses[:k - 1])
-    bit for bit at O(1) amortised cost per chain.
+    those of :func:`_middle_chain_moments`; chain n is (0, 2*L(x1^2 -
+    x1*x2), 0).  Chain k reads only masses[:k - 1].  The mass ahead comes
+    from one running exact sum, rounded once per chain, so it equals
+    m_1 - fsum(masses[:k - 1]) bit for bit at O(1) amortised cost.
     """
     n = spec.n
     d2 = spec.m_xx - spec.m_xy
@@ -188,32 +207,19 @@ def chain_higher_moments(
         + c**3 * spec.m_1
     )
     out = [(m1, m2, m3)]
-    e3 = -(spec.m_xxx - 3.0 * spec.m_xxy + 2.0 * spec.m_xyz)
-    cm = consts.c_mid
+    middle = _middle_chain_moments(spec, consts)
     m_1 = spec.m_1
     peeled_sum: list[float] = []  # exact sum of mu_1 .. mu_{k-1} as partials
     for k in range(2, min(count, n - 1) + 1):
         _add_exact(peeled_sum, masses[k - 2])
-        mass_ahead = m_1 - math.fsum(peeled_sum)
-        f2 = (n - k + 1) * (n - k + 2)
-        out.append(
-            (
-                cm * mass_ahead,
-                f2 * d2 + cm * cm * mass_ahead,
-                f2 * (n - k + 3) * e3 + cm**3 * mass_ahead,
-            )
-        )
+        out.append(middle(k, m_1 - math.fsum(peeled_sum)))
     if count >= n:
         out.append((0.0, 2.0 * d2, 0.0))
     return out
 
 
 def _chain_mass_bound(m1: float, m2: float) -> float:
-    """Lower bound m1^2 / m2 on a chain's mass for two-point feasibility.
-
-    The Hankel condition mu * m2 - m1^2 > 0 holds iff mu > m1^2 / m2;
-    with m2 <= 0 no mass restores it and the bound is infinite.
-    """
+    """The Hankel bound: mu * m2 - m1^2 > 0 iff mu > m1^2 / m2 (inf when m2 <= 0)."""
     return m1 * m1 / m2 if m2 > 0 else math.inf
 
 

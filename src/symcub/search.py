@@ -1,17 +1,30 @@
 """Search over mass splits for node placement objectives.
 
 The chain masses mu_1 .. mu_n are the free parameters of the
-construction.  Different splits move the nodes around, so a split can be
-sought that keeps every node inside the region (or at worst on its
-boundary).  Candidates are scored lexicographically by
+construction, and chain k's moments depend only on mu_k and the mass
+ahead of it, r = m_1 - sum(mu_1 .. mu_{k-1}), so the chains are placed
+one at a time.  A chain-k node is affine in its 1-D value t, so every
+region margin is concave of degree <= 2 in t and {t : every margin >=
+tau} is one interval [a, b].  The chain's nodes are the roots of
 
-    (nodes violating the objective, negative weights, -min boundary margin)
+    D(t) = mu (m2 t^2 - m3 t) + (m1 m3 - m2^2 + m1 m2 t - m1^2 t^2).
 
-and explored by seeded multi-start coordinate descent in an unconstrained
-parametrization: a softmax map onto the mass simplex {mu > 0,
-sum(mu) = m_1}, or per-coordinate sigmoids with sum(mu) free in
-(0, 2*m_1) when a compensation node is allowed.  The search is
-deterministic for a fixed (seed, budget) and makes no optimality claim.
+With H = mu m2 - m1^2 > 0 both lie in [a, b] iff D(a) >= 0, D(b) >= 0
+and the vertex (mu m3 - m1 m2) / (2H) is in [a, b]: conditions linear in
+mu, so the admissible masses form one interval, least element least_k(r).
+
+A walk at margin tau gives chains 1 .. n-1 their least masses.  Chain n
+takes the remainder or, with compensation, its least mass, the rest
+weighting the compensation node at chain n's vertex t = 0.  Chain n
+admits every mass above its least (its nodes +-sqrt(m2 / mu) move
+inwards), so when r - least_k(r) never decreases in r (no admissible
+mass counting as -inf; the tests check this on a grid) the least mass
+leaves each later chain the most it can have, and a walk fails only if
+no split keeps every margin >= tau.  The search bisects tau for the
+largest margin a walk reaches and assembles that split once.  With
+compensation a first pass keeps the compensation weight >= 0; only if
+its split misses the objective may it go down to -m_1.  Nothing is
+random: the same input gives the same split.
 """
 
 from __future__ import annotations
@@ -19,31 +32,25 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .assembly import CubatureRule, assemble_rule
+from .assembly import CubatureRule, _gamma_filled, _write_chain, assemble_rule
 from .decomposition import (
-    DecompositionConstants,
     MassSplit,
+    _add_exact,
     _chain_mass_bound,
+    _middle_chain_moments,
     chain_higher_moments,
     compute_constants,
 )
-from .errors import InconsistentAtomError, InfeasibleMomentError, InvalidSplitError
+from .errors import InvalidSplitError
 from .moments import RegionId, SymmetricMomentSpec
 from .validation import node_margins
 
-__all__ = [
-    "SearchMode",
-    "SearchObjective",
-    "SearchResult",
-    "feasible_region_bounds",
-    "search_masses",
-]
+__all__ = ["SearchMode", "SearchObjective", "SearchResult", "search_masses"]
 
-_INFEASIBLE_SCORE = (math.inf, math.inf, math.inf)
+_WALKS_PER_PASS = 48
 
 
 class SearchMode(enum.Enum):
@@ -54,6 +61,12 @@ class SearchMode(enum.Enum):
 
 @dataclass(frozen=True)
 class SearchObjective:
+    """What the search asks of a split, and how many walks it may make.
+
+    `seed` has no effect: the search is deterministic.  It is kept only
+    because the benchmark's search workload still passes it.
+    """
+
     mode: SearchMode = SearchMode.INTERIOR
     allow_compensation: bool = False
     max_evals: int = 5000
@@ -77,31 +90,6 @@ class SearchResult:
     message: str
 
 
-def feasible_region_bounds(
-    spec: SymmetricMomentSpec,
-    consts: DecompositionConstants,
-    masses_so_far: Sequence[float] = (),
-) -> list[float]:
-    """Per-chain lower bounds on mu_k keeping each chain two-point feasible.
-
-    The Hankel condition mu_k * m2 - m1^2 > 0 gives mu_k > m1^2 / m2,
-    where m1 and m2 of chain k come from
-    :func:`~symcub.decomposition.chain_higher_moments` and depend on the
-    masses of earlier chains through the remaining mass.  Bounds are
-    returned for chains 1 .. len(masses_so_far) + 1 (capped at n); the
-    last chain has m1 = 0, so its bound is 0.
-    """
-    n = spec.n
-    prefix = [float(m) for m in masses_so_far]
-    if len(prefix) > n:
-        raise InvalidSplitError(f"got {len(prefix)} masses for n = {n}")
-    count = min(len(prefix) + 1, n)
-    return [
-        _chain_mass_bound(m1, m2)
-        for m1, m2, _ in chain_higher_moments(spec, consts, prefix, count)
-    ]
-
-
 def _score_candidate(
     rule: CubatureRule, region: RegionId, mode: SearchMode, tol: float
 ) -> tuple[float, float, float]:
@@ -113,120 +101,136 @@ def _score_candidate(
         violations = np.count_nonzero(margins < -tol)
     else:
         violations = 0
-    negatives = int(np.sum(rule.weights < 0))
-    return (float(violations), float(negatives), -float(margins.min()))
+    return (float(violations), float(np.sum(rule.weights < 0)), -float(margins.min()))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
+def _least_mass(m1: float, m2: float, m3: float, a: float, b: float) -> float:
+    """least_k: the least mass putting both chain nodes in [a, b], inf if none.
+
+    An unbounded [a, b] leaves the Hankel bound m1^2 / m2.
+    """
+    lo, hi = _chain_mass_bound(m1, m2), math.inf
+    for e, side in ((a, 1.0), (b, -1.0)):
+        if not math.isfinite(e):
+            continue
+        # D(e) >= 0, and the vertex on the inner side of e; each p * mu + q >= 0
+        for p, q in (
+            (m2 * e * e - m3 * e, m1 * m3 - m2 * m2 + m1 * m2 * e - m1 * m1 * e * e),
+            (side * (m3 - 2.0 * e * m2), side * (2.0 * e * m1 * m1 - m1 * m2)),
+        ):
+            if p > 0:
+                lo = max(lo, -q / p)
+            elif p < 0:
+                hi = min(hi, -q / p)
+            elif q < 0:
+                return math.inf
+    return lo if a <= b and lo <= hi else math.inf
+
+
+class _ChainWalk:
+    """The chain moments and margin coefficients of one search, and its walk."""
+
+    def __init__(self, spec: SymmetricMomentSpec, region: RegionId, consts):
+        n = self.n = spec.n
+        self.m_1 = spec.m_1
+        rows = chain_higher_moments(spec, consts, (0.0,) * n, n)  # chains 1, n: no mass ahead
+        self.first, self.last = rows[0], rows[-1]
+        self.middle = _middle_chain_moments(spec, consts)
+        # every margin along chain k is A + B t + C t^2: read it at t = -1, 0, 1
+        nodes = _gamma_filled(3 * n, consts, n)
+        for k in range(1, n + 1):
+            _write_chain(nodes, 3 * k - 3, k, (-1.0, 0.0, 1.0), consts, n)
+        g_lo, self.A, g_hi = node_margins(region, nodes).reshape(n, 3, -1).transpose(1, 0, 2)
+        self.B, self.C = 0.5 * (g_hi - g_lo), 0.5 * (g_hi + g_lo) - self.A
+        # a linear margin leaves a C of rounding size only
+        self.C[np.abs(self.C) <= 1e-12 * (np.abs(g_lo) + np.abs(self.A) + np.abs(g_hi))] = 0.0
+
+    def intervals(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per chain, the interval [a_k, b_k] of t keeping every margin >= tau."""
+        A, B, C = self.A - tau, self.B, self.C
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.sqrt(B * B - 4.0 * C * A)
+            lo = np.where(C < 0, (root - B) / (2.0 * C), np.where(B > 0, -A / B, -np.inf))
+            hi = np.where(C < 0, (-root - B) / (2.0 * C), np.where(B < 0, -A / B, np.inf))
+        # no t at all: a concave margin below tau everywhere (a NaN root) or a constant one
+        empty = np.isnan(lo) | ((B == 0) & (C == 0) & (A < 0))
+        lo[empty], hi[empty] = np.inf, -np.inf
+        return lo.max(axis=1), hi.min(axis=1)
+
+    def walk(self, tau: float, slack: float | None):
+        """The walk's masses at margin tau, or None and why it fails.
+
+        `slack`: None without compensation, else the compensation weight's floor below 0.
+        """
+        a, b = self.intervals(tau)
+        masses, peeled, remaining = [], [], self.m_1  # peeled: exact sum of masses
+        for k in range(1, self.n + 1):
+            last = k == self.n
+            moments = self.first if k == 1 else self.last if last else self.middle(k, remaining)
+            least = _least_mass(*moments, a[k - 1], b[k - 1])
+            if not 0 < least < math.inf:
+                return None, f"chain {k} admits no mass > 0 at margin {tau:.6g}"
+            if last:
+                available = remaining + (slack or 0.0)
+                if least > available:
+                    return None, f"chain {k} needs mu >= {least:.9g} but {available:.9g} remains"
+                if slack is None:
+                    least = remaining
+            masses.append(least)
+            _add_exact(peeled, least)
+            remaining = self.m_1 - math.fsum(peeled)
+        return tuple(masses), None
+
+
+def _bisect(walker: _ChainWalk, slack: float | None, budget: int):
+    """(masses or None, walks, why the last failed walk failed) at the largest margin.
+
+    Region margins never exceed 1; below -1 the bracket doubles until a walk succeeds.
+    """
+    best, ok, bad, why = None, None, 1.0, None
+    tau, walks = -1.0, 0
+    while walks < budget and (ok is None or ok < tau < bad):
+        masses, failure = walker.walk(tau, slack)
+        walks += 1
+        if masses is None:
+            bad, why = tau, failure
+        else:
+            ok, best = tau, masses
+        tau = 2.0 * tau if ok is None else 0.5 * (ok + bad)
+    return best, walks, why
 
 
 def search_masses(
-    spec: SymmetricMomentSpec,
-    region: RegionId,
-    objective: SearchObjective,
+    spec: SymmetricMomentSpec, region: RegionId, objective: SearchObjective
 ) -> SearchResult:
-    """Look for a mass split meeting the node-placement objective.
+    """The split of largest minimum node margin, and whether it meets the objective.
 
-    Returns the first satisfying split found, or the best-scoring one
-    within the evaluation budget flagged as not satisfied.
+    If it does not, the message names the chain that fails at the
+    objective's threshold.  At most 48 walks per pass and one for that
+    message, and at most `max_evals` in all.
     """
     if region.n != spec.n:
-        raise InvalidSplitError(
-            f"region has n = {region.n} but spec has n = {spec.n}"
-        )
+        raise InvalidSplitError(f"region has n = {region.n} but spec has n = {spec.n}")
     consts = compute_constants(spec)
-    n = spec.n
-    rng = np.random.default_rng(objective.seed)
-
-    def masses_from(z: np.ndarray) -> tuple[float, ...]:
-        if objective.allow_compensation:
-            return tuple(2.0 * spec.m_1 * _sigmoid(z) / n)
-        shifted = np.exp(z - z.max())
-        return tuple(spec.m_1 * shifted / shifted.sum())
-
-    def evaluate(z: np.ndarray):
-        split = MassSplit(masses_from(z), compensation=objective.allow_compensation)
-        try:
-            rule = assemble_rule(
-                spec, split, consts, region_label=region.region.value
-            )
-        except (InconsistentAtomError, InfeasibleMomentError, InvalidSplitError):
-            # a candidate sitting exactly on a feasibility bound collapses
-            # a chain to an atom; score it like any infeasible point
-            return _INFEASIBLE_SCORE, split, None
-        return (
-            _score_candidate(rule, region, objective.mode, objective.boundary_tol),
-            split,
-            rule,
-        )
-
-    num_starts = max(4, min(8, objective.max_evals))
-    starts = [np.zeros(n)]
-    starts.extend(rng.normal(0.0, 0.5, size=(num_starts - 1, n)))
-
-    best_score = _INFEASIBLE_SCORE
-    best_split = None
-    best_rule = None
-    evaluations = 0
-
-    def satisfied(score) -> bool:
-        return score[0] == 0.0 and math.isfinite(score[2])
-
-    done = False
-    for z0 in starts:
-        if done or evaluations >= objective.max_evals:
-            break
-        z = np.array(z0, dtype=float)
-        score, split, rule = evaluate(z)
+    walker = _ChainWalk(spec, region, consts)
+    split, rule, score, evaluations = None, None, (math.inf,) * 3, 0
+    for slack in (0.0, spec.m_1) if objective.allow_compensation else (None,):
+        budget = min(_WALKS_PER_PASS, objective.max_evals - evaluations)
+        masses, walks, why = _bisect(walker, slack, budget)
+        evaluations += walks
+        if masses is None:
+            continue
+        split = MassSplit(masses, compensation=slack is not None)
+        rule = assemble_rule(spec, split, consts, region_label=region.region.value)
+        score = _score_candidate(rule, region, objective.mode, objective.boundary_tol)
+        if score[0] == 0.0 and math.isfinite(score[2]):
+            message = f"objective {objective.mode.value} satisfied"
+            return SearchResult(split, rule, True, score, evaluations, message)
+    # classify_nodes' thresholds: interior above tol, exterior below -tol
+    side = {SearchMode.INTERIOR: 1.0, SearchMode.INTERIOR_OR_BOUNDARY: -1.0}.get(objective.mode)
+    if side is not None and evaluations < objective.max_evals:
+        _, why = walker.walk(side * objective.boundary_tol, slack)
         evaluations += 1
-        if score < best_score:
-            best_score, best_split, best_rule = score, split, rule
-        if satisfied(score):
-            done = True
-            break
-        step = 0.75
-        while step > 1e-3 and evaluations < objective.max_evals:
-            improved = False
-            for i in range(n):
-                for sign in (1.0, -1.0):
-                    if evaluations >= objective.max_evals:
-                        break
-                    candidate = z.copy()
-                    candidate[i] += sign * step
-                    cand_score, cand_split, cand_rule = evaluate(candidate)
-                    evaluations += 1
-                    if cand_score < score:
-                        z, score = candidate, cand_score
-                        improved = True
-                        if cand_score < best_score:
-                            best_score = cand_score
-                            best_split, best_rule = cand_split, cand_rule
-                        if satisfied(cand_score):
-                            done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-            if not improved:
-                step *= 0.5
-
-    is_satisfied = satisfied(best_score) and best_rule is not None
-    if best_rule is None:
-        message = "no feasible split found within budget"
-    elif is_satisfied:
-        message = f"objective {objective.mode.value} satisfied"
-    else:
-        message = (
-            f"budget exhausted; best split violates objective at "
-            f"{int(best_score[0])} node(s)"
-        )
-    return SearchResult(
-        split=best_split,
-        rule=best_rule,
-        satisfied=is_satisfied,
-        score=best_score,
-        evaluations=evaluations,
-        message=message,
-    )
+    if why is None:
+        why = f"best split violates objective at {int(score[0])} node(s)"
+    return SearchResult(split, rule, False, score, evaluations, why)

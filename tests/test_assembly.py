@@ -28,7 +28,8 @@ from symcub import (
     solve_two_point,
 )
 from symcub.reference import load_reference_rule
-from symcub.search import feasible_region_bounds
+from symcub.decomposition import chain_higher_moments
+from symcub.search import _least_mass
 from symcub.validation import compare_to_reference
 
 
@@ -286,15 +287,16 @@ def test_rule_from_sequences_validates_shapes():
 
 
 def test_infeasible_middle_chain_reports_chain_and_bound():
-    # every middle chain: the error's mass bound is feasible_region_bounds'
-    # bound, bit for bit
+    # every middle chain: the error's mass bound is the search's least mass
+    # over an unbounded node interval, bit for bit
     for region, n in itertools.product(Region, (4, 6, 8)):
         spec = region_spec(RegionId(region, n))
         consts = compute_constants(spec)
         default = default_split(spec).masses
         for k in range(2, n):
             prefix = default[: k - 1]
-            bound = feasible_region_bounds(spec, consts, prefix)[k - 1]
+            m1, m2, m3 = chain_higher_moments(spec, consts, prefix, k)[k - 1]
+            bound = _least_mass(m1, m2, m3, -math.inf, math.inf)
             # c_mid = 0 (the cube) zeroes m1, so any positive mass is feasible
             mass = 0.5 * bound if bound > 0 else 1e-3 * default[k - 1]
             tail = (spec.m_1 - math.fsum(prefix) - mass) / (n - k)

@@ -68,6 +68,30 @@ def test_generate_custom_spec(tmp_path, capsys):
     assert _run(capsys, "generate", "--spec", str(spec_path), "--dim", "4")[0] == 1
 
 
+def test_dim_zero_is_a_given_dimension(tmp_path, capsys):
+    # --dim 0 is checked like any other value, not taken as missing
+    spec_path = tmp_path / "my_moments.json"
+    spec_path.write_text(
+        '{"n": 3, "m1": 1.0, "mx": 0.5, "mxx": 0.3333333333333333, "mxy": 0.25, '
+        '"mxxx": 0.25, "mxxy": 0.16666666666666666, "mxyz": 0.125}'
+    )
+    code, out, err = _run(capsys, "generate", "--spec", str(spec_path), "--dim", "0")
+    assert (code, out) == (1, "")
+    assert "--dim 0 contradicts" in err
+    code, _, err = _run(capsys, "generate", "--region", "simplex", "--dim", "0")
+    assert code == 1
+    assert "required" not in err and "got 0" in err
+
+
+@pytest.mark.parametrize("option", ["--t", "--mu"])
+def test_overflowing_number_list_exit_1(capsys, option):
+    code, out, err = _run(
+        capsys, "generate", "--region", "simplex", "--dim", "3", option, "1e400,1,1"
+    )
+    assert (code, out) == (1, "")
+    assert "cannot parse number list" in err
+
+
 @pytest.mark.parametrize("key, literal", [("mx", "NaN"), ("mxxx", "Infinity")])
 def test_generate_non_finite_spec_is_a_usage_error(tmp_path, capsys, key, literal):
     # json.load reads the NaN and Infinity literals
@@ -252,6 +276,14 @@ def test_exactness_check_has_no_seed(tmp_path, capsys):
     assert _run(capsys, "generate", "--region", "cube", "--dim", "9", "--seed", "1")[0] == 1
     _run(capsys, "generate", "--region", "cube", "--dim", "9", "--output", str(rule_path))
     assert _run(capsys, "verify", str(rule_path), "--region", "cube", "--seed", "1")[0] == 1
+
+
+def test_search_has_no_seed(capsys):
+    # the search is deterministic; it takes no seed
+    argv = ("search", "--region", "simplex", "--dim", "3", "--seed", "1")
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "--seed" in err
 
 
 def test_verify_above_dim8_names_the_worst_degree(tmp_path, capsys):

@@ -47,7 +47,6 @@ PACKAGE_ALL = [
     "cube_spec",
     "default_split",
     "degree4_nonexactness",
-    "feasible_region_bounds",
     "hankel_feasibility",
     "load_spec",
     "map_node",

@@ -1,4 +1,4 @@
-"""Feasibility bounds and the mass-split search."""
+"""Per-chain mass bounds and the deterministic chain walk."""
 
 import math
 
@@ -16,34 +16,35 @@ from symcub import (
     check_exactness,
     classify_nodes,
     compute_constants,
-    feasible_region_bounds,
     hankel_feasibility,
     reduced_moment_chain,
     region_spec,
     search_masses,
     simplex_spec,
 )
+from symcub.decomposition import chain_higher_moments
+from symcub.search import _WALKS_PER_PASS, _ChainWalk, _least_mass
+
+
+def _least_unbounded(spec, consts, prefix):
+    # the least mass of chain len(prefix) + 1 over an unbounded node interval
+    k = len(prefix) + 1
+    m1, m2, m3 = chain_higher_moments(spec, consts, prefix, k)[k - 1]
+    return _least_mass(m1, m2, m3, -math.inf, math.inf)
 
 
 def test_bounds_chain1_simplex3():
     spec = simplex_spec(3)
     consts = compute_constants(spec)
-    bounds = feasible_region_bounds(spec, consts)
-    assert len(bounds) == 1
-    assert bounds[0] == pytest.approx(135 / 5184, rel=1e-12)
+    assert _least_unbounded(spec, consts, ()) == pytest.approx(135 / 5184, rel=1e-12)
 
 
 def test_bounds_chain2_and_last():
     spec = simplex_spec(3)
     consts = compute_constants(spec)
-    bounds = feasible_region_bounds(spec, consts, (1 / 18,))
-    assert len(bounds) == 2
     # m1 = -M/3 with M = 1/9, m2 = 1/20 + 1/81 -> bound = 20/909
-    assert bounds[1] == pytest.approx(20 / 909, rel=1e-12)
-    bounds = feasible_region_bounds(spec, consts, (1 / 18, 1 / 18))
-    assert bounds[2] == 0.0
-    full = feasible_region_bounds(spec, consts, (1 / 18, 1 / 18, 1 / 18))
-    assert full == pytest.approx(bounds, rel=1e-15)
+    assert _least_unbounded(spec, consts, (1 / 18,)) == pytest.approx(20 / 909, rel=1e-12)
+    assert _least_unbounded(spec, consts, (1 / 18, 1 / 18)) == 0.0
 
 
 def _chain_with_mass(spec, consts, prefix, mass):
@@ -59,19 +60,17 @@ def _chain_with_mass(spec, consts, prefix, mass):
 @pytest.mark.parametrize("region", list(Region))
 @pytest.mark.parametrize("n", [3, 8, 33])
 def test_bounds_are_the_chain_moment_ratio(region, n):
-    # one source for the chain moments: each bound is m1^2 / m2 of the
-    # chain entry that reduced_moment_chain builds from the same prefix
+    # one source for the chain moments: over an unbounded node interval
+    # the least mass is m1^2 / m2 of the chain entry that
+    # reduced_moment_chain builds from the same prefix
     spec = region_spec(RegionId(region, n))
     consts = compute_constants(spec)
     rng = np.random.default_rng(n)
     for _ in range(5):
         masses = tuple(rng.uniform(0.5, 1.5, n) * spec.m_1 / n)
         chain = reduced_moment_chain(spec, MassSplit(masses, compensation=True), consts)
-        for p in range(n + 1):
-            bounds = feasible_region_bounds(spec, consts, masses[:p])
-            assert len(bounds) == min(p + 1, n)
-            for bound, (_, m1, m2, _) in zip(bounds, chain):
-                assert bound == m1 * m1 / m2
+        for k, (_, m1, m2, _) in enumerate(chain, start=1):
+            assert _least_unbounded(spec, consts, masses[: k - 1]) == m1 * m1 / m2
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -79,12 +78,86 @@ def test_bounds_agree_with_solver_flip(k):
     spec = simplex_spec(3)
     consts = compute_constants(spec)
     prefix = () if k == 1 else (1 / 18,) * (k - 1)
-    bound = feasible_region_bounds(spec, consts, prefix)[k - 1]
+    bound = _least_unbounded(spec, consts, prefix)
     assert bound > 0
     above = _chain_with_mass(spec, consts, prefix, bound * (1 + 1e-6))
     below = _chain_with_mass(spec, consts, prefix, bound * (1 - 1e-6))
     assert hankel_feasibility(*above) is Feasibility.POSITIVE_DEFINITE
     assert hankel_feasibility(*below) is not Feasibility.POSITIVE_DEFINITE
+
+
+def test_least_mass_puts_both_nodes_in_the_node_interval():
+    # chain 1 of the 3-simplex: at the least mass one node sits on an end
+    # of [a, b]; a little more mass keeps both nodes inside
+    spec = simplex_spec(3)
+    consts = compute_constants(spec)
+    m1, m2, m3 = chain_higher_moments(spec, consts, (), 1)[0]
+    a, b = m1 / spec.m_1 - 0.3, m1 / spec.m_1 + 0.4
+    lo = _least_mass(m1, m2, m3, a, b)
+    assert m1 * m1 / m2 < lo < math.inf
+    for mu, inside in ((lo * (1 + 1e-9), True), (lo * (1 - 1e-6), False)):
+        coeffs = (mu * m2 - m1 * m1, m1 * m2 - mu * m3, m1 * m3 - m2 * m2)
+        roots = np.roots(coeffs)
+        assert bool(a <= roots.min() and roots.max() <= b) is inside
+
+
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_mass_left_after_least_mass_never_decreases(region, n):
+    # the walk's optimality rests on r - least_k(r) being nondecreasing in
+    # the mass ahead r, with a chain that admits no mass counting as -inf
+    rid = RegionId(region, n)
+    spec = region_spec(rid)
+    walker = _ChainWalk(spec, rid, compute_constants(spec))
+    masses_ahead = np.linspace(-spec.m_1, 2 * spec.m_1, 301)
+    for tau in (-0.2, -0.05, 0.0, 0.05, 0.1):
+        a, b = walker.intervals(tau)
+        for k in range(2, n):
+            left = []
+            for r in masses_ahead:
+                least = _least_mass(*walker.middle(k, r), a[k - 1], b[k - 1])
+                left.append(r - least if 0 < least < math.inf else -math.inf)
+            left = np.array(left)
+            placed = np.isfinite(left)
+            assert not np.any(placed[:-1] & ~placed[1:]), (tau, k)
+            assert np.all(np.diff(left[placed]) >= 0), (tau, k)
+
+
+MODES = [SearchMode.FEASIBLE, SearchMode.INTERIOR, SearchMode.INTERIOR_OR_BOUNDARY]
+
+# Largest n in 2..8 each objective meets; every smaller n is met too.
+SATISFIED_UP_TO = {
+    (Region.SIMPLEX, False): 3,
+    (Region.BALL_SECTOR, False): 4,
+    (Region.CUBE, False): 5,
+    (Region.SIMPLEX, True): 5,
+    (Region.BALL_SECTOR, True): 7,
+    (Region.CUBE, True): 8,
+}
+
+
+@pytest.mark.parametrize("compensation", [False, True])
+@pytest.mark.parametrize("region", list(Region))
+def test_satisfied_set_on_the_grid(region, compensation):
+    for n in range(2, 9):
+        rid = RegionId(region, n)
+        spec = region_spec(rid)
+        for mode in MODES:
+            result = search_masses(
+                spec, rid, SearchObjective(mode=mode, allow_compensation=compensation)
+            )
+            expected = mode is SearchMode.FEASIBLE or n <= SATISFIED_UP_TO[region, compensation]
+            assert result.satisfied is expected, (n, mode)
+            assert result.evaluations <= 120
+            # best-effort rules are complete and exact as well
+            assert len(result.rule) == 2 * n + compensation
+            assert check_exactness(result.rule, spec).max_rel_error <= 1e-13
+            if result.satisfied:
+                classification = classify_nodes(result.rule, rid)
+                if mode is SearchMode.INTERIOR:
+                    assert classification.interior == len(result.rule)
+                elif mode is SearchMode.INTERIOR_OR_BOUNDARY:
+                    assert classification.exterior == 0
 
 
 def test_search_interior_simplex3():
@@ -120,11 +193,12 @@ def test_search_interior_sector4():
 
 
 def test_search_feasible_mode_is_immediate():
+    # one pass of the bisection, with no walk spent on a failure message
     rid = RegionId(Region.CUBE, 3)
     spec = region_spec(rid)
     result = search_masses(spec, rid, SearchObjective(mode=SearchMode.FEASIBLE, seed=0))
     assert result.satisfied
-    assert result.evaluations == 1
+    assert result.evaluations <= _WALKS_PER_PASS
 
 
 def test_search_is_deterministic():
@@ -138,6 +212,23 @@ def test_search_is_deterministic():
     assert first.score == second.score
 
 
+@pytest.mark.parametrize(
+    "region, n", [(Region.SIMPLEX, 4), (Region.BALL_SECTOR, 5), (Region.CUBE, 6)]
+)
+def test_seed_has_no_effect(region, n):
+    rid = RegionId(region, n)
+    spec = region_spec(rid)
+    results = [
+        search_masses(spec, rid, SearchObjective(seed=seed, max_evals=1000))
+        for seed in range(4)
+    ]
+    for result in results[1:]:
+        assert result.split.masses == results[0].split.masses
+        assert np.array_equal(result.rule.nodes, results[0].rule.nodes)
+        assert np.array_equal(result.rule.weights, results[0].rule.weights)
+        assert (result.score, result.message) == (results[0].score, results[0].message)
+
+
 def test_search_respects_budget():
     rid = RegionId(Region.SIMPLEX, 4)
     spec = region_spec(rid)
@@ -145,8 +236,8 @@ def test_search_respects_budget():
         spec, rid, SearchObjective(mode=SearchMode.INTERIOR, seed=0, max_evals=3)
     )
     assert result.evaluations <= 3
-    if not result.satisfied:
-        assert "budget" in result.message or "no feasible" in result.message
+    assert not result.satisfied
+    assert result.message.startswith("chain ")
 
 
 def test_search_with_compensation():
@@ -161,21 +252,46 @@ def test_search_with_compensation():
     assert len(result.rule) == 9
     assert result.rule.total_weight() == pytest.approx(spec.m_1, rel=1e-12)
     assert classify_nodes(result.rule, rid).exterior == 0
+    # as in table5: no split without a negative compensation weight exists
+    assert classify_nodes(result.rule, rid).negative_weights == 1
+
+
+def test_compensation_weight_stays_nonnegative_when_it_can():
+    rid = RegionId(Region.SIMPLEX, 3)
+    spec = region_spec(rid)
+    result = search_masses(
+        spec, rid, SearchObjective(mode=SearchMode.INTERIOR, allow_compensation=True)
+    )
+    assert result.satisfied
+    assert len(result.rule) == 7
+    assert classify_nodes(result.rule, rid).negative_weights == 0
+    assert result.evaluations <= _WALKS_PER_PASS
 
 
 def test_search_unsatisfied_reports_best_effort():
-    # a plain 2n-point all-interior rule for the 4-simplex is not found
-    # within a small budget; the search must return its best candidate
+    # no plain 2n-point all-interior rule exists for the 4-simplex; the
+    # search returns its best split and says which chain runs short
     rid = RegionId(Region.SIMPLEX, 4)
     spec = region_spec(rid)
     result = search_masses(
         spec, rid, SearchObjective(mode=SearchMode.INTERIOR, seed=0, max_evals=200)
     )
-    assert result.rule is not None
-    assert result.score[0] >= 0
-    if not result.satisfied:
-        assert result.score[0] > 0
-        assert "budget" in result.message
+    assert not result.satisfied
+    assert result.rule is not None and len(result.rule) == 8
+    assert result.score[0] > 0
+    assert result.message.startswith("chain 4 needs mu >= ")
+    assert "remains" in result.message
+
+
+@pytest.mark.parametrize(
+    "region, n, chain",
+    [(Region.SIMPLEX, 4, 4), (Region.BALL_SECTOR, 5, 5), (Region.CUBE, 6, 6)],
+)
+def test_message_names_the_failing_chain(region, n, chain):
+    rid = RegionId(region, n)
+    result = search_masses(region_spec(rid), rid, SearchObjective(max_evals=1000))
+    assert not result.satisfied
+    assert result.message.startswith(f"chain {chain} needs mu >= ")
 
 
 def test_objective_validation():
