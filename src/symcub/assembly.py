@@ -110,7 +110,6 @@ def _write_chain(
     k: int,
     ts: Sequence[float],
     consts: DecompositionConstants,
-    n: int,
 ) -> int:
     """Write the chain-k images of node values ts into rows row, row + 1, ...
 
@@ -118,6 +117,7 @@ def _write_chain(
     written: `out` must already hold gamma there, which filling it with
     gamma once (`_gamma_filled`) does for every row.
     """
+    n = consts.n
     if k == 1:
         for t in ts:
             out[row] = (t - consts.c_n) / n
@@ -137,20 +137,18 @@ def _write_chain(
     return row
 
 
-def _gamma_filled(rows: int, consts: DecompositionConstants, n: int) -> np.ndarray:
-    out = np.empty((rows, n))
+def _gamma_filled(rows: int, consts: DecompositionConstants) -> np.ndarray:
+    out = np.empty((rows, consts.n))
     out.fill(consts.gamma)
     return out
 
 
-def map_node(
-    k: int, t: float, consts: DecompositionConstants, n: int
-) -> tuple[float, ...]:
-    """Map a chain-k one-dimensional node value t back to a point of R^n."""
-    if not 1 <= k <= n:
-        raise ValueError(f"chain index must be in [1, {n}], got {k}")
-    out = _gamma_filled(1, consts, n)
-    _write_chain(out, 0, k, (t,), consts, n)
+def map_node(k: int, t: float, consts: DecompositionConstants) -> tuple[float, ...]:
+    """Map a chain-k one-dimensional node value t back to a point of R^n, n = consts.n."""
+    if not 1 <= k <= consts.n:
+        raise ValueError(f"chain index must be in [1, {consts.n}], got {k}")
+    out = _gamma_filled(1, consts)
+    _write_chain(out, 0, k, (t,), consts)
     return tuple(out[0].tolist())
 
 
@@ -172,7 +170,7 @@ def assemble_rule(
     """
     chain = reduced_moment_chain(spec, split, consts)
     n = spec.n
-    nodes = _gamma_filled(2 * n + split.compensation, consts, n)
+    nodes = _gamma_filled(2 * n + split.compensation, consts)
     weights: list[float] = []
     row = 0
     for k, (m0, m1, m2, m3) in enumerate(chain, start=1):
@@ -187,10 +185,10 @@ def assemble_rule(
                 chain=k,
                 mass_bound=bound,
             ) from exc
-        row = _write_chain(nodes, row, k, ts, consts, n)
+        row = _write_chain(nodes, row, k, ts, consts)
         weights.extend(ws)
     if split.compensation:
-        row = _write_chain(nodes, row, n, (0.0,), consts, n)
+        row = _write_chain(nodes, row, n, (0.0,), consts)
         weights.append(spec.m_1 - math.fsum(split.masses))
     metadata = {
         "region": region_label,

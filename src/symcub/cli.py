@@ -34,6 +34,7 @@ from .moments import (
 )
 from .search import SearchMode, SearchObjective, search_masses
 from .validation import (
+    BOUNDARY_TOL,
     ExactnessReport,
     NodeClassification,
     check_exactness,
@@ -275,17 +276,14 @@ def _cmd_tables(args) -> int:
         regenerated = reference.regenerate_table(name)
         reference.write_table_csv(name, regenerated, out_dir / f"{name}.csv")
         diff = compare_to_reference(
-            regenerated,
-            reference.load_reference_rule(name),
-            node_tol=spec_entry.node_tol,
-            weight_tol=spec_entry.weight_tol,
+            regenerated, reference.load_reference_rule(name), tol=spec_entry.tol
         )
         status = "OK" if diff.passed else "MISMATCH"
         all_ok = all_ok and diff.passed
         print(
             f"{name}: max node deviation {diff.max_node_distance:.3e}, "
             f"max weight deviation {diff.max_weight_deviation:.3e} "
-            f"(tol {spec_entry.node_tol:g}) {status}"
+            f"(tol {spec_entry.tol:g}) {status}"
         )
     print(f"wrote {len(reference.numbered_table_names())} tables to {out_dir}")
     return EXIT_OK if all_ok else EXIT_VERIFICATION
@@ -339,7 +337,7 @@ def build_parser() -> _Parser:
         help="absolute exactness tolerance "
         f"(default {VERIFY_REL_TOLERANCE:g} x the largest |moment|)",
     )
-    ver.add_argument("--boundary-tol", type=float, default=1e-9)
+    ver.add_argument("--boundary-tol", type=float, default=BOUNDARY_TOL)
     ver.add_argument("--format", choices=["text", "json"], default="text")
     ver.add_argument("--output")
     ver.set_defaults(func=_cmd_verify)
@@ -353,7 +351,7 @@ def build_parser() -> _Parser:
     )
     sea.add_argument("--allow-compensation", action="store_true")
     sea.add_argument("--max-evals", type=int, default=5000)
-    sea.add_argument("--boundary-tol", type=float, default=1e-9)
+    sea.add_argument("--boundary-tol", type=float, default=BOUNDARY_TOL)
     sea.add_argument("--format", choices=["json", "text"], default="json")
     sea.add_argument("--output")
     sea.set_defaults(func=_cmd_search)

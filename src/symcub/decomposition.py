@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InvalidMomentSpecError, InvalidSplitError
 from .moments import SymmetricMomentSpec
@@ -32,7 +32,7 @@ from .moments import SymmetricMomentSpec
 __all__ = [
     "DecompositionConstants",
     "MassSplit",
-    "chain_higher_moments",
+    "chain_moments",
     "compute_constants",
     "default_split",
     "reduced_moment_chain",
@@ -153,17 +153,42 @@ def _add_exact(partials: list[float], x: float) -> None:
     partials[i:] = [x]
 
 
-def _middle_chain_moments(spec: SymmetricMomentSpec, consts: DecompositionConstants):
-    """The map (k, r) -> (m1, m2, m3) of chain 2 <= k <= n-1 with mass r ahead of it.
+def chain_moments(
+    spec: SymmetricMomentSpec, consts: DecompositionConstants
+) -> Callable[[int, float], tuple[float, float, float]]:
+    """The map (k, r) -> (m1, m2, m3) of chain k with mass r ahead of it.
 
-    The mass ahead of chain k is m_1 - sum(mu_1 .. mu_{k-1}).
+    The mass ahead of chain k is m_1 - sum(mu_1 .. mu_{k-1}).  Chain 1
+    uses the full base moments shifted by c_n and chain n is (0, 2*L(x1^2
+    - x1*x2), 0); neither reads r, so both are computed once here.  Only
+    the middle chains 2 .. n-1 depend on r.
     """
     n = spec.n
+    if consts.n != n:
+        raise InvalidSplitError(
+            f"constants were computed for n = {consts.n}, spec has n = {n}"
+        )
     d2 = spec.m_xx - spec.m_xy
+    c = consts.c_n
+    first = (
+        n * spec.m_x + c * spec.m_1,
+        n * spec.m_xx + n * (n - 1) * spec.m_xy + 2.0 * n * c * spec.m_x + c * c * spec.m_1,
+        n * spec.m_xxx
+        + 3.0 * n * (n - 1) * spec.m_xxy
+        + n * (n - 1) * (n - 2) * spec.m_xyz
+        + 3.0 * c * (n * spec.m_xx + n * (n - 1) * spec.m_xy)
+        + 3.0 * n * c * c * spec.m_x
+        + c**3 * spec.m_1,
+    )
+    last = (0.0, 2.0 * d2, 0.0)
     e3 = -(spec.m_xxx - 3.0 * spec.m_xxy + 2.0 * spec.m_xyz)
     cm = consts.c_mid
 
     def moments(k: int, mass_ahead: float) -> tuple[float, float, float]:
+        if k == 1:
+            return first
+        if k == n:
+            return last
         f2 = (n - k + 1) * (n - k + 2)
         return (
             cm * mass_ahead,
@@ -172,50 +197,6 @@ def _middle_chain_moments(spec: SymmetricMomentSpec, consts: DecompositionConsta
         )
 
     return moments
-
-
-def chain_higher_moments(
-    spec: SymmetricMomentSpec,
-    consts: DecompositionConstants,
-    masses: Sequence[float],
-    count: int,
-) -> list[tuple[float, float, float]]:
-    """Moments (m1, m2, m3) of chains 1 .. count of the reduced functionals.
-
-    Chain 1 uses the full base moments shifted by c_n; chains 2 .. n-1
-    those of :func:`_middle_chain_moments`; chain n is (0, 2*L(x1^2 -
-    x1*x2), 0).  Chain k reads only masses[:k - 1].  The mass ahead comes
-    from one running exact sum, rounded once per chain, so it equals
-    m_1 - fsum(masses[:k - 1]) bit for bit at O(1) amortised cost.
-    """
-    n = spec.n
-    d2 = spec.m_xx - spec.m_xy
-    c = consts.c_n
-    m1 = n * spec.m_x + c * spec.m_1
-    m2 = (
-        n * spec.m_xx
-        + n * (n - 1) * spec.m_xy
-        + 2.0 * n * c * spec.m_x
-        + c * c * spec.m_1
-    )
-    m3 = (
-        n * spec.m_xxx
-        + 3.0 * n * (n - 1) * spec.m_xxy
-        + n * (n - 1) * (n - 2) * spec.m_xyz
-        + 3.0 * c * (n * spec.m_xx + n * (n - 1) * spec.m_xy)
-        + 3.0 * n * c * c * spec.m_x
-        + c**3 * spec.m_1
-    )
-    out = [(m1, m2, m3)]
-    middle = _middle_chain_moments(spec, consts)
-    m_1 = spec.m_1
-    peeled_sum: list[float] = []  # exact sum of mu_1 .. mu_{k-1} as partials
-    for k in range(2, min(count, n - 1) + 1):
-        _add_exact(peeled_sum, masses[k - 2])
-        out.append(middle(k, m_1 - math.fsum(peeled_sum)))
-    if count >= n:
-        out.append((0.0, 2.0 * d2, 0.0))
-    return out
 
 
 def _chain_mass_bound(m1: float, m2: float) -> float:
@@ -231,12 +212,17 @@ def reduced_moment_chain(
     """Moments (m0, m1, m2, m3) of the n reduced one-dimensional functionals.
 
     List position k - 1 is chain k: it carries mu_k as its zeroth moment
-    and the higher moments of :func:`chain_higher_moments`.
+    and the higher moments of :func:`chain_moments`.  The mass ahead comes
+    from one running exact sum, rounded once per chain, so it equals
+    m_1 - fsum(masses[:k - 1]) bit for bit at O(1) amortised cost.
     """
-    if consts.n != spec.n:
-        raise InvalidSplitError(
-            f"constants were computed for n = {consts.n}, spec has n = {spec.n}"
-        )
+    moments = chain_moments(spec, consts)
     validate_split(split, spec)
-    rows = chain_higher_moments(spec, consts, split.masses, spec.n)
-    return [(mu, m1, m2, m3) for mu, (m1, m2, m3) in zip(split.masses, rows)]
+    m_1 = spec.m_1
+    out = []
+    peeled: list[float] = []  # exact sum of mu_1 .. mu_{k-1} as partials
+    for k, mu in enumerate(split.masses, start=1):
+        m1, m2, m3 = moments(k, m_1 - math.fsum(peeled))
+        out.append((mu, m1, m2, m3))
+        _add_exact(peeled, mu)
+    return out

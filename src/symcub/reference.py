@@ -44,29 +44,23 @@ class TableSpec:
     dim: int
     t_values: tuple[str, ...]
     compensation: bool
-    node_tol: float
-    weight_tol: float
+    tol: float
     published_compensation_weight: str | None = None
 
 
 _REGISTRY: dict[str, TableSpec] = {
     spec.name: spec
     for spec in (
-        TableSpec("table1", Region.SIMPLEX, 3, ("1", "1", "1"), False, 5e-9, 5e-9),
-        TableSpec("table2", Region.SIMPLEX, 4, ("1", "1", "1", "1"), False, 5e-9, 5e-9),
-        TableSpec(
-            "table3", Region.SIMPLEX, 3, ("93/85", "378/391", "108/115"), False, 5e-9, 5e-9
-        ),
-        TableSpec(
-            "table3_interior", Region.SIMPLEX, 3, ("94/85", "1", "76/85"), False, 5e-9, 5e-9
-        ),
+        TableSpec("table1", Region.SIMPLEX, 3, ("1", "1", "1"), False, 5e-9),
+        TableSpec("table2", Region.SIMPLEX, 4, ("1", "1", "1", "1"), False, 5e-9),
+        TableSpec("table3", Region.SIMPLEX, 3, ("93/85", "378/391", "108/115"), False, 5e-9),
+        TableSpec("table3_interior", Region.SIMPLEX, 3, ("94/85", "1", "76/85"), False, 5e-9),
         TableSpec(
             "table4",
             Region.SIMPLEX,
             4,
             ("104/75", "3577/2775", "9947/8880", "49/60"),
             True,
-            5e-9,
             5e-9,
             published_compensation_weight="-49/80",
         ),
@@ -77,14 +71,11 @@ _REGISTRY: dict[str, TableSpec] = {
             ("7/5", "187/145", "179522/160283", "5/6"),
             True,
             5e-8,
-            5e-8,
             published_compensation_weight="-0.643019950129875",
         ),
-        TableSpec("table6", Region.BALL_SECTOR, 3, ("1", "1", "1"), False, 5e-9, 5e-9),
-        TableSpec("table7", Region.BALL_SECTOR, 4, ("1", "1", "1", "1"), False, 5e-9, 5e-9),
-        TableSpec(
-            "table8", Region.BALL_SECTOR, 4, ("0.8", "1.31", "1.11", "0.78"), False, 5e-9, 5e-9
-        ),
+        TableSpec("table6", Region.BALL_SECTOR, 3, ("1", "1", "1"), False, 5e-9),
+        TableSpec("table7", Region.BALL_SECTOR, 4, ("1", "1", "1", "1"), False, 5e-9),
+        TableSpec("table8", Region.BALL_SECTOR, 4, ("0.8", "1.31", "1.11", "0.78"), False, 5e-9),
     )
 }
 

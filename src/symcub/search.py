@@ -36,17 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import CubatureRule, _gamma_filled, _write_chain, assemble_rule
-from .decomposition import (
-    MassSplit,
-    _add_exact,
-    _chain_mass_bound,
-    _middle_chain_moments,
-    chain_higher_moments,
-    compute_constants,
-)
+from .decomposition import MassSplit, _add_exact, _chain_mass_bound, chain_moments, compute_constants
 from .errors import InvalidSplitError
 from .moments import RegionId, SymmetricMomentSpec
-from .validation import node_margins
+from .validation import BOUNDARY_TOL, classify_nodes, node_margins
 
 __all__ = ["SearchMode", "SearchObjective", "SearchResult", "search_masses"]
 
@@ -71,7 +64,7 @@ class SearchObjective:
     allow_compensation: bool = False
     max_evals: int = 5000
     seed: int = 0
-    boundary_tol: float = 1e-9
+    boundary_tol: float = BOUNDARY_TOL
 
     def __post_init__(self):
         if self.max_evals <= 0:
@@ -93,15 +86,15 @@ class SearchResult:
 def _score_candidate(
     rule: CubatureRule, region: RegionId, mode: SearchMode, tol: float
 ) -> tuple[float, float, float]:
-    margins = node_margins(region, rule.nodes).min(axis=1)
-    # classify_nodes' thresholds: interior above tol, exterior below -tol
+    classes = classify_nodes(rule, region, tol)
     if mode is SearchMode.INTERIOR:
-        violations = np.count_nonzero(~(margins > tol))
+        violations = classes.boundary + classes.exterior
     elif mode is SearchMode.INTERIOR_OR_BOUNDARY:
-        violations = np.count_nonzero(margins < -tol)
+        violations = classes.exterior
     else:
         violations = 0
-    return (float(violations), float(np.sum(rule.weights < 0)), -float(margins.min()))
+    margin = node_margins(region, rule.nodes).min()
+    return (float(violations), float(classes.negative_weights), -float(margin))
 
 
 def _least_mass(m1: float, m2: float, m3: float, a: float, b: float) -> float:
@@ -133,13 +126,11 @@ class _ChainWalk:
     def __init__(self, spec: SymmetricMomentSpec, region: RegionId, consts):
         n = self.n = spec.n
         self.m_1 = spec.m_1
-        rows = chain_higher_moments(spec, consts, (0.0,) * n, n)  # chains 1, n: no mass ahead
-        self.first, self.last = rows[0], rows[-1]
-        self.middle = _middle_chain_moments(spec, consts)
+        self.moments = chain_moments(spec, consts)
         # every margin along chain k is A + B t + C t^2: read it at t = -1, 0, 1
-        nodes = _gamma_filled(3 * n, consts, n)
+        nodes = _gamma_filled(3 * n, consts)
         for k in range(1, n + 1):
-            _write_chain(nodes, 3 * k - 3, k, (-1.0, 0.0, 1.0), consts, n)
+            _write_chain(nodes, 3 * k - 3, k, (-1.0, 0.0, 1.0), consts)
         g_lo, self.A, g_hi = node_margins(region, nodes).reshape(n, 3, -1).transpose(1, 0, 2)
         self.B, self.C = 0.5 * (g_hi - g_lo), 0.5 * (g_hi + g_lo) - self.A
         # a linear margin leaves a C of rounding size only
@@ -165,12 +156,10 @@ class _ChainWalk:
         a, b = self.intervals(tau)
         masses, peeled, remaining = [], [], self.m_1  # peeled: exact sum of masses
         for k in range(1, self.n + 1):
-            last = k == self.n
-            moments = self.first if k == 1 else self.last if last else self.middle(k, remaining)
-            least = _least_mass(*moments, a[k - 1], b[k - 1])
+            least = _least_mass(*self.moments(k, remaining), a[k - 1], b[k - 1])
             if not 0 < least < math.inf:
                 return None, f"chain {k} admits no mass > 0 at margin {tau:.6g}"
-            if last:
+            if k == self.n:
                 available = remaining + (slack or 0.0)
                 if least > available:
                     return None, f"chain {k} needs mu >= {least:.9g} but {available:.9g} remains"

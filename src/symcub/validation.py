@@ -49,6 +49,8 @@ __all__ = [
 FULL_ENUMERATION_MAX_DIM = 8
 _PROBE_SEED = 0
 _PROBE_DIRECTIONS = 4
+# A node whose least region margin is within this of 0 is on the boundary.
+BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -101,15 +103,12 @@ class RuleDiff:
 
     max_node_distance: float
     max_weight_deviation: float
-    node_tol: float
-    weight_tol: float
+    tol: float
 
     @property
     def passed(self) -> bool:
-        return (
-            self.max_node_distance <= self.node_tol
-            and self.max_weight_deviation <= self.weight_tol
-        )
+        # a NaN deviation fails
+        return self.max_node_distance <= self.tol and self.max_weight_deviation <= self.tol
 
 
 def _full_columns(n: int) -> np.ndarray:
@@ -265,7 +264,7 @@ def node_margins(region: RegionId, nodes: Sequence[float] | np.ndarray) -> np.nd
 
 
 def classify_nodes(
-    rule: CubatureRule, region: RegionId, tol: float = 1e-9
+    rule: CubatureRule, region: RegionId, tol: float = BOUNDARY_TOL
 ) -> NodeClassification:
     """Label every node interior, boundary or exterior relative to a region.
 
@@ -298,12 +297,12 @@ def classify_nodes(
 
 
 def compare_to_reference(
-    rule: CubatureRule,
-    reference: CubatureRule,
-    node_tol: float = 5e-9,
-    weight_tol: float = 5e-9,
+    rule: CubatureRule, reference: CubatureRule, tol: float = 5e-9
 ) -> RuleDiff:
     """Diff two rules after pairing each node with its nearest reference node.
+
+    The diff passes when both the largest node distance and the largest
+    weight deviation are within tol.
 
     The comparison is insensitive to row order.  When the nearest-node map
     is one-to-one, every pair is at its smallest possible distance, so it
@@ -330,9 +329,4 @@ def compare_to_reference(
     else:
         node_dev = np.inf
     weight_dev = float(np.abs(rule.weights - reference.weights[cols]).max())
-    return RuleDiff(
-        max_node_distance=node_dev,
-        max_weight_deviation=weight_dev,
-        node_tol=node_tol,
-        weight_tol=weight_tol,
-    )
+    return RuleDiff(max_node_distance=node_dev, max_weight_deviation=weight_dev, tol=tol)

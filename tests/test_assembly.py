@@ -28,20 +28,20 @@ from symcub import (
     solve_two_point,
 )
 from symcub.reference import load_reference_rule
-from symcub.decomposition import chain_higher_moments
+from symcub.decomposition import chain_moments
 from symcub.search import _least_mass
 from symcub.validation import compare_to_reference
 
 
 def test_map_node_sum_chain():
     consts = compute_constants(simplex_spec(3))
-    node = map_node(1, 0.19388840, consts, 3)
+    node = map_node(1, 0.19388840, consts)
     assert node == pytest.approx((0.34240724,) * 3, abs=1e-8)
 
 
 def test_map_node_difference_chain():
     consts = compute_constants(simplex_spec(3))
-    node = map_node(3, 0.54772256, consts, 3)
+    node = map_node(3, 0.54772256, consts)
     assert node == pytest.approx((0.60719461, 0.05947205, 0.16666667), abs=1e-8)
 
 
@@ -51,7 +51,7 @@ def test_map_node_middle_chain():
     b, c = Fraction(142, 183), Fraction(-369, 610)
     t = (-float(b) + math.sqrt(float(b * b - 4 * c))) / 2
     consts = compute_constants(simplex_spec(3))
-    node = map_node(2, t, consts, 3)
+    node = map_node(2, t, consts)
     assert node == pytest.approx(
         (0.41353088165296, 0.41353088165296, 0.00627157002742), abs=5e-9
     )
@@ -62,33 +62,40 @@ def test_map_node_coordinate_multiplicities():
     consts = compute_constants(spec)
     n = 6
     for k in range(2, n):
-        node = map_node(k, 0.37, consts, n)
+        node = map_node(k, 0.37, consts)
         assert len(node) == n
         alpha = node[: n - k + 1]
         assert all(x == alpha[0] for x in alpha)
         assert node[n - k + 1 :][1:] == (consts.gamma,) * (k - 2)
-    assert map_node(1, 0.5, consts, n) == ((0.5 - consts.c_n) / n,) * n
+    assert map_node(1, 0.5, consts) == ((0.5 - consts.c_n) / n,) * n
     with pytest.raises(ValueError):
-        map_node(0, 0.1, consts, n)
+        map_node(0, 0.1, consts)
     with pytest.raises(ValueError):
-        map_node(7, 0.1, consts, n)
+        map_node(7, 0.1, consts)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_map_node_dimension_comes_from_the_constants(n):
+    consts = compute_constants(simplex_spec(n))
+    for k in range(1, n + 1):
+        assert len(map_node(k, 0.25, consts)) == n
 
 
 def test_compensation_node_simplex4():
     consts = compute_constants(simplex_spec(4))
-    node = map_node(4, 0.0, consts, 4)
+    node = map_node(4, 0.0, consts)
     assert node == pytest.approx((2 / 7, 2 / 7, 1 / 7, 1 / 7), abs=1e-15)
 
 
 def test_compensation_node_simplex3():
     consts = compute_constants(simplex_spec(3))
-    assert map_node(3, 0.0, consts, 3) == pytest.approx((1 / 3, 1 / 3, 1 / 6), abs=1e-15)
+    assert map_node(3, 0.0, consts) == pytest.approx((1 / 3, 1 / 3, 1 / 6), abs=1e-15)
 
 
 def test_compensation_node_cube3():
     # c_mid = 0 and gamma = 1/2 put the compensation node at the center
     consts = compute_constants(cube_spec(3))
-    assert map_node(3, 0.0, consts, 3) == pytest.approx((0.5, 0.5, 0.5), abs=1e-14)
+    assert map_node(3, 0.0, consts) == pytest.approx((0.5, 0.5, 0.5), abs=1e-14)
 
 
 def test_assembled_rule_matches_reference_table1():
@@ -211,10 +218,10 @@ def _per_node_reference(spec, split):
     chain = reduced_moment_chain(spec, split, consts)
     for k, moments in enumerate(chain, start=1):
         for t, w in zip(*solve_two_point(*moments)):
-            nodes.append(map_node(k, t, consts, spec.n))
+            nodes.append(map_node(k, t, consts))
             weights.append(w)
     if split.compensation:
-        nodes.append(map_node(spec.n, 0.0, consts, spec.n))
+        nodes.append(map_node(spec.n, 0.0, consts))
         weights.append(spec.m_1 - math.fsum(split.masses))
     return np.array(nodes).reshape(len(nodes), spec.n), np.array(weights)
 
@@ -293,9 +300,10 @@ def test_infeasible_middle_chain_reports_chain_and_bound():
         spec = region_spec(RegionId(region, n))
         consts = compute_constants(spec)
         default = default_split(spec).masses
+        moments = chain_moments(spec, consts)
         for k in range(2, n):
             prefix = default[: k - 1]
-            m1, m2, m3 = chain_higher_moments(spec, consts, prefix, k)[k - 1]
+            m1, m2, m3 = moments(k, spec.m_1 - math.fsum(prefix))
             bound = _least_mass(m1, m2, m3, -math.inf, math.inf)
             # c_mid = 0 (the cube) zeroes m1, so any positive mass is feasible
             mass = 0.5 * bound if bound > 0 else 1e-3 * default[k - 1]
