@@ -25,14 +25,13 @@ from .errors import (
     InvalidSplitError,
     UnmatchedRuleError,
 )
-from .moment1d import Feasibility, hankel_feasibility, solve_two_point
+from .moment1d import Feasibility, solve_two_point
 from .moments import (
     Region,
     RegionId,
     SymmetricMomentSpec,
     cube_spec,
     load_spec,
-    moment_of_monomial,
     region_monomial_moment,
     region_spec,
     sector_spec,
@@ -86,10 +85,8 @@ __all__ = [
     "cube_spec",
     "default_split",
     "degree4_nonexactness",
-    "hankel_feasibility",
     "load_spec",
     "map_node",
-    "moment_of_monomial",
     "reduced_moment_chain",
     "region_monomial_moment",
     "region_spec",

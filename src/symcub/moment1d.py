@@ -27,7 +27,6 @@ from .errors import InconsistentAtomError, InfeasibleMomentError
 
 __all__ = [
     "Feasibility",
-    "hankel_feasibility",
     "solve_two_point",
 ]
 
@@ -50,15 +49,6 @@ def _classify(m0: float, m1: float, m2: float) -> tuple[Feasibility, float]:
     if m0 > 0 and abs(hankel) <= tol:
         return Feasibility.ATOMIC, hankel
     return Feasibility.INDEFINITE, hankel
-
-
-def hankel_feasibility(m0: float, m1: float, m2: float, m3: float) -> Feasibility:
-    """Classify (m0, m1, m2, m3) as two-point feasible, atomic, or indefinite.
-
-    The class depends on m0, m1 and m2 only; m3 is taken so that a chain's
-    four moments can be passed as they come.
-    """
-    return _classify(m0, m1, m2)[0]
 
 
 def _quadratic_coefficients(

@@ -6,12 +6,11 @@ degree 3, by seven numbers: the values of L on
 
     1, x1, x1^2, x1*x2, x1^3, x1^2*x2, x1*x2*x3.
 
-This module stores those seven values (:class:`SymmetricMomentSpec`),
-evaluates L on arbitrary monomials of degree <= 3 by symmetry-class
-lookup, and provides exact closed-form moments for three built-in
-regions: the standard simplex x1 + ... + xn <= 1 (xi >= 0), the positive
-sector of the unit ball, and the unit cube.  Region moments are available
-at arbitrary degree, which the validation layer uses to demonstrate
+This module stores those seven values (:class:`SymmetricMomentSpec`)
+and provides exact closed-form moments for three built-in regions: the
+standard simplex x1 + ... + xn <= 1 (xi >= 0), the positive sector of
+the unit ball, and the unit cube.  Region moments are available at
+arbitrary degree, which the validation layer uses to demonstrate
 non-exactness at degree 4.
 
 A zero exponent contributes a factor of exactly 1 to each closed form,
@@ -45,7 +44,6 @@ __all__ = [
     "cube_spec",
     "double_factorial",
     "load_spec",
-    "moment_of_monomial",
     "region_monomial_moment",
     "region_spec",
     "sector_spec",
@@ -170,20 +168,6 @@ def _as_exponents(exponents: Sequence[int], n: int) -> tuple[int, ...]:
     if any(a < 0 for a in exps):
         raise DegreeOutOfRangeError(f"exponents must be >= 0, got {exps}")
     return exps
-
-
-def moment_of_monomial(spec: SymmetricMomentSpec, exponents: Sequence[int]) -> float:
-    """Evaluate L(x^alpha) for |alpha| <= 3 by symmetry-class lookup.
-
-    The result is invariant under any permutation of `exponents`.
-    """
-    exps = _as_exponents(exponents, spec.n)
-    if sum(exps) > 3:
-        raise DegreeOutOfRangeError(
-            f"total degree {sum(exps)} exceeds 3; only degree <= 3 moments are stored"
-        )
-    pattern = tuple(sorted((a for a in exps if a > 0), reverse=True))
-    return getattr(spec, _PATTERN_TO_FIELD[pattern])
 
 
 def _pattern_moment(region: RegionId, pattern: Sequence[int]) -> float:

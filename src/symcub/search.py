@@ -15,7 +15,10 @@ mu, so the admissible masses form one interval, least element least_k(r).
 
 A walk at margin tau gives chains 1 .. n-1 their least masses.  Chain n
 takes the remainder or, with compensation, its least mass, the rest
-weighting the compensation node at chain n's vertex t = 0.  Chain n
+weighting the compensation node at chain n's vertex t = 0.  A chain-k
+node has at most three distinct coordinates, so chain k has at most six
+distinct margins whatever n is; a walk reads chain k's only when it
+reaches chain k, and stops at the first chain that fails.  Chain n
 admits every mass above its least (its nodes +-sqrt(m2 / mu) move
 inwards), so when r - least_k(r) never decreases in r (no admissible
 mass counting as -inf; the tests check this on a grid) the least mass
@@ -102,26 +105,37 @@ def _least_mass(m1: float, m2: float, m3: float, a: float, b: float) -> float:
 
     An unbounded [a, b] leaves the Hankel bound m1^2 / m2.
     """
+    if a > b:
+        return math.inf
     lo, hi = _chain_mass_bound(m1, m2), math.inf
+    det = m1 * m3 - m2 * m2
     for e, side in ((a, 1.0), (b, -1.0)):
         if not math.isfinite(e):
             continue
-        # D(e) >= 0, and the vertex on the inner side of e; each p * mu + q >= 0
-        for p, q in (
-            (m2 * e * e - m3 * e, m1 * m3 - m2 * m2 + m1 * m2 * e - m1 * m1 * e * e),
-            (side * (m3 - 2.0 * e * m2), side * (2.0 * e * m1 * m1 - m1 * m2)),
-        ):
-            if p > 0:
-                lo = max(lo, -q / p)
-            elif p < 0:
-                hi = min(hi, -q / p)
-            elif q < 0:
-                return math.inf
-    return lo if a <= b and lo <= hi else math.inf
+        # D(e) >= 0, then the vertex on the inner side of e; each p * mu + q >= 0
+        p, q = m2 * e * e - m3 * e, det + m1 * m2 * e - m1 * m1 * e * e
+        if p > 0:
+            if -q / p > lo:
+                lo = -q / p
+        elif p < 0:
+            if -q / p < hi:
+                hi = -q / p
+        elif q < 0:
+            return math.inf
+        p, q = side * (m3 - 2.0 * e * m2), side * (2.0 * e * m1 * m1 - m1 * m2)
+        if p > 0:
+            if -q / p > lo:
+                lo = -q / p
+        elif p < 0:
+            if -q / p < hi:
+                hi = -q / p
+        elif q < 0:
+            return math.inf
+    return lo if lo <= hi else math.inf
 
 
 class _ChainWalk:
-    """The chain moments and margin coefficients of one search, and its walk."""
+    """The chain moments and distinct margin coefficients of one search, and its walk."""
 
     def __init__(self, spec: SymmetricMomentSpec, region: RegionId, consts):
         n = self.n = spec.n
@@ -131,32 +145,47 @@ class _ChainWalk:
         nodes = _gamma_filled(3 * n, consts)
         for k in range(1, n + 1):
             _write_chain(nodes, 3 * k - 3, k, (-1.0, 0.0, 1.0), consts)
-        g_lo, self.A, g_hi = node_margins(region, nodes).reshape(n, 3, -1).transpose(1, 0, 2)
-        self.B, self.C = 0.5 * (g_hi - g_lo), 0.5 * (g_hi + g_lo) - self.A
+        g_lo, A, g_hi = node_margins(region, nodes).reshape(n, 3, -1).transpose(1, 0, 2)
+        B, C = 0.5 * (g_hi - g_lo), 0.5 * (g_hi + g_lo) - A
         # a linear margin leaves a C of rounding size only
-        self.C[np.abs(self.C) <= 1e-12 * (np.abs(g_lo) + np.abs(self.A) + np.abs(g_hi))] = 0.0
+        C[np.abs(C) <= 1e-12 * (np.abs(g_lo) + np.abs(A) + np.abs(g_hi))] = 0.0
+        # chain k keeps its distinct margins only; max and min ignore their order
+        rows = np.stack((A, B, C), axis=-1).tolist()
+        self.margins = [list(dict.fromkeys(map(tuple, chain))) for chain in rows]
 
-    def intervals(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per chain, the interval [a_k, b_k] of t keeping every margin >= tau."""
-        A, B, C = self.A - tau, self.B, self.C
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = np.sqrt(B * B - 4.0 * C * A)
-            lo = np.where(C < 0, (root - B) / (2.0 * C), np.where(B > 0, -A / B, -np.inf))
-            hi = np.where(C < 0, (-root - B) / (2.0 * C), np.where(B < 0, -A / B, np.inf))
-        # no t at all: a concave margin below tau everywhere (a NaN root) or a constant one
-        empty = np.isnan(lo) | ((B == 0) & (C == 0) & (A < 0))
-        lo[empty], hi[empty] = np.inf, -np.inf
-        return lo.max(axis=1), hi.min(axis=1)
+    def interval(self, k: int, tau: float) -> tuple[float, float]:
+        """The interval [a, b] of t keeping every margin along chain k >= tau."""
+        a, b = -math.inf, math.inf
+        for A, B, C in self.margins[k - 1]:
+            A -= tau
+            if C < 0:
+                disc = B * B - 4.0 * C * A
+                if disc < 0:  # a concave margin below tau everywhere
+                    return math.inf, -math.inf
+                root = math.sqrt(disc)
+                lo, hi = (root - B) / (2.0 * C), (-root - B) / (2.0 * C)
+                if lo > a:
+                    a = lo
+                if hi < b:
+                    b = hi
+            elif B > 0:
+                if -A / B > a:
+                    a = -A / B
+            elif B < 0:
+                if -A / B < b:
+                    b = -A / B
+            elif C == 0 and A < 0:  # a constant margin below tau
+                return math.inf, -math.inf
+        return a, b
 
     def walk(self, tau: float, slack: float | None):
         """The walk's masses at margin tau, or None and why it fails.
 
         `slack`: None without compensation, else the compensation weight's floor below 0.
         """
-        a, b = self.intervals(tau)
         masses, peeled, remaining = [], [], self.m_1  # peeled: exact sum of masses
         for k in range(1, self.n + 1):
-            least = _least_mass(*self.moments(k, remaining), a[k - 1], b[k - 1])
+            least = _least_mass(*self.moments(k, remaining), *self.interval(k, tau))
             if not 0 < least < math.inf:
                 return None, f"chain {k} admits no mass > 0 at margin {tau:.6g}"
             if k == self.n:

@@ -25,12 +25,12 @@ from symcub import (
     compute_constants,
     classify_nodes as _classify,
     degree4_nonexactness,
-    hankel_feasibility,
     reduced_moment_chain,
     region_spec,
     solve_two_point,
 )
 from symcub.reference import load_reference_rule, table_spec
+from reference_helpers import hankel_feasibility
 
 ALL_REGIONS = list(Region)
 

@@ -20,7 +20,6 @@ from symcub import (
     cube_spec,
     default_split,
     map_node,
-    moment_of_monomial,
     reduced_moment_chain,
     region_spec,
     sector_spec,
@@ -31,6 +30,7 @@ from symcub.reference import load_reference_rule
 from symcub.decomposition import chain_moments
 from symcub.search import _least_mass
 from symcub.validation import compare_to_reference
+from reference_helpers import moment_of_monomial
 
 
 def test_map_node_sum_chain():

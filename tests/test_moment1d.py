@@ -10,9 +10,9 @@ from symcub import (
     Feasibility,
     InconsistentAtomError,
     InfeasibleMomentError,
-    hankel_feasibility,
     solve_two_point,
 )
+from reference_helpers import hankel_feasibility
 
 
 def test_hankel_classification():

@@ -17,13 +17,13 @@ from symcub import (
     SymmetricMomentSpec,
     cube_spec,
     load_spec,
-    moment_of_monomial,
     region_monomial_moment,
     region_spec,
     sector_spec,
     simplex_spec,
     spec_from_dict,
 )
+from reference_helpers import moment_of_monomial
 
 REL = 1e-14
 

@@ -11,7 +11,8 @@ import zlib
 import numpy as np
 import pytest
 
-from symcub import Region, RegionId, moment_of_monomial, region_spec
+from symcub import Region, RegionId, region_spec
+from reference_helpers import moment_of_monomial
 
 N_SAMPLES = 1_000_000
 

@@ -47,10 +47,8 @@ PACKAGE_ALL = [
     "cube_spec",
     "default_split",
     "degree4_nonexactness",
-    "hankel_feasibility",
     "load_spec",
     "map_node",
-    "moment_of_monomial",
     "reduced_moment_chain",
     "region_monomial_moment",
     "region_spec",

@@ -16,14 +16,16 @@ from symcub import (
     check_exactness,
     classify_nodes,
     compute_constants,
-    hankel_feasibility,
     reduced_moment_chain,
     region_spec,
     search_masses,
     simplex_spec,
 )
+from symcub.assembly import _gamma_filled, _write_chain
 from symcub.decomposition import chain_moments
 from symcub.search import _WALKS_PER_PASS, _ChainWalk, _least_mass
+from symcub.validation import node_margins
+from reference_helpers import hankel_feasibility
 
 
 def _least_unbounded(spec, consts, prefix):
@@ -101,6 +103,52 @@ def test_least_mass_puts_both_nodes_in_the_node_interval():
         assert bool(a <= roots.min() and roots.max() <= b) is inside
 
 
+def _reference_intervals(spec, rid, consts, tau):
+    # every chain's node interval at once, vectorised over the full (n, 2n)
+    # margin arrays: the reference that _ChainWalk.interval must equal exactly
+    n = spec.n
+    nodes = _gamma_filled(3 * n, consts)
+    for k in range(1, n + 1):
+        _write_chain(nodes, 3 * k - 3, k, (-1.0, 0.0, 1.0), consts)
+    g_lo, A, g_hi = node_margins(rid, nodes).reshape(n, 3, -1).transpose(1, 0, 2)
+    B, C = 0.5 * (g_hi - g_lo), 0.5 * (g_hi + g_lo) - A
+    C[np.abs(C) <= 1e-12 * (np.abs(g_lo) + np.abs(A) + np.abs(g_hi))] = 0.0
+    A = A - tau
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(B * B - 4.0 * C * A)
+        lo = np.where(C < 0, (root - B) / (2.0 * C), np.where(B > 0, -A / B, -np.inf))
+        hi = np.where(C < 0, (-root - B) / (2.0 * C), np.where(B < 0, -A / B, np.inf))
+    empty = np.isnan(lo) | ((B == 0) & (C == 0) & (A < 0))
+    lo[empty], hi[empty] = np.inf, -np.inf
+    return lo.max(axis=1), hi.min(axis=1)
+
+
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("n", [2, 3, 8, 33])
+def test_interval_matches_the_full_margin_arrays(region, n):
+    rid = RegionId(region, n)
+    spec = region_spec(rid)
+    consts = compute_constants(spec)
+    walker = _ChainWalk(spec, rid, consts)
+    empty = 0
+    for tau in (-1.0, -0.2, 0.0, 1e-9, 0.05, 0.3, 0.9):
+        a, b = _reference_intervals(spec, rid, consts, tau)
+        for k in range(1, n + 1):
+            assert walker.interval(k, tau) == (a[k - 1], b[k - 1]), (tau, k)
+            empty += a[k - 1] > b[k - 1]
+    # the grid reaches margins that no node of some chain keeps
+    assert empty > 0
+
+
+@pytest.mark.parametrize("region", list(Region))
+def test_chains_keep_at_most_six_margins(region):
+    # a chain-k node has at most three distinct coordinates
+    rid = RegionId(region, 64)
+    spec = region_spec(rid)
+    walker = _ChainWalk(spec, rid, compute_constants(spec))
+    assert max(len(margins) for margins in walker.margins) <= 6
+
+
 @pytest.mark.parametrize("region", list(Region))
 @pytest.mark.parametrize("n", [3, 6, 9])
 def test_mass_left_after_least_mass_never_decreases(region, n):
@@ -111,11 +159,11 @@ def test_mass_left_after_least_mass_never_decreases(region, n):
     walker = _ChainWalk(spec, rid, compute_constants(spec))
     masses_ahead = np.linspace(-spec.m_1, 2 * spec.m_1, 301)
     for tau in (-0.2, -0.05, 0.0, 0.05, 0.1):
-        a, b = walker.intervals(tau)
         for k in range(2, n):
+            a, b = walker.interval(k, tau)
             left = []
             for r in masses_ahead:
-                least = _least_mass(*walker.moments(k, r), a[k - 1], b[k - 1])
+                least = _least_mass(*walker.moments(k, r), a, b)
                 left.append(r - least if 0 < least < math.inf else -math.inf)
             left = np.array(left)
             placed = np.isfinite(left)

@@ -20,7 +20,6 @@ from symcub import (
     compare_to_reference,
     cube_spec,
     degree4_nonexactness,
-    moment_of_monomial,
     region_monomial_moment,
     region_spec,
     sector_spec,
@@ -30,6 +29,7 @@ from symcub.cli import main
 from symcub.reference import load_reference_rule, numbered_table_names, regenerate_table
 from symcub.ruleio import write_rule
 from symcub.validation import node_margins
+from reference_helpers import moment_of_monomial
 
 
 def monomial_exponents(n, max_degree=3):
