@@ -25,7 +25,7 @@ from .errors import (
     InvalidSplitError,
     UnmatchedRuleError,
 )
-from .moment1d import Feasibility, solve_two_point
+from .moment1d import solve_two_point
 from .moments import (
     Region,
     RegionId,
@@ -59,7 +59,6 @@ __all__ = [
     "DegreeOutOfRangeError",
     "DimensionMismatchError",
     "ExactnessReport",
-    "Feasibility",
     "InconsistentAtomError",
     "InfeasibleMomentError",
     "InvalidDimensionError",

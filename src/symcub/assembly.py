@@ -162,9 +162,10 @@ def assemble_rule(
     """Solve all chains and package the rule.
 
     Generically returns 2n nodes, or 2n + 1 when the split carries a
-    compensation node; an atomic chain contributes one node instead of
-    two.  Each node is written straight into its row of one (N, n) array.
-    An infeasible chain raises :class:`InfeasibleMomentError` tagged with
+    compensation node; a chain of zero variance (a degenerate,
+    single-orbit functional) contributes one node instead of two.  Each
+    node is written straight into its row of one (N, n) array.  An
+    infeasible chain raises :class:`InfeasibleMomentError` tagged with
     the chain index and the lower bound on its mass that would restore
     feasibility.
     """

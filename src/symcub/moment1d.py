@@ -3,69 +3,29 @@
 A problem is four floats (m0, m1, m2, m3); its solution is a pair
 ``(nodes, weights)`` of equal-length tuples holding at most two nodes,
 in descending order, with the weights that reproduce all four moments.
-Feasibility follows the Hankel criterion: H = m0*m2 - m1^2 must be
-positive for a genuine two-point rule with real distinct nodes and
-positive weights; H ~ 0 collapses to a single atom.
 
-The two-point solver forms the monic quadratic p(t) = t^2 + b*t + c that
-is orthogonal to 1 and t, i.e.
+The solve works on the probability measure m / m0, whose mean, variance
+and third central moment are
 
-    m2 + b*m1 + c*m0 = 0
-    m3 + b*m2 + c*m1 = 0,
+    a = m1 / m0,   var = m2 / m0 - a^2,   mu3 = m3 / m0 - a (3 m2 / m0 - 2 a^2).
 
-takes its roots as nodes, and solves the 2x2 Vandermonde system for the
-weights.  The 2x2 system for (b, c) has determinant m1^2 - m0*m2 = -H,
-which the feasibility gate bounds away from zero.
+A two-point measure centred at its mean has nodes u with u1 + u2 = mu3 / var
+and u1 u2 = -var, so the nodes are a + u for the roots of
+u^2 - s u - var with s = mu3 / var, and the weight of u_hi is
+m0 (-u_lo) / (u_hi - u_lo).  var > 0 gives two distinct real nodes and
+positive weights (the discriminant s^2 + 4 var is then positive);
+var ~ 0 leaves one atom at a with weight m0; var < 0 has no solution.
+The mass m0 cancels out of every test and formula, so nothing depends on
+how small or large it is.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 
 from .errors import InconsistentAtomError, InfeasibleMomentError
 
-__all__ = [
-    "Feasibility",
-    "solve_two_point",
-]
-
-
-class Feasibility(enum.Enum):
-    POSITIVE_DEFINITE = "positive-definite"
-    ATOMIC = "atomic"
-    INDEFINITE = "indefinite"
-
-
-def _classify(m0: float, m1: float, m2: float) -> tuple[Feasibility, float]:
-    """The Hankel class of (m0, m1, m2) and the determinant H itself."""
-    hankel = m0 * m2 - m1 * m1
-    # scaled by the Hankel determinant's own terms; an absolute floor
-    # would misclassify functionals with factorially small total mass
-    # (the simplex beyond n = 8) as atomic
-    tol = 1e-13 * max(m0 * abs(m2), m1 * m1)
-    if m0 > 0 and hankel > tol:
-        return Feasibility.POSITIVE_DEFINITE, hankel
-    if m0 > 0 and abs(hankel) <= tol:
-        return Feasibility.ATOMIC, hankel
-    return Feasibility.INDEFINITE, hankel
-
-
-def _quadratic_coefficients(
-    m0: float, m1: float, m2: float, m3: float
-) -> tuple[float, float]:
-    # Eliminate on [[m1, m0], [m2, m1]] [b, c]^T = [-m2, -m3] with the
-    # larger pivot in the first column.
-    a11, a12, r1 = m1, m0, -m2
-    a21, a22, r2 = m2, m1, -m3
-    if abs(a21) > abs(a11):
-        a11, a12, r1, a21, a22, r2 = a21, a22, r2, a11, a12, r1
-    factor = a21 / a11
-    a22 -= factor * a12
-    r2 -= factor * r1
-    c = r2 / a22
-    b = (r1 - a12 * c) / a11
-    return b, c
+__all__ = ["solve_two_point"]
 
 
 def solve_two_point(
@@ -73,40 +33,34 @@ def solve_two_point(
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Solve the order-3 truncated moment problem for (m0, m1, m2, m3).
 
-    Returns ``(nodes, weights)``.  POSITIVE_DEFINITE moments yield two
-    distinct real nodes ``(t_hi, t_lo)`` with positive weights.  ATOMIC
-    moments yield the single node m1/m0 with weight m0, provided m2 and
-    m3 are consistent with a point mass (:class:`InconsistentAtomError`
-    otherwise).  INDEFINITE moments raise :class:`InfeasibleMomentError`.
+    Returns ``(nodes, weights)``.  A positive variance of m / m0 yields two
+    distinct real nodes ``(t_hi, t_lo)`` with positive weights.  A variance
+    within rounding of 0 yields the single node m1/m0 with weight m0,
+    provided m3 is consistent with a point mass
+    (:class:`InconsistentAtomError` otherwise).  m0 <= 0 or a negative
+    variance raises :class:`InfeasibleMomentError`.
     """
-    feasibility, hankel = _classify(m0, m1, m2)
-    if feasibility is Feasibility.ATOMIC:
-        node = m1 / m0
-        tol = 1e-10 * max(1.0, abs(m2), abs(m3))
-        if abs(m2 - node * node * m0) > tol or abs(m3 - node**3 * m0) > tol:
-            raise InconsistentAtomError(
-                f"rank-1 moments are not a point mass: m = {(m0, m1, m2, m3)}"
-            )
-        return (node,), (m0,)
-    if feasibility is Feasibility.INDEFINITE:
-        raise InfeasibleMomentError(
-            f"moments are not positive definite: m0*m2 - m1^2 = {hankel:.6e} "
-            f"(m0 = {m0!r})",
-            hankel=hankel,
-        )
-
-    b, c = _quadratic_coefficients(m0, m1, m2, m3)
-    disc = b * b - 4.0 * c
-    if disc <= 0:
-        raise InfeasibleMomentError(
-            f"quadratic has no real roots (discriminant = {disc:.6e})",
-            hankel=hankel,
-        )
-    # Stable root pair: q and c/q avoid cancellation between -b and sqrt.
-    root = math.sqrt(disc)
-    q = -(b + math.copysign(root, b if b != 0.0 else 1.0)) / 2.0
-    t_hi, t_lo = q, c / q
-    if t_hi < t_lo:
-        t_hi, t_lo = t_lo, t_hi
-    w_hi = (m1 - m0 * t_lo) / (t_hi - t_lo)
-    return (t_hi, t_lo), (w_hi, m0 - w_hi)
+    if m0 > 0:
+        a, b, c = m1 / m0, m2 / m0, m3 / m0
+        var = b - a * a
+        # the Hankel test m0*m2 - m1^2 > 0 divided by m0^2, with its tolerance
+        tol = 1e-13 * max(abs(b), a * a)
+        if var > tol:
+            s = (c - a * (3.0 * b - 2.0 * a * a)) / var
+            # stable root pair: q and -var/q avoid cancellation between s and the root
+            q = 0.5 * (s + math.copysign(math.sqrt(s * s + 4.0 * var), s))
+            u_hi, u_lo = (q, -var / q) if q > 0 else (-var / q, q)
+            w_hi = m0 * (-u_lo / (u_hi - u_lo))
+            return (a + u_hi, a + u_lo), (w_hi, m0 - w_hi)
+        if var >= -tol:
+            if abs(c - a * a * a) > 1e-10 * max(1.0, abs(b), abs(c)):
+                raise InconsistentAtomError(
+                    f"rank-1 moments are not a point mass: m = {(m0, m1, m2, m3)}"
+                )
+            return (a,), (m0,)
+    hankel = m0 * m2 - m1 * m1
+    raise InfeasibleMomentError(
+        f"moments are not positive definite: m0*m2 - m1^2 = {hankel:.6e} "
+        f"(m0 = {m0!r})",
+        hankel=hankel,
+    )

@@ -147,10 +147,12 @@ class SymmetricMomentSpec:
                 "m_xx - m_xy > 0 violated: "
                 f"m_xx - m_xy = {self.m_xx - self.m_xy!r}"
             )
-        if self.m_1 * self.m_xx - self.m_x**2 < 0:
+        # divided by m_1, so that no product overflows
+        bound = self.m_x * (self.m_x / self.m_1)
+        if self.m_xx < bound:
             raise InvalidMomentSpecError(
                 "m_1*m_xx - m_x^2 >= 0 violated: "
-                f"value = {self.m_1 * self.m_xx - self.m_x ** 2!r}"
+                f"m_xx = {self.m_xx!r} < m_x^2 / m_1 = {bound!r}"
             )
 
     @property

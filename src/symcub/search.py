@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .assembly import CubatureRule, _gamma_filled, _write_chain, assemble_rule
 from .decomposition import MassSplit, _add_exact, _chain_mass_bound, chain_moments, compute_constants
 from .errors import InvalidSplitError
-from .moments import RegionId, SymmetricMomentSpec
+from .moments import _PATTERN_TO_FIELD, RegionId, SymmetricMomentSpec
 from .validation import BOUNDARY_TOL, classify_nodes, node_margins
 
 __all__ = ["SearchMode", "SearchObjective", "SearchResult", "search_masses"]
@@ -139,8 +139,15 @@ class _ChainWalk:
 
     def __init__(self, spec: SymmetricMomentSpec, region: RegionId, consts):
         n = self.n = spec.n
-        self.m_1 = spec.m_1
-        self.moments = chain_moments(spec, consts)
+        # Least masses are homogeneous of degree 1 in the spec, so the walk
+        # runs on the spec scaled by m_1's power of two, which is exact:
+        # no product in _least_mass underflows however small L(1) is.
+        self.scale = math.frexp(spec.m_1)[1]
+        unit = replace(spec, **{
+            f: math.ldexp(getattr(spec, f), -self.scale) for f in _PATTERN_TO_FIELD.values()
+        })
+        self.m_1 = unit.m_1
+        self.moments = chain_moments(unit, consts)
         # every margin along chain k is A + B t + C t^2: read it at t = -1, 0, 1
         nodes = _gamma_filled(3 * n, consts)
         for k in range(1, n + 1):
@@ -181,7 +188,8 @@ class _ChainWalk:
     def walk(self, tau: float, slack: float | None):
         """The walk's masses at margin tau, or None and why it fails.
 
-        `slack`: None without compensation, else the compensation weight's floor below 0.
+        Masses and `slack` are in units of 2^scale, like `m_1`.  `slack`:
+        None without compensation, else the compensation weight's floor below 0.
         """
         masses, peeled, remaining = [], [], self.m_1  # peeled: exact sum of masses
         for k in range(1, self.n + 1):
@@ -191,6 +199,7 @@ class _ChainWalk:
             if k == self.n:
                 available = remaining + (slack or 0.0)
                 if least > available:
+                    least, available = (math.ldexp(x, self.scale) for x in (least, available))
                     return None, f"chain {k} needs mu >= {least:.9g} but {available:.9g} remains"
                 if slack is None:
                     least = remaining
@@ -231,14 +240,16 @@ def search_masses(
         raise InvalidSplitError(f"region has n = {region.n} but spec has n = {spec.n}")
     consts = compute_constants(spec)
     walker = _ChainWalk(spec, region, consts)
-    split, rule, score, evaluations = None, None, (math.inf,) * 3, 0
-    for slack in (0.0, spec.m_1) if objective.allow_compensation else (None,):
+    split, rule, score, evaluations, why = None, None, (math.inf,) * 3, 0, None
+    for slack in (0.0, walker.m_1) if objective.allow_compensation else (None,):
         budget = min(_WALKS_PER_PASS, objective.max_evals - evaluations)
-        masses, walks, why = _bisect(walker, slack, budget)
+        masses, walks, failure = _bisect(walker, slack, budget)
         evaluations += walks
+        if walks:  # a pass left without budget keeps the previous pass's reason
+            why = failure
         if masses is None:
             continue
-        split = MassSplit(masses, compensation=slack is not None)
+        split = MassSplit([math.ldexp(mu, walker.scale) for mu in masses], slack is not None)
         rule = assemble_rule(spec, split, consts, region_label=region.region.value)
         score = _score_candidate(rule, region, objective.mode, objective.boundary_tol)
         if score[0] == 0.0 and math.isfinite(score[2]):

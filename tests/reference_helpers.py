@@ -1,8 +1,10 @@
 """Reference helpers the tests share; the library itself has no use for them."""
 
-from symcub import Feasibility, SymmetricMomentSpec
+import enum
+import math
+
+from symcub import SymmetricMomentSpec
 from symcub.errors import DegreeOutOfRangeError
-from symcub.moment1d import _classify
 from symcub.moments import _PATTERN_TO_FIELD, _as_exponents
 
 
@@ -20,10 +22,54 @@ def moment_of_monomial(spec: SymmetricMomentSpec, exponents) -> float:
     return getattr(spec, _PATTERN_TO_FIELD[pattern])
 
 
-def hankel_feasibility(m0: float, m1: float, m2: float, m3: float) -> Feasibility:
-    """The Hankel class of a chain's four moments, as `solve_two_point` reads it.
+class Feasibility(enum.Enum):
+    POSITIVE_DEFINITE = "positive-definite"
+    ATOMIC = "atomic"
+    INDEFINITE = "indefinite"
 
+
+def hankel_feasibility(m0: float, m1: float, m2: float, m3: float) -> Feasibility:
+    """The Hankel class of a chain's four moments, tested on raw moments.
+
+    For moments whose products m0*m2 and m1^2 do not underflow, this is
+    the split `solve_two_point` makes into two nodes, an atom or infeasible.
     The class depends on m0, m1 and m2 only; m3 is taken so that a chain's
     four moments can be passed as they come.
     """
-    return _classify(m0, m1, m2)[0]
+    hankel = m0 * m2 - m1 * m1
+    tol = 1e-13 * max(m0 * abs(m2), m1 * m1)
+    if m0 > 0 and hankel > tol:
+        return Feasibility.POSITIVE_DEFINITE
+    if m0 > 0 and abs(hankel) <= tol:
+        return Feasibility.ATOMIC
+    return Feasibility.INDEFINITE
+
+
+def pivoted_two_point(m0: float, m1: float, m2: float, m3: float):
+    """A two-point solve on raw moments by pivoted elimination, as a reference.
+
+    Forms the monic quadratic t^2 + b t + c orthogonal to 1 and t,
+
+        m2 + b*m1 + c*m0 = 0
+        m3 + b*m2 + c*m1 = 0,
+
+    by elimination with the larger pivot in the first column, takes its
+    stable root pair as the nodes (descending) and solves the 2x2
+    Vandermonde system for the weights.  Positive-definite moments only.
+    """
+    if hankel_feasibility(m0, m1, m2, m3) is not Feasibility.POSITIVE_DEFINITE:
+        raise ValueError(f"moments are not positive definite: {(m0, m1, m2, m3)}")
+    a11, a12, r1 = m1, m0, -m2
+    a21, a22, r2 = m2, m1, -m3
+    if abs(a21) > abs(a11):
+        a11, a12, r1, a21, a22, r2 = a21, a22, r2, a11, a12, r1
+    factor = a21 / a11
+    a22 -= factor * a12
+    r2 -= factor * r1
+    c = r2 / a22
+    b = (r1 - a12 * c) / a11
+    root = math.sqrt(b * b - 4.0 * c)
+    q = -(b + math.copysign(root, b if b != 0.0 else 1.0)) / 2.0
+    t_hi, t_lo = max(q, c / q), min(q, c / q)
+    w_hi = (m1 - m0 * t_lo) / (t_hi - t_lo)
+    return (t_hi, t_lo), (w_hi, m0 - w_hi)

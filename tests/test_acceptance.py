@@ -12,7 +12,6 @@ import zlib
 import numpy as np
 
 from symcub import (
-    Feasibility,
     MassSplit,
     NodeClass,
     Region,
@@ -30,7 +29,7 @@ from symcub import (
     solve_two_point,
 )
 from symcub.reference import load_reference_rule, table_spec
-from reference_helpers import hankel_feasibility
+from reference_helpers import Feasibility, hankel_feasibility
 
 ALL_REGIONS = list(Region)
 

@@ -14,8 +14,10 @@ from symcub import (
     MassSplit,
     Region,
     RegionId,
+    SymmetricMomentSpec,
     assemble_rule,
     build_rule,
+    check_exactness,
     compute_constants,
     cube_spec,
     default_split,
@@ -28,6 +30,7 @@ from symcub import (
 )
 from symcub.reference import load_reference_rule
 from symcub.decomposition import chain_moments
+from symcub.moments import _PATTERN_TO_FIELD
 from symcub.search import _least_mass
 from symcub.validation import compare_to_reference
 from reference_helpers import moment_of_monomial
@@ -262,13 +265,48 @@ def test_assembly_is_bit_identical_to_per_node_reference_cube512():
     assert rule.nodes.shape == (1025, 512)
 
 
-@pytest.mark.parametrize("region, n", [(Region.SIMPLEX, 128), (Region.BALL_SECTOR, 256)])
-def test_collapsed_rules_keep_rows_and_bits(region, n):
-    # atomic chains write one row instead of two; the rule is the filled
-    # prefix of the array
+@pytest.mark.parametrize(
+    "region, n",
+    [(Region.SIMPLEX, n) for n in (101, 120, 128, 160)]
+    + [(Region.BALL_SECTOR, n) for n in (192, 256, 300)],
+)
+def test_tiny_mass_rules_keep_2n_rows_and_bits(region, n):
+    # L(1) < 1e-150, so m0*m2 and m1^2 of a chain underflow; each chain is
+    # solved on m / m0, so none reads as an atom
     spec = region_spec(RegionId(region, n))
     rule = _assert_matches_reference(spec, default_split(spec))
-    assert len(rule) < 2 * n
+    assert len(rule) == 2 * n
+    assert check_exactness(rule, spec).max_rel_error <= 1e-13
+
+
+_SCALE_CASES = {
+    "simplex-3": simplex_spec(3),
+    "sector-4": sector_spec(4),
+    "cube-8": cube_spec(8),
+    "custom-3": SymmetricMomentSpec(
+        n=3, m_1=1.0, m_x=0.5, m_xx=0.4, m_xy=0.2, m_xxx=0.3, m_xxy=0.1, m_xyz=0.05
+    ),
+    # the point (0, 0, 0.75) symmetrised: chain 1 is a single atom
+    "orbit-3": SymmetricMomentSpec(
+        n=3, m_1=1.0, m_x=0.25, m_xx=0.1875, m_xy=0.0, m_xxx=0.140625, m_xxy=0.0, m_xyz=0.0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_SCALE_CASES))
+def test_rules_scale_exactly_with_the_functional(name):
+    # L -> 2^j L scales every moment exactly, so the nodes stay and the
+    # weights scale by 2^j bit for bit, however small or large L(1) gets
+    spec = _SCALE_CASES[name]
+    rule = build_rule(spec)
+    assert len(rule) == (5 if name == "orbit-3" else 2 * spec.n)
+    for j in (-900, -600, -300, 300, 600, 900):
+        scaled = SymmetricMomentSpec(n=spec.n, **{
+            f: float(np.ldexp(getattr(spec, f), j)) for f in _PATTERN_TO_FIELD.values()
+        })
+        got = build_rule(scaled)
+        assert np.array_equal(got.nodes, rule.nodes)
+        assert np.array_equal(got.weights, np.ldexp(rule.weights, j))
 
 
 def test_rule_arrays_are_read_only():

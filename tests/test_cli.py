@@ -68,6 +68,18 @@ def test_generate_custom_spec(tmp_path, capsys):
     assert _run(capsys, "generate", "--spec", str(spec_path), "--dim", "4")[0] == 1
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_generate_custom_spec_at_extreme_scale(tmp_path, capsys, scale):
+    # m_1*m_xx and m_x^2 overflow at 1e200; the chain products underflow at 1e-200
+    moments = {"m1": 1.0, "mx": 0.5, "mxx": 0.4, "mxy": 0.2, "mxxx": 0.3, "mxxy": 0.1, "mxyz": 0.05}
+    spec_path = tmp_path / "scaled.json"
+    spec_path.write_text(json.dumps({"n": 3, **{k: v * scale for k, v in moments.items()}}))
+    code, out, err = _run(capsys, "generate", "--spec", str(spec_path))
+    assert code == 0
+    assert len(loads_json(out)) == 6
+    assert "PASS" in err
+
+
 def test_dim_zero_is_a_given_dimension(tmp_path, capsys):
     # --dim 0 is checked like any other value, not taken as missing
     spec_path = tmp_path / "my_moments.json"
@@ -302,12 +314,12 @@ def test_verify_above_dim8_names_the_worst_degree(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("region, dim", [("simplex", 101), ("ball-sector", 200)])
-def test_generate_rejects_collapsed_rules(capsys, region, dim):
-    # chains taken as atoms leave fewer than 2n nodes and a wrong rule
+def test_generate_passes_tiny_mass_rules(capsys, region, dim):
+    # L(1) < 1e-150: every chain still gives two nodes and the rule is exact
     code, out, err = _run(capsys, "generate", "--region", region, "--dim", str(dim))
-    assert code == 3
-    assert len(loads_json(out)) < 2 * dim
-    assert "FAIL" in err
+    assert code == 0
+    assert len(loads_json(out)) == 2 * dim
+    assert "PASS" in err
 
 
 @pytest.mark.parametrize(

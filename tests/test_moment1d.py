@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from symcub import (
-    Feasibility,
     InconsistentAtomError,
     InfeasibleMomentError,
+    SymmetricMomentSpec,
+    build_rule,
+    check_exactness,
     solve_two_point,
 )
-from reference_helpers import hankel_feasibility
+from reference_helpers import Feasibility, hankel_feasibility, pivoted_two_point
 
 
 def test_hankel_classification():
@@ -20,6 +22,12 @@ def test_hankel_classification():
     assert hankel_feasibility(1, 1, 1, 1) is Feasibility.ATOMIC
     assert hankel_feasibility(1, 0, -1, 0) is Feasibility.INDEFINITE
     assert hankel_feasibility(-1, 0, 1, 0) is Feasibility.INDEFINITE
+    # the solver makes the same split into two nodes, an atom or infeasible
+    assert len(solve_two_point(1, 0, 1, 0)[0]) == 2
+    assert len(solve_two_point(1, 1, 1, 1)[0]) == 1
+    for moments in ((1, 0, -1, 0), (-1, 0, 1, 0), (0, 0, 1, 0)):
+        with pytest.raises(InfeasibleMomentError):
+            solve_two_point(*moments)
 
 
 def test_symmetric_two_point():
@@ -119,3 +127,59 @@ def test_roundtrip_recovery_and_identities():
         disc = b * b - 4 * c
         assert disc > 0
         assert disc == pytest.approx((m0 * b * b + 4 * m1 * b + 4 * m2) / m0, rel=1e-9)
+
+
+def _two_point_problems(level, rng, count):
+    """Exact two-point measures with mean level * spread and their rounded moments.
+
+    The lighter weight is a share p of m0, log-uniform in [0.01, 0.5], at
+    the node far from the mean.
+    """
+    out = []
+    for _ in range(count):
+        spread = Fraction(float(rng.uniform(0.5, 2.0)))
+        mean = level * spread * int(rng.choice((-1, 1)))
+        p = Fraction(float(10.0 ** rng.uniform(-2.0, math.log10(0.5))))
+        m0 = Fraction(float(rng.uniform(0.1, 2.0)))
+        side = int(rng.choice((-1, 1)))
+        t = (mean + side * (1 - p) * spread, mean - side * p * spread)
+        w = (m0 * p, m0 * (1 - p))
+        if side < 0:
+            t, w = t[::-1], w[::-1]
+        moments = tuple(float(sum(wi * ti**j for ti, wi in zip(t, w))) for j in range(4))
+        out.append((moments, float(mean), [float(x) for x in t], [float(x) for x in w]))
+    return out
+
+
+def _error_quantiles(solver, problems):
+    # a node's error relative to its distance from the mean, a weight's to itself
+    node_err, weight_err = [], []
+    for moments, mean, t, w in problems:
+        nodes, weights = solver(*moments)
+        node_err.append(max(abs(g - e) / abs(e - mean) for g, e in zip(nodes, t)))
+        weight_err.append(max(abs(g - e) / e for g, e in zip(weights, w)))
+    return [
+        np.percentile(node_err, 99), max(node_err),
+        np.percentile(weight_err, 99), max(weight_err),
+    ]
+
+
+@pytest.mark.parametrize("level", [0, 1, 100, 10_000])
+def test_solver_is_as_accurate_as_the_pivoted_reference(level):
+    # |mean| / spread = level; at level 0 the root pair in the form
+    # s/2 +- sqrt(s^2 + 4 var)/2 loses about 10x against the reference
+    problems = _two_point_problems(Fraction(level), np.random.default_rng(1000 + level), 4000)
+    ours = _error_quantiles(solve_two_point, problems)
+    reference = _error_quantiles(pivoted_two_point, problems)
+    for got, ref in zip(ours, reference):
+        assert got <= 3.0 * ref
+
+
+def test_custom_spec_exactness_is_pinned():
+    # the n = 3 custom functional at the parent's solver gave 7.44e-15
+    spec = SymmetricMomentSpec(
+        n=3, m_1=1.0, m_x=0.5, m_xx=0.4, m_xy=0.2, m_xxx=0.3, m_xxy=0.1, m_xyz=0.05
+    )
+    rule = build_rule(spec)
+    assert len(rule) == 6
+    assert check_exactness(rule, spec).max_abs_error <= 2 * 7.44e-15

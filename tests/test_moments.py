@@ -230,6 +230,15 @@ def test_spec_invariants_name_the_inequality(kwargs, fragment):
         SymmetricMomentSpec(**spec_from)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_cauchy_schwarz_check_does_not_overflow(scale):
+    base = dict(n=3, m_1=1.0, m_x=0.5, m_xx=0.4, m_xy=0.2, m_xxx=0.3, m_xxy=0.1, m_xyz=0.05)
+    SymmetricMomentSpec(**{k: v if k == "n" else v * scale for k, v in base.items()})
+    base["m_x"] = 0.7  # m_x^2 / m_1 = 0.49 > m_xx
+    with pytest.raises(InvalidMomentSpecError, match=r"m_1\*m_xx - m_x\^2 >= 0"):
+        SymmetricMomentSpec(**{k: v if k == "n" else v * scale for k, v in base.items()})
+
+
 # the fields each case rounds to 0.0
 _UNDERFLOW_ZEROS = {
     (Region.BALL_SECTOR, 340): "m_1, m_x, m_xx, m_xy, m_xxx, m_xxy, m_xyz",

@@ -21,7 +21,6 @@ PACKAGE_ALL = [
     "DegreeOutOfRangeError",
     "DimensionMismatchError",
     "ExactnessReport",
-    "Feasibility",
     "InconsistentAtomError",
     "InfeasibleMomentError",
     "InvalidDimensionError",

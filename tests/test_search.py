@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from symcub import (
-    Feasibility,
     MassSplit,
     NodeClass,
     Region,
     RegionId,
     SearchMode,
     SearchObjective,
+    SymmetricMomentSpec,
     check_exactness,
     classify_nodes,
     compute_constants,
@@ -25,7 +25,7 @@ from symcub.assembly import _gamma_filled, _write_chain
 from symcub.decomposition import chain_moments
 from symcub.search import _WALKS_PER_PASS, _ChainWalk, _least_mass
 from symcub.validation import node_margins
-from reference_helpers import hankel_feasibility
+from reference_helpers import Feasibility, hankel_feasibility
 
 
 def _least_unbounded(spec, consts, prefix):
@@ -157,7 +157,7 @@ def test_mass_left_after_least_mass_never_decreases(region, n):
     rid = RegionId(region, n)
     spec = region_spec(rid)
     walker = _ChainWalk(spec, rid, compute_constants(spec))
-    masses_ahead = np.linspace(-spec.m_1, 2 * spec.m_1, 301)
+    masses_ahead = np.linspace(-walker.m_1, 2 * walker.m_1, 301)  # in the walk's units
     for tau in (-0.2, -0.05, 0.0, 0.05, 0.1):
         for k in range(2, n):
             a, b = walker.interval(k, tau)
@@ -350,3 +350,30 @@ def test_objective_validation():
         with pytest.raises(ValueError):
             SearchObjective(boundary_tol=tol)
     assert SearchObjective(boundary_tol=0.0).boundary_tol == 0.0
+
+
+def test_exhausted_first_pass_keeps_its_reason():
+    # one symmetrised point: no split exists, and the compensated first pass
+    # spends the whole budget, so the second pass gets none
+    spec = SymmetricMomentSpec(
+        n=6, m_1=0.16366152548858584, m_x=0.14456262512674414, m_xx=0.1592244330428114,
+        m_xy=0.12138613714840293, m_xxx=0.18597203448137536, m_xxy=0.13157758974449904,
+        m_xyz=0.09504221218131687,
+    )
+    rid = RegionId(Region.CUBE, 6)
+    objective = SearchObjective(allow_compensation=True, max_evals=_WALKS_PER_PASS)
+    result = search_masses(spec, rid, objective)
+    assert not result.satisfied and result.rule is None
+    assert result.evaluations == _WALKS_PER_PASS
+    assert result.message.startswith("chain 1 admits no mass > 0")
+
+
+@pytest.mark.parametrize("n", [128, 160])
+def test_feasible_search_at_tiny_mass(n):
+    # L(1) = 1/n! < 1e-215: the least masses are found on rescaled moments
+    rid = RegionId(Region.SIMPLEX, n)
+    spec = region_spec(rid)
+    result = search_masses(spec, rid, SearchObjective(mode=SearchMode.FEASIBLE))
+    assert result.satisfied
+    assert len(result.rule) == 2 * n
+    assert check_exactness(result.rule, spec).max_rel_error <= 1e-13
