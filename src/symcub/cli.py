@@ -124,8 +124,12 @@ def _tolerance(args, spec: SymmetricMomentSpec, relative: float) -> float:
 
 
 def _report_to_dict(report: ExactnessReport) -> dict:
-    data = dataclasses.asdict(report)
-    witness = data.pop("degree4_witness")
+    # field by field: dataclasses.asdict would deep-copy every value
+    data = {
+        f.name: getattr(report, f.name)
+        for f in dataclasses.fields(report) if f.name != "degree4_witness"
+    }
+    witness = report.degree4_witness
     if witness is not None:
         data["degree4_witness"] = {"monomial": witness[0], "error": witness[1]}
     return data

@@ -18,12 +18,15 @@ so a built-in moment is evaluated from its nonzero exponent pattern as
 one ratio of two exact integers (factorials or double factorials), taken
 by a single int/int true division.  That division is correctly rounded,
 so it equals ``float(Fraction(num, den))`` bit for bit; the ball sector
-then multiplies by a power of pi/2.
+then multiplies by a power of pi/2.  The seven moments of a built-in
+region are computed once per process and the frozen spec is shared
+after that; an underflow is raised again on every call.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -200,6 +203,7 @@ def region_monomial_moment(region: RegionId, exponents: Sequence[int]) -> float:
     return _pattern_moment(region, [a for a in exps if a > 0])
 
 
+@functools.lru_cache(maxsize=256)
 def _spec_from_region(region: RegionId) -> SymmetricMomentSpec:
     values = {
         field: _pattern_moment(region, pattern)

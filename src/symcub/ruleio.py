@@ -97,13 +97,11 @@ def loads_csv(text: str) -> CubatureRule:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        cells = [c.strip() for c in line.split(",")]
         # numeric prefix of the row; trailing annotation cells (e.g. the
-        # note column of the shipped reference tables) are ignored
+        # note column of the shipped reference tables) are ignored.
+        # float() strips whitespace itself and rejects an empty cell.
         values = []
-        for cell in cells:
-            if not cell:
-                break
+        for cell in line.split(","):
             try:
                 values.append(float(cell))
             except ValueError:

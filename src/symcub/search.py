@@ -156,9 +156,14 @@ class _ChainWalk:
         B, C = 0.5 * (g_hi - g_lo), 0.5 * (g_hi + g_lo) - A
         # a linear margin leaves a C of rounding size only
         C[np.abs(C) <= 1e-12 * (np.abs(g_lo) + np.abs(A) + np.abs(g_hi))] = 0.0
-        # chain k keeps its distinct margins only; max and min ignore their order
-        rows = np.stack((A, B, C), axis=-1).tolist()
-        self.margins = [list(dict.fromkeys(map(tuple, chain))) for chain in rows]
+        # chain k keeps its distinct margins only; max and min ignore their order.
+        # A chain's coordinates come in runs, so dropping each triple equal to
+        # the one before it leaves a few per chain before any becomes a float.
+        keep = np.ones(A.shape, dtype=bool)
+        keep[:, 1:] = (A[:, 1:] != A[:, :-1]) | (B[:, 1:] != B[:, :-1]) | (C[:, 1:] != C[:, :-1])
+        kept = list(zip(A[keep].tolist(), B[keep].tolist(), C[keep].tolist()))
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        self.margins = [list(dict.fromkeys(kept[i:j])) for i, j in zip([0] + ends, ends)]
 
     def interval(self, k: int, tau: float) -> tuple[float, float]:
         """The interval [a, b] of t keeping every margin along chain k >= tau."""

@@ -10,11 +10,17 @@ v, a closed form in the seven moments and the symmetric sums of v.
 Degree-4 probes (x_i^4 and x_i^2 x_j^2) demonstrate that a degree-3 rule
 is sharp; they are computed as two matrix products on the squared nodes
 against two closed-form region moments.
+
+Two tables are built once per process and shared, read-only, after
+that: the monomial table of each n <= 8 (column triples, symmetry
+classes, degree boundaries) and, per built-in region and n, the
+degree-4 targets with the index pairs i < j.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,7 +35,7 @@ from .moments import (
     Region,
     RegionId,
     SymmetricMomentSpec,
-    region_monomial_moment,
+    _pattern_moment,
 )
 
 __all__ = [
@@ -111,25 +117,21 @@ class RuleDiff:
         return self.max_node_distance <= self.tol and self.max_weight_deviation <= self.tol
 
 
-def _full_columns(n: int) -> np.ndarray:
+@functools.lru_cache(maxsize=FULL_ENUMERATION_MAX_DIM)
+def _monomial_table(n: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     # column triples of every monomial of degree <= 3, by degree, then in
-    # combinations_with_replacement order; column n is the padding column of ones
-    return np.array([
+    # combinations_with_replacement order (column n is the padding column of ones),
+    # each one's class 4 * degree + distinct variables, and degree d's rows bounds[d]:bounds[d + 1]
+    columns = np.array([
         positions + (n,) * (3 - degree)
         for degree in range(4)
         for positions in itertools.combinations_with_replacement(range(n), degree)
     ])
-
-
-def _class_moments(spec: SymmetricMomentSpec, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # degree and number of distinct variables fix the symmetry class; the
-    # columns of each monomial are sorted, padding last
-    degree = (columns != spec.n).sum(axis=1)
-    distinct = degree - ((columns[:, 1:] == columns[:, :-1]) & (columns[:, 1:] != spec.n)).sum(axis=1)
-    table = np.zeros((4, 4))
-    for pattern, name in _PATTERN_TO_FIELD.items():
-        table[sum(pattern), len(pattern)] = getattr(spec, name)
-    return table[degree, distinct], degree
+    degree = (columns != n).sum(axis=1)
+    distinct = degree - ((columns[:, 1:] == columns[:, :-1]) & (columns[:, 1:] != n)).sum(axis=1)
+    classes = 4 * degree + distinct
+    columns.flags.writeable = classes.flags.writeable = False
+    return columns, classes, tuple(np.searchsorted(degree, range(5)).tolist())
 
 
 def _directional_report(rule: CubatureRule, spec: SymmetricMomentSpec) -> ExactnessReport:
@@ -180,14 +182,17 @@ def check_exactness(rule: CubatureRule, spec: SymmetricMomentSpec) -> ExactnessR
     n = spec.n
     if n > FULL_ENUMERATION_MAX_DIM:
         return _directional_report(rule, spec)
-    columns = _full_columns(n)
+    columns, classes, bounds = _monomial_table(n)
     padded = np.ones((len(rule), n + 1))
     padded[:, :n] = rule.nodes
     values = padded[:, columns[:, 0]]
     values *= padded[:, columns[:, 1]]
     values *= padded[:, columns[:, 2]]
     approx = values.T @ rule.weights
-    exact, degrees = _class_moments(spec, columns)
+    table = np.zeros(16)
+    for pattern, name in _PATTERN_TO_FIELD.items():
+        table[4 * sum(pattern) + len(pattern)] = getattr(spec, name)
+    exact = table[classes]
     abs_err = np.abs(approx - exact)
 
     scale = max(spec.m_1, float(np.abs(exact).max()))
@@ -199,9 +204,18 @@ def check_exactness(rule: CubatureRule, spec: SymmetricMomentSpec) -> ExactnessR
         max_abs_error=float(abs_err[worst]),
         max_rel_error=float(rel_err.max()),
         worst_monomial=tuple(np.bincount(columns[worst], minlength=n + 1)[:n].tolist()),
-        per_degree_max=tuple(float(abs_err[degrees == d].max()) for d in range(4)),
+        per_degree_max=tuple(float(abs_err[lo:hi].max()) for lo, hi in zip(bounds, bounds[1:])),
         monomial_count=len(columns),
     )
+
+
+@functools.lru_cache(maxsize=32)
+def _degree4_targets(region: RegionId) -> tuple[tuple[float, float, float], tuple[np.ndarray, ...]]:
+    """L(x_1^4), L(x_1^2 x_2^2) and L(1) over a region, and the index pairs i < j."""
+    pairs = np.triu_indices(region.n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return tuple(_pattern_moment(region, p) for p in ((4,), (2, 2), ())), pairs
 
 
 def degree4_nonexactness(
@@ -221,16 +235,13 @@ def degree4_nonexactness(
     n = region.n
     squares = rule.nodes * rule.nodes
     quartic = (squares * squares).T @ rule.weights
-    pairs = np.triu_indices(n, 1)
+    (quartic_exact, pair_exact, mass), pairs = _degree4_targets(region)
     square_pairs = ((squares * rule.weights[:, None]).T @ squares)[pairs]
-    quartic_exact = region_monomial_moment(region, (4,) + (0,) * (n - 1))
-    pair_exact = region_monomial_moment(region, (2, 2) + (0,) * (n - 2))
     errors = np.concatenate(
         [np.abs(quartic - quartic_exact), np.abs(square_pairs - pair_exact)]
     )
     worst = int(np.argmax(errors))
-    threshold = 1e-6 * region_monomial_moment(region, (0,) * n)
-    if errors[worst] > threshold:
+    if errors[worst] > 1e-6 * mass:
         exps = [0] * n
         if worst < n:
             exps[worst] = 4
@@ -269,7 +280,7 @@ def classify_nodes(
     """Label every node interior, boundary or exterior relative to a region.
 
     Interior means all constraint margins exceed tol; exterior means some
-    margin is below -tol; boundary is everything in between.  The regions
+    margin is below -tol or NaN; boundary is everything in between.  The regions
     are permutation-symmetric, so permuting a node never changes its class.
     """
     if rule.dim != region.n:
@@ -280,7 +291,7 @@ def classify_nodes(
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     classes = []
     for margin in node_margins(region, rule.nodes).min(axis=1).tolist():
-        if margin < -tol:
+        if not margin >= -tol:
             classes.append(NodeClass.EXTERIOR)
         elif margin > tol:
             classes.append(NodeClass.INTERIOR)

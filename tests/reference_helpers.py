@@ -1,9 +1,12 @@
 """Reference helpers the tests share; the library itself has no use for them."""
 
 import enum
+import itertools
 import math
 
-from symcub import SymmetricMomentSpec
+import numpy as np
+
+from symcub import ExactnessReport, SymmetricMomentSpec
 from symcub.errors import DegreeOutOfRangeError
 from symcub.moments import _PATTERN_TO_FIELD, _as_exponents
 
@@ -73,3 +76,53 @@ def pivoted_two_point(m0: float, m1: float, m2: float, m3: float):
     t_hi, t_lo = max(q, c / q), min(q, c / q)
     w_hi = (m1 - m0 * t_lo) / (t_hi - t_lo)
     return (t_hi, t_lo), (w_hi, m0 - w_hi)
+
+
+def full_columns(n: int) -> np.ndarray:
+    """Column triples of every monomial of degree <= 3, rebuilt on every call.
+
+    By degree, then in combinations_with_replacement order; column n is
+    the padding column of ones.
+    """
+    return np.array([
+        positions + (n,) * (3 - degree)
+        for degree in range(4)
+        for positions in itertools.combinations_with_replacement(range(n), degree)
+    ])
+
+
+def class_moments(spec: SymmetricMomentSpec, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact value and degree of each monomial, from its degree and distinct variables."""
+    degree = (columns != spec.n).sum(axis=1)
+    distinct = degree - ((columns[:, 1:] == columns[:, :-1]) & (columns[:, 1:] != spec.n)).sum(axis=1)
+    table = np.zeros((4, 4))
+    for pattern, name in _PATTERN_TO_FIELD.items():
+        table[sum(pattern), len(pattern)] = getattr(spec, name)
+    return table[degree, distinct], degree
+
+
+def per_call_exactness(rule, spec: SymmetricMomentSpec) -> ExactnessReport:
+    """The full-enumeration check (n <= 8) with its tables built per call.
+
+    Each degree's maximum is taken over a boolean mask of that degree.
+    """
+    n = spec.n
+    columns = full_columns(n)
+    padded = np.ones((len(rule), n + 1))
+    padded[:, :n] = rule.nodes
+    values = padded[:, columns[:, 0]]
+    values *= padded[:, columns[:, 1]]
+    values *= padded[:, columns[:, 2]]
+    approx = values.T @ rule.weights
+    exact, degrees = class_moments(spec, columns)
+    abs_err = np.abs(approx - exact)
+    scale = max(spec.m_1, float(np.abs(exact).max()))
+    rel_err = abs_err / np.where(np.abs(exact) > 0, np.abs(exact), scale)
+    worst = int(np.argmax(abs_err))
+    return ExactnessReport(
+        max_abs_error=float(abs_err[worst]),
+        max_rel_error=float(rel_err.max()),
+        worst_monomial=tuple(np.bincount(columns[worst], minlength=n + 1)[:n].tolist()),
+        per_degree_max=tuple(float(abs_err[degrees == d].max()) for d in range(4)),
+        monomial_count=len(columns),
+    )

@@ -222,6 +222,67 @@ def test_verify_table2_classification(tmp_path, capsys):
     assert payload["classification"]["exterior"] == 3
 
 
+# Dyadic nodes and weights make every rule sum exact, so these bytes do
+# not depend on the order in which a matrix product adds its terms.
+_PINNED_RULE = (
+    "x1,x2,weight\n0.25,0.25,0.25\n0.75,0.25,0.25\n0.25,0.75,0.25\n"
+    "0.75,0.75,0.25\n0.0,0.5,0.0\n1.5,0.5,0.0\n"
+)
+_PINNED_REPORT = """{
+  "pass": false,
+  "tolerance": 1e-08,
+  "exactness": {
+    "max_abs_error": 0.03125,
+    "max_rel_error": 0.125,
+    "worst_monomial": [
+      3,
+      0
+    ],
+    "per_degree_max": [
+      0.0,
+      0.0,
+      0.020833333333333315,
+      0.03125
+    ],
+    "monomial_count": 10,
+    "degree4_witness": {
+      "monomial": [
+        4,
+        0
+      ],
+      "error": 0.03984375000000001
+    }
+  },
+  "classification": {
+    "classes": [
+      "interior",
+      "interior",
+      "interior",
+      "interior",
+      "boundary",
+      "exterior"
+    ],
+    "interior": 4,
+    "boundary": 1,
+    "exterior": 1,
+    "tol": 1e-09,
+    "positive_weights": 4,
+    "negative_weights": 0,
+    "zero_weights": 2
+  }
+}
+"""
+
+
+def test_verify_json_bytes_are_pinned(tmp_path, capsys):
+    rule_path = tmp_path / "rule.csv"
+    rule_path.write_text(_PINNED_RULE)
+    for _ in range(2):  # the second run reads every table from the caches
+        code, out, _ = _run(capsys, "verify", str(rule_path), "--region", "cube", "--format", "json")
+        assert code == 3
+        assert out == _PINNED_REPORT
+
+
 def test_verify_wrong_region_exit_3(tmp_path, capsys):
     rule_path = tmp_path / "rule.json"
     _run(capsys, "generate", "--region", "cube", "--dim", "3", "--output", str(rule_path))

@@ -1,5 +1,6 @@
 """Moment specs: closed forms, symmetry dispatch, ingestion."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -257,6 +258,24 @@ def test_region_moment_underflow_is_named(region, n):
     zeros = _UNDERFLOW_ZEROS[region, n]
     assert f"{region.value} moments at n = {n} underflow float64: {zeros} round" in message
     assert "L(1)" in message
+
+
+@pytest.mark.parametrize("region, n", list(_UNDERFLOW_ZEROS))
+def test_region_moment_underflow_is_raised_on_every_call(region, n):
+    for _ in range(3):
+        with pytest.raises(InvalidMomentSpecError, match="underflow float64"):
+            region_spec(RegionId(region, n))
+
+
+@pytest.mark.parametrize("region", list(Region))
+def test_region_spec_is_built_once_and_shared(region):
+    rid = RegionId(region, 5)
+    spec = region_spec(rid)
+    assert region_spec(RegionId(region.value, 5)) is spec
+    by_name = {Region.SIMPLEX: simplex_spec, Region.BALL_SECTOR: sector_spec, Region.CUBE: cube_spec}
+    assert by_name[region](5) is spec
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.m_1 = 2.0
 
 
 def _reference_region_moment(region, exps):

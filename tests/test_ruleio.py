@@ -71,6 +71,18 @@ def test_malformed_inputs_raise():
         loads_csv("x1,x2,weight\n0.5,0.5,1.0\n0.5,1.0\n")
 
 
+def test_csv_cells_parse_with_float_rules():
+    text = "# comment\n x1 , x2 ,weight\n 0.5 ,\t0.25,1e-3 , note, 7\n0.125,0.0,2,\n"
+    rule = loads_csv(text)
+    assert rule.nodes.tolist() == [[0.5, 0.25], [0.125, 0.0]]
+    assert rule.weights.tolist() == [1e-3, 2.0]
+    # an empty cell ends the numeric prefix like any other non-number
+    with pytest.raises(CubatureError, match="line 2: need coordinates plus weight"):
+        loads_csv("x1,x2,weight\n0.5,,1.0\n")
+    with pytest.raises(CubatureError, match="line 5: non-numeric rule row"):
+        loads_csv(text + " x,0.5,1.0\n")
+
+
 def test_unknown_format_rejected(tmp_path):
     rule = build_rule(simplex_spec(3))
     with pytest.raises(ValueError):

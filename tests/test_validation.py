@@ -28,8 +28,8 @@ from symcub import (
 from symcub.cli import main
 from symcub.reference import load_reference_rule, numbered_table_names, regenerate_table
 from symcub.ruleio import write_rule
-from symcub.validation import node_margins
-from reference_helpers import moment_of_monomial
+from symcub.validation import _degree4_targets, _monomial_table, node_margins
+from reference_helpers import moment_of_monomial, per_call_exactness
 
 
 def monomial_exponents(n, max_degree=3):
@@ -451,3 +451,65 @@ def test_node_margins_rows_match_single_nodes(region):
         assert np.array_equal(node_margins(rid, node), row)
     with pytest.raises(DimensionMismatchError):
         node_margins(rid, rule.node_array[:, :4])
+
+
+def _check_variants(rule):
+    """The rule, a corrupted copy and copies with a NaN coordinate and a NaN weight."""
+    nodes, weights = np.array(rule.nodes), np.array(rule.weights)
+    moved = nodes.copy()
+    moved[1, 0] += 1e-3
+    nan_node = nodes.copy()
+    nan_node[2, 1] = np.nan
+    nan_weight = weights.copy()
+    nan_weight[0] = np.nan
+    return {
+        "clean": rule,
+        "corrupted": CubatureRule(dim=rule.dim, nodes=moved, weights=weights * 1.01),
+        "nan node": CubatureRule(dim=rule.dim, nodes=nan_node, weights=weights),
+        "nan weight": CubatureRule(dim=rule.dim, nodes=nodes, weights=nan_weight),
+    }
+
+
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cached_monomial_table_matches_per_call_tables(region, n):
+    spec = region_spec(RegionId(region, n))
+    for name, rule in _check_variants(build_rule(spec)).items():
+        # repr compares every float bit for bit and NaN equal to NaN
+        assert repr(check_exactness(rule, spec)) == repr(per_call_exactness(rule, spec)), name
+
+
+def test_cached_tables_reject_writes():
+    columns, classes, bounds = _monomial_table(4)
+    assert bounds == (0, 1, 5, 15, 35)
+    (quartic, pair, mass), pairs = _degree4_targets(RegionId(Region.CUBE, 4))
+    assert (quartic, pair, mass) == (0.2, 1 / 9, 1.0)
+    for array in (columns, classes, *pairs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_alternating_dimensions_match_fresh_tables():
+    cases = []
+    for n in (3, 8):
+        rid = RegionId(Region.SIMPLEX, n)
+        spec = region_spec(rid)
+        for rule in _check_variants(build_rule(spec)).values():
+            _monomial_table.cache_clear()
+            _degree4_targets.cache_clear()
+            fresh = repr((check_exactness(rule, spec), degree4_nonexactness(rule, rid)))
+            cases.append((rule, spec, rid, fresh))
+    for _ in range(3):
+        for rule, spec, rid, fresh in cases[::2] + cases[1::2]:
+            assert repr((check_exactness(rule, spec), degree4_nonexactness(rule, rid))) == fresh
+
+
+@pytest.mark.parametrize("region", list(Region))
+def test_nan_node_is_exterior(region):
+    rid = RegionId(region, 3)
+    rule = build_rule(region_spec(rid))
+    nodes = np.array(rule.nodes)
+    nodes[0, 1] = np.nan
+    classification = classify_nodes(CubatureRule(dim=3, nodes=nodes, weights=rule.weights), rid)
+    assert classification.classes[0] is NodeClass.EXTERIOR
+    assert classification.classes[1:] == classify_nodes(rule, rid).classes[1:]
