@@ -7,7 +7,8 @@ collect it and timing noise cannot fail the suite.  Run it by path:
 
 Each call asks for an all-interior 2n-node rule (no compensation node);
 at n = 8, 32 and 128 no such rule exists and the call returns its best
-effort.
+effort.  Each entry's `extra_info["walks"]` is the walk count of one
+call, which is the same on every call.
 """
 
 import pytest
@@ -22,4 +23,5 @@ def test_search_masses(benchmark, region, n):
     spec = region_spec(rid)
     objective = SearchObjective(mode=SearchMode.INTERIOR)
     result = benchmark(search_masses, spec, rid, objective)
+    benchmark.extra_info["walks"] = result.evaluations
     assert result.rule is not None and len(result.rule) == 2 * n

@@ -23,11 +23,17 @@ admits every mass above its least (its nodes +-sqrt(m2 / mu) move
 inwards), so when r - least_k(r) never decreases in r (no admissible
 mass counting as -inf; the tests check this on a grid) the least mass
 leaves each later chain the most it can have, and a walk fails only if
-no split keeps every margin >= tau.  The search bisects tau for the
-largest margin a walk reaches and assembles that split once.  With
-compensation a first pass keeps the compensation weight >= 0; only if
-its split misses the objective may it go down to -m_1.  Nothing is
-random: the same input gives the same split.
+no split keeps every margin >= tau.  The search looks for the largest
+margin a walk reaches on the grid a bisection of tau would visit, but
+closes the bracket by interpolating chain n's surplus (its mass less its
+least mass, which goes through 0 where the walks start to fail) instead
+of halving it.  Walks succeed below some tau and fail above it (the
+tests check this on a grid too), so it ends on the same grid point, and
+so the same split, in 10-23 walks a pass (three regions, n <= 128)
+instead of 48.  It assembles that split once.  With compensation a
+first pass keeps the compensation weight >= 0; only if its split misses
+the objective may it go down to -m_1.  Nothing is random: the same
+input gives the same split.
 """
 
 from __future__ import annotations
@@ -70,6 +76,8 @@ class SearchObjective:
     boundary_tol: float = BOUNDARY_TOL
 
     def __post_init__(self):
+        if not isinstance(self.max_evals, int) or isinstance(self.max_evals, bool):
+            raise ValueError(f"max_evals must be an int, got {self.max_evals!r}")
         if self.max_evals <= 0:
             raise ValueError(f"max_evals must be > 0, got {self.max_evals}")
         if not 0 <= self.boundary_tol < math.inf:
@@ -191,44 +199,79 @@ class _ChainWalk:
         return a, b
 
     def walk(self, tau: float, slack: float | None):
-        """The walk's masses at margin tau, or None and why it fails.
+        """The walk's masses at margin tau, or None and why it fails, and chain n's surplus.
 
-        Masses and `slack` are in units of 2^scale, like `m_1`.  `slack`:
-        None without compensation, else the compensation weight's floor below 0.
+        Masses, the surplus and `slack` are in units of 2^scale, like `m_1`.
+        `slack`: None without compensation, else the compensation weight's
+        floor below 0.  The surplus is the mass left to chain n less its least
+        mass, negative when chain n runs short, and None when there is no such
+        least mass (an earlier chain fails, or chain n admits none).
         """
         masses, peeled, remaining = [], [], self.m_1  # peeled: exact sum of masses
         for k in range(1, self.n + 1):
             least = _least_mass(*self.moments(k, remaining), *self.interval(k, tau))
             if not 0 < least < math.inf:
-                return None, f"chain {k} admits no mass > 0 at margin {tau:.6g}"
+                return None, f"chain {k} admits no mass > 0 at margin {tau:.6g}", None
             if k == self.n:
                 available = remaining + (slack or 0.0)
+                surplus = available - least
                 if least > available:
                     least, available = (math.ldexp(x, self.scale) for x in (least, available))
-                    return None, f"chain {k} needs mu >= {least:.9g} but {available:.9g} remains"
+                    why = f"chain {k} needs mu >= {least:.9g} but {available:.9g} remains"
+                    return None, why, surplus
                 if slack is None:
                     least = remaining
             masses.append(least)
             _add_exact(peeled, least)
             remaining = self.m_1 - math.fsum(peeled)
-        return tuple(masses), None
+        return tuple(masses), None, surplus
 
 
-def _bisect(walker: _ChainWalk, slack: float | None, budget: int):
+def _bracket(walker: _ChainWalk, slack: float | None, budget: int):
     """(masses or None, walks, why the last failed walk failed) at the largest margin.
 
-    Region margins never exceed 1; below -1 the bracket doubles until a walk succeeds.
+    Region margins never exceed 1; below -1 the bracket doubles until a walk
+    succeeds at `ok`, the last failure (or 1) being `bad`.  The `depth` walks
+    left would bisect [ok, bad] down to the grid ok + i h, h = (bad - ok) /
+    2^depth, every point of which is an exact float.  Instead the bracket
+    [lo, hi] of grid indices (lo succeeds, hi fails) closes by regula falsi on
+    chain n's surplus, with the Illinois rule (Dowell & Jarratt, BIT 1971):
+    the end kept twice in a row has its surplus halved.  A step lies strictly
+    inside the bracket, and is its midpoint while the failing end has no
+    surplus (it was never walked, or an earlier chain failed there).
+    When walks succeed for every margin below some tau and for none above,
+    lo ends where the bisection would, in fewer walks.
     """
-    best, ok, bad, why = None, None, 1.0, None
+    best, ok, bad, why, bad_surplus = None, None, 1.0, None, None
     tau, walks = -1.0, 0
-    while walks < budget and (ok is None or ok < tau < bad):
-        masses, failure = walker.walk(tau, slack)
+    while walks < budget and ok is None:
+        masses, failure, surplus = walker.walk(tau, slack)
         walks += 1
         if masses is None:
-            bad, why = tau, failure
+            bad, why, bad_surplus = tau, failure, surplus
+            tau *= 2.0
         else:
-            ok, best = tau, masses
-        tau = 2.0 * tau if ok is None else 0.5 * (ok + bad)
+            ok, best, ok_surplus = tau, masses, surplus
+    if ok is None:
+        return None, walks, why
+    depth = budget - walks
+    h, lo, hi, moved = math.ldexp(bad - ok, -depth), 0, 1 << depth, 0
+    while walks < budget and hi - lo > 1:
+        if bad_surplus is None:
+            i = (lo + hi) // 2
+        else:
+            step = round((hi - lo) * ok_surplus / (ok_surplus - bad_surplus))
+            i = min(max(lo + step, lo + 1), hi - 1)
+        masses, failure, surplus = walker.walk(ok + i * h, slack)
+        walks += 1
+        if masses is None:
+            if moved < 0:
+                ok_surplus *= 0.5
+            hi, why, bad_surplus, moved = i, failure, surplus, -1
+        else:
+            if moved > 0 and bad_surplus is not None:
+                bad_surplus *= 0.5
+            lo, best, ok_surplus, moved = i, masses, surplus, 1
     return best, walks, why
 
 
@@ -237,9 +280,12 @@ def search_masses(
 ) -> SearchResult:
     """The split of largest minimum node margin, and whether it meets the objective.
 
-    If it does not, the message names the chain that fails at the
-    objective's threshold.  At most 48 walks per pass and one for that
-    message, and at most `max_evals` in all.
+    The margin is found on the grid a 48-walk bisection of tau would
+    visit, by regula falsi on chain n's surplus: the same split as that
+    bisection, in fewer walks.  If the split misses the objective, the
+    message names the chain that fails at the objective's threshold.  At
+    most 48 walks per pass and one for that message, and at most
+    `max_evals` in all.
     """
     if region.n != spec.n:
         raise InvalidSplitError(f"region has n = {region.n} but spec has n = {spec.n}")
@@ -248,7 +294,7 @@ def search_masses(
     split, rule, score, evaluations, why = None, None, (math.inf,) * 3, 0, None
     for slack in (0.0, walker.m_1) if objective.allow_compensation else (None,):
         budget = min(_WALKS_PER_PASS, objective.max_evals - evaluations)
-        masses, walks, failure = _bisect(walker, slack, budget)
+        masses, walks, failure = _bracket(walker, slack, budget)
         evaluations += walks
         if walks:  # a pass left without budget keeps the previous pass's reason
             why = failure
@@ -263,7 +309,7 @@ def search_masses(
     # classify_nodes' thresholds: interior above tol, exterior below -tol
     side = {SearchMode.INTERIOR: 1.0, SearchMode.INTERIOR_OR_BOUNDARY: -1.0}.get(objective.mode)
     if side is not None and evaluations < objective.max_evals:
-        _, why = walker.walk(side * objective.boundary_tol, slack)
+        _, why, _ = walker.walk(side * objective.boundary_tol, slack)
         evaluations += 1
     if why is None:
         why = f"best split violates objective at {int(score[0])} node(s)"

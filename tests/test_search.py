@@ -1,6 +1,7 @@
 """Per-chain mass bounds and the deterministic chain walk."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from symcub import (
     search_masses,
     simplex_spec,
 )
+import symcub.search
 from symcub.assembly import _gamma_filled, _write_chain
-from symcub.decomposition import chain_moments
-from symcub.search import _WALKS_PER_PASS, _ChainWalk, _least_mass
+from symcub.decomposition import _add_exact, chain_moments
+from symcub.search import _WALKS_PER_PASS, _ChainWalk, _bracket, _least_mass
 from symcub.validation import node_margins
 from reference_helpers import Feasibility, hankel_feasibility
 
@@ -171,6 +173,31 @@ def test_mass_left_after_least_mass_never_decreases(region, n):
             assert np.all(np.diff(left[placed]) >= 0), (tau, k)
 
 
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("n", range(2, 9))
+def test_walk_success_is_monotone_in_tau(region, n):
+    # the search's answer rests on walks succeeding for every margin below
+    # some tau and for none above it, as its optimality rests on the lemma
+    # above: then any bracket search over tau's grid ends on the grid point
+    # a bisection ends on.  Checked on a grid and around the tau found.
+    rid = RegionId(region, n)
+    spec = region_spec(rid)
+    walker = _ChainWalk(spec, rid, compute_constants(spec))
+    for slack in (None, 0.0, walker.m_1):
+        reached = []
+
+        def walk(tau, slack):
+            result = walker.walk(tau, slack)
+            if result[0] is not None:
+                reached.append(tau)
+            return result
+
+        _bracket(SimpleNamespace(walk=walk), slack, _WALKS_PER_PASS)
+        taus = np.union1d(np.linspace(-1.0, 1.0, 201), max(reached) + np.linspace(-1e-9, 1e-9, 50))
+        succeeded = [walker.walk(tau, slack)[0] is not None for tau in taus.tolist()]
+        assert succeeded == sorted(succeeded, reverse=True), slack
+
+
 MODES = [SearchMode.FEASIBLE, SearchMode.INTERIOR, SearchMode.INTERIOR_OR_BOUNDARY]
 
 # Largest n in 2..8 each objective meets; every smaller n is met too.
@@ -196,7 +223,8 @@ def test_satisfied_set_on_the_grid(region, compensation):
             )
             expected = mode is SearchMode.FEASIBLE or n <= SATISFIED_UP_TO[region, compensation]
             assert result.satisfied is expected, (n, mode)
-            assert result.evaluations <= 120
+            # the walk count is deterministic: at most 24 a pass, and the message walk
+            assert result.evaluations <= 24 * (1 + compensation) + 1
             # best-effort rules are complete and exact as well
             assert len(result.rule) == 2 * n + compensation
             assert check_exactness(result.rule, spec).max_rel_error <= 1e-13
@@ -343,8 +371,9 @@ def test_message_names_the_failing_chain(region, n, chain):
 
 
 def test_objective_validation():
-    with pytest.raises(ValueError):
-        SearchObjective(max_evals=0)
+    for max_evals in (0, 2.5, True, 48.0):
+        with pytest.raises(ValueError):
+            SearchObjective(max_evals=max_evals)
     # a negative tolerance would count exterior nodes as interior
     for tol in (-0.05, math.inf, math.nan):
         with pytest.raises(ValueError):
@@ -377,3 +406,76 @@ def test_feasible_search_at_tiny_mass(n):
     assert result.satisfied
     assert len(result.rule) == 2 * n
     assert check_exactness(result.rule, spec).max_rel_error <= 1e-13
+
+
+def _bisect_walk(walker, tau, slack):
+    # the walk as it was before it returned chain n's surplus
+    masses, peeled, remaining = [], [], walker.m_1
+    for k in range(1, walker.n + 1):
+        least = _least_mass(*walker.moments(k, remaining), *walker.interval(k, tau))
+        if not 0 < least < math.inf:
+            return None, f"chain {k} admits no mass > 0 at margin {tau:.6g}"
+        if k == walker.n:
+            available = remaining + (slack or 0.0)
+            if least > available:
+                least, available = (math.ldexp(x, walker.scale) for x in (least, available))
+                return None, f"chain {k} needs mu >= {least:.9g} but {available:.9g} remains"
+            if slack is None:
+                least = remaining
+        masses.append(least)
+        _add_exact(peeled, least)
+        remaining = walker.m_1 - math.fsum(peeled)
+    return tuple(masses), None
+
+
+def _bisect(walker, slack, budget):
+    # the plain bisection of tau the bracket search replaced
+    best, ok, bad, why = None, None, 1.0, None
+    tau, walks = -1.0, 0
+    while walks < budget and (ok is None or ok < tau < bad):
+        masses, failure = _bisect_walk(walker, tau, slack)
+        walks += 1
+        if masses is None:
+            bad, why = tau, failure
+        else:
+            ok, best = tau, masses
+        tau = 2.0 * tau if ok is None else 0.5 * (ok + bad)
+    return best, walks, why
+
+
+@pytest.mark.parametrize("region", list(Region))
+def test_bracket_search_matches_the_bisection(region, monkeypatch):
+    # with a full budget every pass ends on the bisection's grid point: the
+    # same split, rule, score and message, in no more walks
+    for n in [*range(2, 17), 24, 32, 64, 128]:
+        rid = RegionId(region, n)
+        spec = region_spec(rid)
+        for mode in MODES:
+            for compensation in (False, True):
+                objective = SearchObjective(mode, compensation, max_evals=1000)
+                result = search_masses(spec, rid, objective)
+                with monkeypatch.context() as patch:
+                    patch.setattr(symcub.search, "_bracket", _bisect)
+                    bisected = search_masses(spec, rid, objective)
+                case = (n, mode, compensation)
+                assert result.evaluations <= bisected.evaluations, case
+                assert (result.satisfied, result.score, result.message) == (
+                    bisected.satisfied, bisected.score, bisected.message), case
+                assert result.split.masses == bisected.split.masses, case
+                assert result.rule.nodes.tobytes() == bisected.rule.nodes.tobytes(), case
+                assert result.rule.weights.tobytes() == bisected.rule.weights.tobytes(), case
+
+
+@pytest.mark.parametrize(
+    "region, n, compensation",
+    [(Region.SIMPLEX, 4, False), (Region.BALL_SECTOR, 6, True), (Region.CUBE, 64, False)],
+)
+def test_search_under_a_cut_budget(region, n, compensation):
+    # a pass cut short need not end where the bisection would; it stays in budget
+    rid = RegionId(region, n)
+    spec = region_spec(rid)
+    for max_evals in range(1, 2 * _WALKS_PER_PASS + 2, 5):
+        objective = SearchObjective(allow_compensation=compensation, max_evals=max_evals)
+        result = search_masses(spec, rid, objective)
+        assert result.evaluations <= max_evals
+        assert result.message.startswith(("chain ", "objective ", "best split "))
