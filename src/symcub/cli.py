@@ -240,7 +240,7 @@ def _cmd_search(args) -> int:
         raise _UsageError("search needs --region; node placement is region-relative")
     spec, region = _spec_from_args(args)
     objective = SearchObjective(
-        mode=SearchMode(args.mode), allow_compensation=args.allow_compensation,
+        mode=args.mode, allow_compensation=args.allow_compensation,
         max_evals=args.max_evals, boundary_tol=args.boundary_tol,
     )
     result = search_masses(spec, region, objective)

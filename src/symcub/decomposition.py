@@ -21,6 +21,7 @@ base moments and the remaining mass ahead of the chain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -153,6 +154,7 @@ def _add_exact(partials: list[float], x: float) -> None:
     partials[i:] = [x]
 
 
+@functools.lru_cache(maxsize=32)
 def chain_moments(
     spec: SymmetricMomentSpec, consts: DecompositionConstants
 ) -> Callable[[int, float], tuple[float, float, float]]:
@@ -161,7 +163,15 @@ def chain_moments(
     The mass ahead of chain k is m_1 - sum(mu_1 .. mu_{k-1}).  Chain 1
     uses the full base moments shifted by c_n and chain n is (0, 2*L(x1^2
     - x1*x2), 0); neither reads r, so both are computed once here.  Only
-    the middle chains 2 .. n-1 depend on r.
+    the middle chains 2 .. n-1 depend on r, and each is affine in it:
+
+        (c_mid r,  f2 d2 + c_mid^2 r,  f2 (n - k + 3) e3 + c_mid^3 r),
+
+    with f2 = (n - k + 1)(n - k + 2), d2 = L(x1^2 - x1 x2) and e3 =
+    -L(x1^3 - 3 x1^2 x2 + 2 x1 x2 x3).  The offsets and the powers of c_mid
+    are computed once here, so a call is three multiply-adds, and the map is
+    built once per (spec, constants) per process: assembly and the search's
+    walk table read the same one.
     """
     n = spec.n
     if consts.n != n:
@@ -183,18 +193,17 @@ def chain_moments(
     last = (0.0, 2.0 * d2, 0.0)
     e3 = -(spec.m_xxx - 3.0 * spec.m_xxy + 2.0 * spec.m_xyz)
     cm = consts.c_mid
+    cm2, cm3 = (None, None) if cm is None else (cm * cm, cm**3)
+    offset2, offset3 = [0.0, 0.0], [0.0, 0.0]  # list position k is middle chain k
+    for k in range(2, n):
+        f2 = (n - k + 1) * (n - k + 2)
+        offset2.append(f2 * d2)
+        offset3.append(f2 * (n - k + 3) * e3)
 
     def moments(k: int, mass_ahead: float) -> tuple[float, float, float]:
-        if k == 1:
-            return first
-        if k == n:
-            return last
-        f2 = (n - k + 1) * (n - k + 2)
-        return (
-            cm * mass_ahead,
-            f2 * d2 + cm * cm * mass_ahead,
-            f2 * (n - k + 3) * e3 + cm**3 * mass_ahead,
-        )
+        if 1 < k < n:
+            return cm * mass_ahead, offset2[k] + cm2 * mass_ahead, offset3[k] + cm3 * mass_ahead
+        return first if k == 1 else last
 
     return moments
 

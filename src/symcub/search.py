@@ -27,18 +27,21 @@ no split keeps every margin >= tau.  The search looks for the largest
 margin a walk reaches on the grid a bisection of tau would visit, but
 closes the bracket by interpolating chain n's surplus (its mass less its
 least mass, which goes through 0 where the walks start to fail) instead
-of halving it.  Walks succeed below some tau and fail above it (the
-tests check this on a grid too), so it ends on the same grid point, and
-so the same split, in 10-23 walks a pass (three regions, n <= 128)
-instead of 48.  It assembles that split once.  With compensation a
-first pass keeps the compensation weight >= 0; only if its split misses
-the objective may it go down to -m_1.  Nothing is random: the same
-input gives the same split.
+of halving it, with the Anderson-Bjorck rule against a stale end.  Walks
+succeed below some tau and fail above it (the tests check this on a grid
+too), so it ends on the same grid point, and so the same split, in 8-17
+walks a pass (three regions, n <= 128) instead of 48.  It assembles that
+split once.  With compensation a first pass keeps the compensation
+weight >= 0; only if its split misses the objective may it go down to
+-m_1.  The walk table of a (spec, region), its constants, chain moments
+and distinct margins, is built once per process and only read after
+that.  Nothing is random: the same input gives the same split.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -48,7 +51,7 @@ from .assembly import CubatureRule, _gamma_filled, _write_chain, assemble_rule
 from .decomposition import MassSplit, _add_exact, _chain_mass_bound, chain_moments, compute_constants
 from .errors import InvalidSplitError
 from .moments import _PATTERN_TO_FIELD, RegionId, SymmetricMomentSpec
-from .validation import BOUNDARY_TOL, classify_nodes, node_margins
+from .validation import BOUNDARY_TOL, NodeClass, node_class, node_margins
 
 __all__ = ["SearchMode", "SearchObjective", "SearchResult", "search_masses"]
 
@@ -76,6 +79,7 @@ class SearchObjective:
     boundary_tol: float = BOUNDARY_TOL
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", SearchMode(self.mode))
         if not isinstance(self.max_evals, int) or isinstance(self.max_evals, bool):
             raise ValueError(f"max_evals must be an int, got {self.max_evals!r}")
         if self.max_evals <= 0:
@@ -94,18 +98,23 @@ class SearchResult:
     message: str
 
 
+# the node classes each mode accepts
+_ACCEPTED = {
+    SearchMode.INTERIOR: (NodeClass.INTERIOR,),
+    SearchMode.INTERIOR_OR_BOUNDARY: (NodeClass.INTERIOR, NodeClass.BOUNDARY),
+    SearchMode.FEASIBLE: tuple(NodeClass),
+}
+
+
 def _score_candidate(
     rule: CubatureRule, region: RegionId, mode: SearchMode, tol: float
 ) -> tuple[float, float, float]:
-    classes = classify_nodes(rule, region, tol)
-    if mode is SearchMode.INTERIOR:
-        violations = classes.boundary + classes.exterior
-    elif mode is SearchMode.INTERIOR_OR_BOUNDARY:
-        violations = classes.exterior
-    else:
-        violations = 0
-    margin = node_margins(region, rule.nodes).min()
-    return (float(violations), float(classes.negative_weights), -float(margin))
+    """(nodes the mode rejects, negative weights, -least margin), from one margin pass."""
+    least = node_margins(region, rule.nodes).min(axis=1)
+    accepted = _ACCEPTED[mode]
+    violations = sum(node_class(margin, tol) not in accepted for margin in least.tolist())
+    negative = (rule.weights < 0).sum()
+    return (float(violations), float(negative), -float(least.min()))
 
 
 def _least_mass(m1: float, m2: float, m3: float, a: float, b: float) -> float:
@@ -143,10 +152,15 @@ def _least_mass(m1: float, m2: float, m3: float, a: float, b: float) -> float:
 
 
 class _ChainWalk:
-    """The chain moments and distinct margin coefficients of one search, and its walk."""
+    """The constants, chain moments and distinct margin coefficients of (spec, region).
 
-    def __init__(self, spec: SymmetricMomentSpec, region: RegionId, consts):
+    Read-only once built: a walk keeps its state in locals, so one table
+    serves every search of the same (spec, region).
+    """
+
+    def __init__(self, spec: SymmetricMomentSpec, region: RegionId):
         n = self.n = spec.n
+        consts = self.consts = compute_constants(spec)
         # Least masses are homogeneous of degree 1 in the spec, so the walk
         # runs on the spec scaled by m_1's power of two, which is exact:
         # no product in _least_mass underflows however small L(1) is.
@@ -207,24 +221,38 @@ class _ChainWalk:
         mass, negative when chain n runs short, and None when there is no such
         least mass (an earlier chain fails, or chain n admits none).
         """
-        masses, peeled, remaining = [], [], self.m_1  # peeled: exact sum of masses
-        for k in range(1, self.n + 1):
-            least = _least_mass(*self.moments(k, remaining), *self.interval(k, tau))
+        moments, interval, n, m_1 = self.moments, self.interval, self.n, self.m_1
+        masses, peeled, remaining = [], [], m_1  # peeled: exact sum of masses
+        for k in range(1, n + 1):
+            least = _least_mass(*moments(k, remaining), *interval(k, tau))
             if not 0 < least < math.inf:
                 return None, f"chain {k} admits no mass > 0 at margin {tau:.6g}", None
-            if k == self.n:
-                available = remaining + (slack or 0.0)
-                surplus = available - least
-                if least > available:
-                    least, available = (math.ldexp(x, self.scale) for x in (least, available))
-                    why = f"chain {k} needs mu >= {least:.9g} but {available:.9g} remains"
-                    return None, why, surplus
-                if slack is None:
-                    least = remaining
+            if k == n:
+                break
             masses.append(least)
             _add_exact(peeled, least)
-            remaining = self.m_1 - math.fsum(peeled)
+            remaining = m_1 - math.fsum(peeled)
+        available = remaining + (slack or 0.0)
+        surplus = available - least
+        if least > available:
+            least, available = (math.ldexp(x, self.scale) for x in (least, available))
+            return None, f"chain {n} needs mu >= {least:.9g} but {available:.9g} remains", surplus
+        masses.append(remaining if slack is None else least)
         return tuple(masses), None, surplus
+
+
+@functools.lru_cache(maxsize=32)
+def _walker(spec: SymmetricMomentSpec, region: RegionId) -> _ChainWalk:
+    """The walk table of (spec, region), built once per process."""
+    return _ChainWalk(spec, region)
+
+
+def _scaling(new: float | None, old: float | None) -> float:
+    """Anderson-Bjorck: 1 - new / old, or 1/2 when that is <= 0 or either is unknown."""
+    if new is None or not old:
+        return 0.5
+    factor = 1.0 - new / old
+    return factor if factor > 0 else 0.5
 
 
 def _bracket(walker: _ChainWalk, slack: float | None, budget: int):
@@ -235,12 +263,14 @@ def _bracket(walker: _ChainWalk, slack: float | None, budget: int):
     left would bisect [ok, bad] down to the grid ok + i h, h = (bad - ok) /
     2^depth, every point of which is an exact float.  Instead the bracket
     [lo, hi] of grid indices (lo succeeds, hi fails) closes by regula falsi on
-    chain n's surplus, with the Illinois rule (Dowell & Jarratt, BIT 1971):
-    the end kept twice in a row has its surplus halved.  A step lies strictly
-    inside the bracket, and is its midpoint while the failing end has no
-    surplus (it was never walked, or an earlier chain failed there).
-    When walks succeed for every margin below some tau and for none above,
-    lo ends where the bisection would, in fewer walks.
+    chain n's surplus, with the Anderson-Bjorck rule (BIT 1973): when an end
+    is kept twice in a row, its surplus is scaled by 1 - f_new / f_old, where
+    f_new is the surplus of the new other end and f_old that of the end it
+    replaces, or by 1/2 when that factor is <= 0 or a surplus is unknown.
+    A step lies strictly inside the bracket, and is its midpoint while the
+    failing end has no surplus (it was never walked, or an earlier chain
+    failed there).  When walks succeed for every margin below some tau and
+    for none above, lo ends where the bisection would, in fewer walks.
     """
     best, ok, bad, why, bad_surplus = None, None, 1.0, None, None
     tau, walks = -1.0, 0
@@ -266,11 +296,11 @@ def _bracket(walker: _ChainWalk, slack: float | None, budget: int):
         walks += 1
         if masses is None:
             if moved < 0:
-                ok_surplus *= 0.5
+                ok_surplus *= _scaling(surplus, bad_surplus)
             hi, why, bad_surplus, moved = i, failure, surplus, -1
         else:
             if moved > 0 and bad_surplus is not None:
-                bad_surplus *= 0.5
+                bad_surplus *= _scaling(surplus, ok_surplus)
             lo, best, ok_surplus, moved = i, masses, surplus, 1
     return best, walks, why
 
@@ -289,8 +319,7 @@ def search_masses(
     """
     if region.n != spec.n:
         raise InvalidSplitError(f"region has n = {region.n} but spec has n = {spec.n}")
-    consts = compute_constants(spec)
-    walker = _ChainWalk(spec, region, consts)
+    walker = _walker(spec, region)
     split, rule, score, evaluations, why = None, None, (math.inf,) * 3, 0, None
     for slack in (0.0, walker.m_1) if objective.allow_compensation else (None,):
         budget = min(_WALKS_PER_PASS, objective.max_evals - evaluations)
@@ -301,12 +330,12 @@ def search_masses(
         if masses is None:
             continue
         split = MassSplit([math.ldexp(mu, walker.scale) for mu in masses], slack is not None)
-        rule = assemble_rule(spec, split, consts, region_label=region.region.value)
+        rule = assemble_rule(spec, split, walker.consts, region_label=region.region.value)
         score = _score_candidate(rule, region, objective.mode, objective.boundary_tol)
         if score[0] == 0.0 and math.isfinite(score[2]):
             message = f"objective {objective.mode.value} satisfied"
             return SearchResult(split, rule, True, score, evaluations, message)
-    # classify_nodes' thresholds: interior above tol, exterior below -tol
+    # node_class's thresholds: interior above tol, exterior below -tol
     side = {SearchMode.INTERIOR: 1.0, SearchMode.INTERIOR_OR_BOUNDARY: -1.0}.get(objective.mode)
     if side is not None and evaluations < objective.max_evals:
         _, why, _ = walker.walk(side * objective.boundary_tol, slack)

@@ -47,6 +47,7 @@ __all__ = [
     "classify_nodes",
     "compare_to_reference",
     "degree4_nonexactness",
+    "node_class",
     "node_margins",
 ]
 
@@ -274,14 +275,26 @@ def node_margins(region: RegionId, nodes: Sequence[float] | np.ndarray) -> np.nd
     return np.concatenate([x, outer], axis=-1)
 
 
+def node_class(least_margin: float, tol: float) -> NodeClass:
+    """A node's class from its least region margin.
+
+    Interior means the margin exceeds tol; exterior means it is below -tol
+    or NaN; boundary is everything in between.
+    """
+    if not least_margin >= -tol:
+        return NodeClass.EXTERIOR
+    return NodeClass.INTERIOR if least_margin > tol else NodeClass.BOUNDARY
+
+
 def classify_nodes(
     rule: CubatureRule, region: RegionId, tol: float = BOUNDARY_TOL
 ) -> NodeClassification:
     """Label every node interior, boundary or exterior relative to a region.
 
     Interior means all constraint margins exceed tol; exterior means some
-    margin is below -tol or NaN; boundary is everything in between.  The regions
-    are permutation-symmetric, so permuting a node never changes its class.
+    margin is below -tol or NaN; boundary is everything in between (see
+    :func:`node_class`).  The regions are permutation-symmetric, so
+    permuting a node never changes its class.
     """
     if rule.dim != region.n:
         raise DimensionMismatchError(
@@ -289,17 +302,10 @@ def classify_nodes(
         )
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    classes = []
-    for margin in node_margins(region, rule.nodes).min(axis=1).tolist():
-        if not margin >= -tol:
-            classes.append(NodeClass.EXTERIOR)
-        elif margin > tol:
-            classes.append(NodeClass.INTERIOR)
-        else:
-            classes.append(NodeClass.BOUNDARY)
+    least = node_margins(region, rule.nodes).min(axis=1).tolist()
     weights = rule.weights
     return NodeClassification(
-        classes=tuple(classes),
+        classes=tuple([node_class(margin, tol) for margin in least]),
         tol=tol,
         positive_weights=int((weights > 0).sum()),
         negative_weights=int((weights < 0).sum()),

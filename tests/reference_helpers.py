@@ -126,3 +126,41 @@ def per_call_exactness(rule, spec: SymmetricMomentSpec) -> ExactnessReport:
         per_degree_max=tuple(float(abs_err[degrees == d].max()) for d in range(4)),
         monomial_count=len(columns),
     )
+
+
+def closure_chain_moments(spec: SymmetricMomentSpec, consts):
+    """chain_moments as it was when each call computed its own coefficients.
+
+    The reference that the precomputed coefficient table, and the walk that
+    reads it, must reproduce bit for bit.
+    """
+    n = spec.n
+    d2 = spec.m_xx - spec.m_xy
+    c = consts.c_n
+    first = (
+        n * spec.m_x + c * spec.m_1,
+        n * spec.m_xx + n * (n - 1) * spec.m_xy + 2.0 * n * c * spec.m_x + c * c * spec.m_1,
+        n * spec.m_xxx
+        + 3.0 * n * (n - 1) * spec.m_xxy
+        + n * (n - 1) * (n - 2) * spec.m_xyz
+        + 3.0 * c * (n * spec.m_xx + n * (n - 1) * spec.m_xy)
+        + 3.0 * n * c * c * spec.m_x
+        + c**3 * spec.m_1,
+    )
+    last = (0.0, 2.0 * d2, 0.0)
+    e3 = -(spec.m_xxx - 3.0 * spec.m_xxy + 2.0 * spec.m_xyz)
+    cm = consts.c_mid
+
+    def moments(k, mass_ahead):
+        if k == 1:
+            return first
+        if k == n:
+            return last
+        f2 = (n - k + 1) * (n - k + 2)
+        return (
+            cm * mass_ahead,
+            f2 * d2 + cm * cm * mass_ahead,
+            f2 * (n - k + 3) * e3 + cm**3 * mass_ahead,
+        )
+
+    return moments

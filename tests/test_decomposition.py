@@ -1,6 +1,7 @@
 """Decomposition constants, mass splits, and the reduced moment chain."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,8 @@ from symcub import (
     sector_spec,
     simplex_spec,
 )
+from symcub.decomposition import chain_moments
+from reference_helpers import closure_chain_moments
 
 
 def test_simplex3_constants():
@@ -213,3 +216,28 @@ def test_validate_split_errors():
     assert len(chain) == 3
     with pytest.raises(InvalidSplitError, match="masses"):
         reduced_moment_chain(spec, MassSplit((0.1, 0.1)), consts)
+
+
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("n", [2, 3, 8, 33, 128])
+def test_chain_moment_table_matches_the_closure(region, n):
+    # every chain, at r = +-0, at m_1 and at random +-r over 1e-300 .. 1e300
+    spec = region_spec(RegionId(region, n))
+    consts = compute_constants(spec)
+    table, reference = chain_moments(spec, consts), closure_chain_moments(spec, consts)
+    rng = np.random.default_rng(n)
+    signs = rng.choice([-1.0, 1.0], 64)
+    masses = [0.0, -0.0, spec.m_1, *(signs * 10.0 ** rng.uniform(-300, 300, 64)).tolist()]
+    for k in range(1, n + 1):
+        for r in masses:
+            got = [x.hex() for x in table(k, r)]
+            assert got == [x.hex() for x in reference(k, r)], (k, r)
+
+
+def test_chain_moment_table_is_built_once_per_spec():
+    spec = region_spec(RegionId(Region.SIMPLEX, 6))
+    table = chain_moments(spec, compute_constants(spec))
+    assert chain_moments(replace(spec), compute_constants(spec)) is table
+    other = region_spec(RegionId(Region.CUBE, 6))
+    assert chain_moments(other, compute_constants(other)) is not table
+    assert chain_moments.cache_info().maxsize is not None

@@ -1,6 +1,8 @@
 """Per-chain mass bounds and the deterministic chain walk."""
 
+import copy
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,9 +27,13 @@ from symcub import (
 import symcub.search
 from symcub.assembly import _gamma_filled, _write_chain
 from symcub.decomposition import _add_exact, chain_moments
-from symcub.search import _WALKS_PER_PASS, _ChainWalk, _bracket, _least_mass
-from symcub.validation import node_margins
-from reference_helpers import Feasibility, hankel_feasibility
+from symcub.moments import _PATTERN_TO_FIELD
+from symcub.reference import load_reference_rule
+from symcub.search import (
+    _WALKS_PER_PASS, _ChainWalk, _bracket, _least_mass, _score_candidate, _walker,
+)
+from symcub.validation import BOUNDARY_TOL, node_margins
+from reference_helpers import Feasibility, closure_chain_moments, hankel_feasibility
 
 
 def _least_unbounded(spec, consts, prefix):
@@ -131,7 +137,7 @@ def test_interval_matches_the_full_margin_arrays(region, n):
     rid = RegionId(region, n)
     spec = region_spec(rid)
     consts = compute_constants(spec)
-    walker = _ChainWalk(spec, rid, consts)
+    walker = _ChainWalk(spec, rid)
     empty = 0
     for tau in (-1.0, -0.2, 0.0, 1e-9, 0.05, 0.3, 0.9):
         a, b = _reference_intervals(spec, rid, consts, tau)
@@ -147,7 +153,7 @@ def test_chains_keep_at_most_six_margins(region):
     # a chain-k node has at most three distinct coordinates
     rid = RegionId(region, 64)
     spec = region_spec(rid)
-    walker = _ChainWalk(spec, rid, compute_constants(spec))
+    walker = _ChainWalk(spec, rid)
     assert max(len(margins) for margins in walker.margins) <= 6
 
 
@@ -158,7 +164,7 @@ def test_mass_left_after_least_mass_never_decreases(region, n):
     # the mass ahead r, with a chain that admits no mass counting as -inf
     rid = RegionId(region, n)
     spec = region_spec(rid)
-    walker = _ChainWalk(spec, rid, compute_constants(spec))
+    walker = _ChainWalk(spec, rid)
     masses_ahead = np.linspace(-walker.m_1, 2 * walker.m_1, 301)  # in the walk's units
     for tau in (-0.2, -0.05, 0.0, 0.05, 0.1):
         for k in range(2, n):
@@ -182,7 +188,7 @@ def test_walk_success_is_monotone_in_tau(region, n):
     # a bisection ends on.  Checked on a grid and around the tau found.
     rid = RegionId(region, n)
     spec = region_spec(rid)
-    walker = _ChainWalk(spec, rid, compute_constants(spec))
+    walker = _ChainWalk(spec, rid)
     for slack in (None, 0.0, walker.m_1):
         reached = []
 
@@ -223,8 +229,8 @@ def test_satisfied_set_on_the_grid(region, compensation):
             )
             expected = mode is SearchMode.FEASIBLE or n <= SATISFIED_UP_TO[region, compensation]
             assert result.satisfied is expected, (n, mode)
-            # the walk count is deterministic: at most 24 a pass, and the message walk
-            assert result.evaluations <= 24 * (1 + compensation) + 1
+            # the walk count is deterministic: at most 14, or 27 with compensation
+            assert result.evaluations <= (27 if compensation else 14)
             # best-effort rules are complete and exact as well
             assert len(result.rule) == 2 * n + compensation
             assert check_exactness(result.rule, spec).max_rel_error <= 1e-13
@@ -443,10 +449,17 @@ def _bisect(walker, slack, budget):
     return best, walks, why
 
 
+# Walks of the 114 searches of test_bracket_search_matches_the_bisection per
+# region, as measured with the Anderson-Bjorck rule; the Illinois rule took
+# 2356, 2164 and 1912, and the bisection takes 7168, 7066 and 6966.
+BRACKET_WALKS = {Region.SIMPLEX: 1916, Region.BALL_SECTOR: 1732, Region.CUBE: 1540}
+
+
 @pytest.mark.parametrize("region", list(Region))
 def test_bracket_search_matches_the_bisection(region, monkeypatch):
     # with a full budget every pass ends on the bisection's grid point: the
     # same split, rule, score and message, in no more walks
+    walks = 0
     for n in [*range(2, 17), 24, 32, 64, 128]:
         rid = RegionId(region, n)
         spec = region_spec(rid)
@@ -458,12 +471,14 @@ def test_bracket_search_matches_the_bisection(region, monkeypatch):
                     patch.setattr(symcub.search, "_bracket", _bisect)
                     bisected = search_masses(spec, rid, objective)
                 case = (n, mode, compensation)
+                walks += result.evaluations
                 assert result.evaluations <= bisected.evaluations, case
                 assert (result.satisfied, result.score, result.message) == (
                     bisected.satisfied, bisected.score, bisected.message), case
                 assert result.split.masses == bisected.split.masses, case
                 assert result.rule.nodes.tobytes() == bisected.rule.nodes.tobytes(), case
                 assert result.rule.weights.tobytes() == bisected.rule.weights.tobytes(), case
+    assert walks <= BRACKET_WALKS[region]
 
 
 @pytest.mark.parametrize(
@@ -479,3 +494,182 @@ def test_search_under_a_cut_budget(region, n, compensation):
         result = search_masses(spec, rid, objective)
         assert result.evaluations <= max_evals
         assert result.message.startswith(("chain ", "objective ", "best split "))
+
+
+def _illinois_walk(walker, tau, slack):
+    # the walk as it was before it read the precomputed chain moment table
+    masses, peeled, remaining = [], [], walker.m_1
+    for k in range(1, walker.n + 1):
+        least = _least_mass(*walker.moments(k, remaining), *walker.interval(k, tau))
+        if not 0 < least < math.inf:
+            return None, f"chain {k} admits no mass > 0 at margin {tau:.6g}", None
+        if k == walker.n:
+            available = remaining + (slack or 0.0)
+            surplus = available - least
+            if least > available:
+                least, available = (math.ldexp(x, walker.scale) for x in (least, available))
+                why = f"chain {k} needs mu >= {least:.9g} but {available:.9g} remains"
+                return None, why, surplus
+            if slack is None:
+                least = remaining
+        masses.append(least)
+        _add_exact(peeled, least)
+        remaining = walker.m_1 - math.fsum(peeled)
+    return tuple(masses), None, surplus
+
+
+def _illinois_walker(spec, region):
+    # a walk table whose chain moments come from the per-call closure
+    walker = _ChainWalk(spec, region)
+    unit = replace(spec, **{
+        f: math.ldexp(getattr(spec, f), -walker.scale) for f in _PATTERN_TO_FIELD.values()
+    })
+    reference = SimpleNamespace(
+        n=walker.n, m_1=walker.m_1, scale=walker.scale, consts=walker.consts,
+        interval=walker.interval, moments=closure_chain_moments(unit, walker.consts),
+    )
+    reference.walk = lambda tau, slack: _illinois_walk(reference, tau, slack)
+    return reference
+
+
+def _illinois_bracket(walker, slack, budget):
+    # the bracket search with the Illinois rule: the end kept twice in a row
+    # has its surplus halved
+    best, ok, bad, why, bad_surplus = None, None, 1.0, None, None
+    tau, walks = -1.0, 0
+    while walks < budget and ok is None:
+        masses, failure, surplus = walker.walk(tau, slack)
+        walks += 1
+        if masses is None:
+            bad, why, bad_surplus = tau, failure, surplus
+            tau *= 2.0
+        else:
+            ok, best, ok_surplus = tau, masses, surplus
+    if ok is None:
+        return None, walks, why
+    depth = budget - walks
+    h, lo, hi, moved = math.ldexp(bad - ok, -depth), 0, 1 << depth, 0
+    while walks < budget and hi - lo > 1:
+        if bad_surplus is None:
+            i = (lo + hi) // 2
+        else:
+            step = round((hi - lo) * ok_surplus / (ok_surplus - bad_surplus))
+            i = min(max(lo + step, lo + 1), hi - 1)
+        masses, failure, surplus = walker.walk(ok + i * h, slack)
+        walks += 1
+        if masses is None:
+            if moved < 0:
+                ok_surplus *= 0.5
+            hi, why, bad_surplus, moved = i, failure, surplus, -1
+        else:
+            if moved > 0 and bad_surplus is not None:
+                bad_surplus *= 0.5
+            lo, best, ok_surplus, moved = i, masses, surplus, 1
+    return best, walks, why
+
+
+@pytest.mark.parametrize("region", list(Region))
+def test_search_matches_the_illinois_search(region, monkeypatch):
+    # the cached walk table, its precomputed chain moments and the
+    # Anderson-Bjorck bracket change only the walk count, never upwards
+    for n in [*range(2, 17), 24, 32, 64, 128]:
+        rid = RegionId(region, n)
+        spec = region_spec(rid)
+        for mode in MODES:
+            for compensation in (False, True):
+                objective = SearchObjective(mode, compensation, max_evals=1000)
+                result = search_masses(spec, rid, objective)
+                with monkeypatch.context() as patch:
+                    patch.setattr(symcub.search, "_walker", _illinois_walker)
+                    patch.setattr(symcub.search, "_bracket", _illinois_bracket)
+                    illinois = search_masses(spec, rid, objective)
+                case = (n, mode, compensation)
+                assert result.evaluations <= illinois.evaluations, case
+                assert (result.satisfied, result.score, result.message) == (
+                    illinois.satisfied, illinois.score, illinois.message), case
+                assert [mu.hex() for mu in result.split.masses] == [
+                    mu.hex() for mu in illinois.split.masses], case
+                assert result.rule.nodes.tobytes() == illinois.rule.nodes.tobytes(), case
+                assert result.rule.weights.tobytes() == illinois.rule.weights.tobytes(), case
+
+
+def test_walk_table_is_built_once_per_spec_and_region():
+    rid = RegionId(Region.BALL_SECTOR, 7)
+    spec = region_spec(rid)
+    walker = _walker(spec, rid)
+    assert _walker(replace(spec), RegionId("ball-sector", 7)) is walker
+    assert _walker(region_spec(RegionId(Region.CUBE, 7)), RegionId(Region.CUBE, 7)) is not walker
+
+
+def test_walks_leave_the_walk_table_unchanged():
+    rid = RegionId(Region.SIMPLEX, 9)
+    spec = region_spec(rid)
+    walker = _walker(spec, rid)
+    masses_ahead = [0.0, walker.m_1, -0.5 * walker.m_1, 1e-300, -1e300]
+
+    def table():
+        moments = [walker.moments(k, r) for k in range(1, walker.n + 1) for r in masses_ahead]
+        return walker.n, walker.m_1, walker.scale, walker.consts, walker.margins, moments
+
+    before = copy.deepcopy(table())
+    rng = np.random.default_rng(9)
+    for tau, slack in zip(rng.uniform(-1.5, 0.5, 200), rng.uniform(-0.5, 1.5, 200)):
+        walker.walk(float(tau), None if slack < 0 else float(slack) * walker.m_1)
+    assert table() == before
+
+
+def test_walk_table_cache_is_bounded():
+    bound = _walker.cache_info().maxsize
+    assert bound is not None
+    for n in range(2, bound + 4):
+        rid = RegionId(Region.CUBE, n)
+        _walker(region_spec(rid), rid)
+    assert _walker.cache_info().currsize == bound
+
+
+def test_search_after_cache_clear_matches_the_cached_search():
+    rid = RegionId(Region.BALL_SECTOR, 6)
+    spec = region_spec(rid)
+    objective = SearchObjective(allow_compensation=True)
+    cached = search_masses(spec, rid, objective)
+    _walker.cache_clear()
+    chain_moments.cache_clear()
+    cold = search_masses(spec, rid, objective)
+    assert _walker.cache_info().currsize == 1
+    assert (cold.split, cold.satisfied, cold.score, cold.evaluations, cold.message) == (
+        cached.split, cached.satisfied, cached.score, cached.evaluations, cached.message)
+    assert cold.rule.nodes.tobytes() == cached.rule.nodes.tobytes()
+    assert cold.rule.weights.tobytes() == cached.rule.weights.tobytes()
+
+
+def test_objective_mode_is_coerced_from_its_value():
+    assert SearchObjective(mode="interior").mode is SearchMode.INTERIOR
+    assert SearchObjective(mode="feasible").mode is SearchMode.FEASIBLE
+    with pytest.raises(ValueError):
+        SearchObjective(mode="inside")
+    # a mode given by value searches exactly as the enum member does
+    rid = RegionId(Region.SIMPLEX, 4)
+    spec = region_spec(rid)
+    by_value = search_masses(spec, rid, SearchObjective(mode="interior-or-boundary"))
+    by_member = search_masses(spec, rid, SearchObjective(mode=SearchMode.INTERIOR_OR_BOUNDARY))
+    assert (by_value.satisfied, by_value.score, by_value.message, by_value.split) == (
+        by_member.satisfied, by_member.score, by_member.message, by_member.split)
+
+
+@pytest.mark.parametrize("table, n", [("table1", 3), ("table2", 4), ("table3", 3)])
+def test_score_counts_the_nodes_each_mode_rejects(table, n):
+    # one exterior, three exterior and two boundary nodes: the score's one
+    # margin pass counts what classify_nodes counts
+    rid = RegionId(Region.SIMPLEX, n)
+    rule = load_reference_rule(table)
+    classes = classify_nodes(rule, rid)
+    rejected = {
+        SearchMode.INTERIOR: classes.boundary + classes.exterior,
+        SearchMode.INTERIOR_OR_BOUNDARY: classes.exterior,
+        SearchMode.FEASIBLE: 0,
+    }
+    margin = -float(node_margins(rid, rule.nodes).min())
+    for mode, count in rejected.items():
+        score = _score_candidate(rule, rid, mode, BOUNDARY_TOL)
+        assert score == (float(count), float(classes.negative_weights), margin), mode
+

@@ -28,7 +28,7 @@ from symcub import (
 from symcub.cli import main
 from symcub.reference import load_reference_rule, numbered_table_names, regenerate_table
 from symcub.ruleio import write_rule
-from symcub.validation import _degree4_targets, _monomial_table, node_margins
+from symcub.validation import _degree4_targets, _monomial_table, node_class, node_margins
 from reference_helpers import moment_of_monomial, per_call_exactness
 
 
@@ -129,6 +129,17 @@ def test_classify_rejects_negative_or_non_finite_tol():
         with pytest.raises(ValueError):
             classify_nodes(rule, rid, tol=tol)
     assert classify_nodes(rule, rid, tol=0.0).interior == 5
+
+
+def test_node_class_thresholds():
+    # interior strictly above tol, exterior strictly below -tol or NaN
+    tol = 1e-9
+    assert node_class(math.nextafter(tol, math.inf), tol) is NodeClass.INTERIOR
+    assert node_class(tol, tol) is NodeClass.BOUNDARY
+    assert node_class(-tol, tol) is NodeClass.BOUNDARY
+    assert node_class(math.nextafter(-tol, -math.inf), tol) is NodeClass.EXTERIOR
+    assert node_class(math.nan, tol) is NodeClass.EXTERIOR
+    assert node_class(0.0, 0.0) is NodeClass.BOUNDARY
 
 
 def test_classify_table1():
