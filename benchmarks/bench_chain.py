@@ -1,20 +1,28 @@
-"""Timing of the chain moments, the 1-D solves and rule assembly on default cube splits at n = 3 .. 512.
+"""Timing of the chain moments, the 1-D solves, the least masses, the node map and rule assembly at n = 3 .. 512.
 
 The file name does not match `test_*.py`, so the test suite does not
 collect it and timing noise cannot fail the suite.  Run it by path:
 
     python -m pytest benchmarks/bench_chain.py --benchmark-json BENCH_chain.json
 
-`reduced_moment_chain` computes the n chains' moments; `solve_two_point`
-times the n one-dimensional solves of those moments alone; `assemble_rule`
-adds the chain moments to the solves and writes the (2n, n) node array.
-The constants, the split and, for the solves, the chain moments are
-computed outside the timed call.
+`reduced_moment_chain` computes the n chains' moments of a default cube
+split; `solve_two_point` times the n one-dimensional solves of those
+moments alone; `map_nodes` maps their 2n node values to the (2n, n) node
+array; `least_mass` times the n least masses of the cube's chains on a search
+walk's node intervals at tau = -1, each chain with the mass ahead of it
+that the uniform split leaves;
+`assemble_rule` adds the chain moments to the solves and the node map.
+The constants, the split and every argument of the timed call are
+computed outside it.
 """
+
+import math
 
 import pytest
 
 from symcub import (
+    Region,
+    RegionId,
     assemble_rule,
     compute_constants,
     cube_spec,
@@ -22,6 +30,8 @@ from symcub import (
     reduced_moment_chain,
     solve_two_point,
 )
+from symcub.decomposition import least_mass, map_nodes
+from symcub.search import _walker
 
 SIZES = [3, 8, 32, 128, 512]
 
@@ -50,3 +60,24 @@ def test_assemble_rule(benchmark, n):
     spec, split, consts = _cube(n)
     rule = benchmark(assemble_rule, spec, split, consts)
     assert rule.nodes.shape == (2 * n, n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_map_nodes(benchmark, n):
+    spec, split, consts = _cube(n)
+    chain = reduced_moment_chain(spec, split, consts)
+    solved = [(k, solve_two_point(*moments)[0]) for k, moments in enumerate(chain, start=1)]
+    nodes = benchmark(map_nodes, solved, consts)
+    assert nodes.shape == (2 * n, n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_least_mass(benchmark, n):
+    # chain k with the mass a uniform split leaves ahead of it
+    walker = _walker(cube_spec(n), RegionId(Region.CUBE, n))
+    args = [
+        (*walker.moments(k, walker.m_1 * (n - k + 1) / n), *walker.interval(k, -1.0))
+        for k in range(1, n + 1)
+    ]
+    least = benchmark(lambda: [least_mass(*a) for a in args])
+    assert len(least) == n and not any(math.isnan(mu) for mu in least)

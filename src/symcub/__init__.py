@@ -6,13 +6,15 @@ truncated moment problems, yielding rules with 2n nodes (or 2n + 1 with
 one compensation node).  See README.md for usage.
 """
 
-from .assembly import CubatureRule, assemble_rule, build_rule, map_node
+from .assembly import CubatureRule, assemble_rule, build_rule
 from .decomposition import (
     DecompositionConstants,
     MassSplit,
     compute_constants,
     default_split,
+    map_node,
     reduced_moment_chain,
+    solve_two_point,
 )
 from .errors import (
     CubatureError,
@@ -25,7 +27,6 @@ from .errors import (
     InvalidSplitError,
     UnmatchedRuleError,
 )
-from .moment1d import solve_two_point
 from .moments import (
     Region,
     RegionId,

@@ -1,23 +1,12 @@
-"""Assemble full cubature rules from the solved one-dimensional chains.
+"""Package the solved one-dimensional chains as a cubature rule.
 
-Each chain-k node value t maps to a point of R^n:
-
-    k = 1:          (eta, ..., eta)                with eta = (t - c_n) / n
-    2 <= k <= n-1:  (alpha x (n-k+1), beta, gamma x (k-2))
-                    beta  = gamma - t / (n - k + 2)
-                    alpha = beta + (t - c_mid) / (n - k + 1)
-    k = n:          (alpha, beta, gamma x (n-2))
-                    beta  = gamma - (t + c_2) / 2,  alpha = beta + t
-
-with c_2 = c_mid for n >= 3 and c_2 = c_n for n = 2.  Weights pass
-through from the one-dimensional rules unchanged.  The compensation node
-is the k = n image of t = 0; a node at t = 0 only contributes to the
-zeroth moment of chain n, whose first and third moments vanish, so adding
-it preserves degree-3 exactness while absorbing the mass residual
-m_1 - sum(mu).
-
-Every node is such a block pattern, so a rule is Theta(n^2) floats
-written block by block into one (N, n) array by slice assignment.
+Each chain is solved by :func:`~symcub.decomposition.solve_two_point` and
+its node values are mapped to R^n by
+:func:`~symcub.decomposition.map_nodes`; weights pass through from the
+one-dimensional rules unchanged.  The compensation node is the k = n
+image of t = 0; a node at t = 0 only contributes to the zeroth moment of
+chain n, whose first and third moments vanish, so adding it preserves
+degree-3 exactness while absorbing the mass residual m_1 - sum(mu).
 
 Node ordering is canonical: chain index ascending, node value descending
 within a chain, compensation node last.  Identical inputs produce
@@ -28,27 +17,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
 from .decomposition import (
     DecompositionConstants,
     MassSplit,
-    _chain_mass_bound,
     compute_constants,
     default_split,
+    least_mass,
+    map_nodes,
     reduced_moment_chain,
+    solve_two_point,
 )
 from .errors import InfeasibleMomentError
-from .moment1d import solve_two_point
 from .moments import SymmetricMomentSpec
 
 __all__ = [
     "CubatureRule",
     "assemble_rule",
     "build_rule",
-    "map_node",
 ]
 
 
@@ -104,54 +93,6 @@ class CubatureRule:
         return math.fsum(self.weights.tolist())
 
 
-def _write_chain(
-    out: np.ndarray,
-    row: int,
-    k: int,
-    ts: Sequence[float],
-    consts: DecompositionConstants,
-) -> int:
-    """Write the chain-k images of node values ts into rows row, row + 1, ...
-
-    Returns the next free row.  The trailing gamma block of a row is not
-    written: `out` must already hold gamma there, which filling it with
-    gamma once (`_gamma_filled`) does for every row.
-    """
-    n = consts.n
-    if k == 1:
-        for t in ts:
-            out[row] = (t - consts.c_n) / n
-            row += 1
-        return row
-    gamma = consts.gamma
-    lead = n - k + 1
-    for t in ts:
-        if k == n:
-            beta = gamma - (t + consts.c_2) / 2.0
-            out[row, 0] = beta + t
-        else:
-            beta = gamma - t / (n - k + 2)
-            out[row, :lead] = beta + (t - consts.c_mid) / lead
-        out[row, lead] = beta
-        row += 1
-    return row
-
-
-def _gamma_filled(rows: int, consts: DecompositionConstants) -> np.ndarray:
-    out = np.empty((rows, consts.n))
-    out.fill(consts.gamma)
-    return out
-
-
-def map_node(k: int, t: float, consts: DecompositionConstants) -> tuple[float, ...]:
-    """Map a chain-k one-dimensional node value t back to a point of R^n, n = consts.n."""
-    if not 1 <= k <= consts.n:
-        raise ValueError(f"chain index must be in [1, {consts.n}], got {k}")
-    out = _gamma_filled(1, consts)
-    _write_chain(out, 0, k, (t,), consts)
-    return tuple(out[0].tolist())
-
-
 def assemble_rule(
     spec: SymmetricMomentSpec,
     split: MassSplit,
@@ -163,22 +104,20 @@ def assemble_rule(
 
     Generically returns 2n nodes, or 2n + 1 when the split carries a
     compensation node; a chain of zero variance (a degenerate,
-    single-orbit functional) contributes one node instead of two.  Each
-    node is written straight into its row of one (N, n) array.  An
+    single-orbit functional) contributes one node instead of two.  The
+    nodes are mapped into one (N, n) array once every chain is solved.  An
     infeasible chain raises :class:`InfeasibleMomentError` tagged with
     the chain index and the lower bound on its mass that would restore
     feasibility.
     """
     chain = reduced_moment_chain(spec, split, consts)
-    n = spec.n
-    nodes = _gamma_filled(2 * n + split.compensation, consts)
+    solved: list[tuple[int, tuple[float, ...]]] = []
     weights: list[float] = []
-    row = 0
     for k, (m0, m1, m2, m3) in enumerate(chain, start=1):
         try:
             ts, ws = solve_two_point(m0, m1, m2, m3)
         except InfeasibleMomentError as exc:
-            bound = _chain_mass_bound(m1, m2)
+            bound = least_mass(m1, m2, m3)
             raise InfeasibleMomentError(
                 f"chain {k} is infeasible (m0*m2 - m1^2 = {exc.hankel:.6e}); "
                 f"feasibility needs mu_{k} > {bound:.9g}",
@@ -186,10 +125,10 @@ def assemble_rule(
                 chain=k,
                 mass_bound=bound,
             ) from exc
-        row = _write_chain(nodes, row, k, ts, consts)
+        solved.append((k, ts))
         weights.extend(ws)
     if split.compensation:
-        row = _write_chain(nodes, row, n, (0.0,), consts)
+        solved.append((spec.n, (0.0,)))
         weights.append(spec.m_1 - math.fsum(split.masses))
     metadata = {
         "region": region_label,
@@ -198,7 +137,7 @@ def assemble_rule(
         "constants": {"c_n": consts.c_n, "c_mid": consts.c_mid, "gamma": consts.gamma},
     }
     return CubatureRule(
-        dim=n, nodes=nodes[:row], weights=np.array(weights), metadata=metadata
+        dim=spec.n, nodes=map_nodes(solved, consts), weights=np.array(weights), metadata=metadata
     )
 
 

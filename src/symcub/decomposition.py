@@ -17,6 +17,11 @@ The zeroth moments mu_1 .. mu_n of the chain entries are free parameters
 with compensation the residual L(1) - sum(mu) becomes the weight of one
 extra node.  Higher moments of each chain entry are fixed by the seven
 base moments and the remaining mass ahead of the chain.
+
+This module owns every step of one chain: its moments
+(:func:`chain_moments`), its two-point solve (:func:`solve_two_point`),
+the least mass that keeps its nodes in an interval (:func:`least_mass`)
+and the map of its node values back to R^n (:func:`map_nodes`).
 """
 
 from __future__ import annotations
@@ -27,16 +32,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import InvalidMomentSpecError, InvalidSplitError
+import numpy as np
+
+from .errors import (
+    InconsistentAtomError, InfeasibleMomentError, InvalidMomentSpecError, InvalidSplitError,
+)
 from .moments import SymmetricMomentSpec
 
 __all__ = [
     "DecompositionConstants",
     "MassSplit",
+    "add_exact",
     "chain_moments",
     "compute_constants",
     "default_split",
+    "least_mass",
+    "map_node",
+    "map_nodes",
     "reduced_moment_chain",
+    "solve_two_point",
     "validate_split",
 ]
 
@@ -87,9 +101,17 @@ class MassSplit:
         """Build a split from t-parameters, mu_k = t_k * m_1 / n.
 
         Values may be given as strings such as "93/85"; they are parsed
-        exactly and converted to floats at the end.
+        exactly and converted to floats at the end.  A string that is not
+        a number, divides by zero or overflows raises InvalidSplitError.
         """
-        t = [float(Fraction(v)) if isinstance(v, str) else float(v) for v in t_values]
+        t = []
+        for k, v in enumerate(t_values, start=1):
+            try:
+                t.append(float(Fraction(v)) if isinstance(v, str) else float(v))
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise InvalidSplitError(
+                    f"t-parameter t_{k} = {v!r} is not a finite number"
+                ) from exc
         if len(t) != spec.n:
             raise InvalidSplitError(
                 f"expected {spec.n} t-parameters, got {len(t)}"
@@ -122,24 +144,27 @@ def default_split(spec: SymmetricMomentSpec) -> MassSplit:
 
 
 def validate_split(split: MassSplit, spec: SymmetricMomentSpec) -> None:
-    """Check positivity and, without compensation, total-mass balance."""
+    """Check that every mass and their sum are finite, every mass > 0 and,
+    without compensation, total-mass balance."""
     if len(split.masses) != spec.n:
         raise InvalidSplitError(
             f"split has {len(split.masses)} masses, expected {spec.n}"
         )
     for k, mu in enumerate(split.masses, start=1):
-        if not mu > 0:
-            raise InvalidSplitError(f"mass mu_{k} must be > 0, got {mu!r}")
-    if not split.compensation:
+        if not 0 < mu < math.inf:
+            raise InvalidSplitError(f"mass mu_{k} must be finite and > 0, got {mu!r}")
+    try:
         total = math.fsum(split.masses)
-        if abs(total - spec.m_1) > MASS_BALANCE_RTOL * abs(spec.m_1):
-            raise InvalidSplitError(
-                f"masses sum to {total!r} but m_1 = {spec.m_1!r}; "
-                "enable compensation or rescale the split"
-            )
+    except OverflowError:
+        raise InvalidSplitError("the masses sum past the largest float") from None
+    if not split.compensation and abs(total - spec.m_1) > MASS_BALANCE_RTOL * abs(spec.m_1):
+        raise InvalidSplitError(
+            f"masses sum to {total!r} but m_1 = {spec.m_1!r}; "
+            "enable compensation or rescale the split"
+        )
 
 
-def _add_exact(partials: list[float], x: float) -> None:
+def add_exact(partials: list[float], x: float) -> None:
     """Add x to the exact sum held as non-overlapping partials (Shewchuk)."""
     i = 0
     for y in partials:
@@ -208,11 +233,6 @@ def chain_moments(
     return moments
 
 
-def _chain_mass_bound(m1: float, m2: float) -> float:
-    """The Hankel bound: mu * m2 - m1^2 > 0 iff mu > m1^2 / m2 (inf when m2 <= 0)."""
-    return m1 * m1 / m2 if m2 > 0 else math.inf
-
-
 def reduced_moment_chain(
     spec: SymmetricMomentSpec,
     split: MassSplit,
@@ -233,5 +253,150 @@ def reduced_moment_chain(
     for k, mu in enumerate(split.masses, start=1):
         m1, m2, m3 = moments(k, m_1 - math.fsum(peeled))
         out.append((mu, m1, m2, m3))
-        _add_exact(peeled, mu)
+        add_exact(peeled, mu)
     return out
+
+
+def solve_two_point(
+    m0: float, m1: float, m2: float, m3: float
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Solve the order-3 truncated moment problem for (m0, m1, m2, m3).
+
+    Returns ``(nodes, weights)``.  A positive variance of m / m0 yields two
+    distinct real nodes ``(t_hi, t_lo)`` with positive weights.  A variance
+    within rounding of 0 yields the single node m1/m0 with weight m0,
+    provided m3 is consistent with a point mass
+    (:class:`InconsistentAtomError` otherwise).  m0 <= 0 or a negative
+    variance raises :class:`InfeasibleMomentError`.
+
+    The solve works on the probability measure m / m0, whose mean, variance
+    and third central moment are
+
+        a = m1 / m0,   var = m2 / m0 - a^2,   mu3 = m3 / m0 - a (3 m2 / m0 - 2 a^2).
+
+    A two-point measure centred at its mean has nodes u with u1 + u2 = mu3 / var
+    and u1 u2 = -var, so the nodes are a + u for the roots of
+    u^2 - s u - var with s = mu3 / var, and the weight of u_hi is
+    m0 (-u_lo) / (u_hi - u_lo).  var > 0 gives two distinct real nodes and
+    positive weights (the discriminant s^2 + 4 var is then positive);
+    var ~ 0 leaves one atom at a with weight m0; var < 0 has no solution.
+    The mass m0 cancels out of every test and formula, so nothing depends on
+    how small or large it is.
+    """
+    if m0 > 0:
+        a, b, c = m1 / m0, m2 / m0, m3 / m0
+        var = b - a * a
+        # the Hankel test m0*m2 - m1^2 > 0 divided by m0^2, with its tolerance
+        tol = 1e-13 * max(abs(b), a * a)
+        if var > tol:
+            s = (c - a * (3.0 * b - 2.0 * a * a)) / var
+            # stable root pair: q and -var/q avoid cancellation between s and the root
+            q = 0.5 * (s + math.copysign(math.sqrt(s * s + 4.0 * var), s))
+            u_hi, u_lo = (q, -var / q) if q > 0 else (-var / q, q)
+            w_hi = m0 * (-u_lo / (u_hi - u_lo))
+            return (a + u_hi, a + u_lo), (w_hi, m0 - w_hi)
+        if var >= -tol:
+            if abs(c - a * a * a) > 1e-10 * max(1.0, abs(b), abs(c)):
+                raise InconsistentAtomError(
+                    f"rank-1 moments are not a point mass: m = {(m0, m1, m2, m3)}"
+                )
+            return (a,), (m0,)
+    hankel = m0 * m2 - m1 * m1
+    raise InfeasibleMomentError(
+        f"moments are not positive definite: m0*m2 - m1^2 = {hankel:.6e} "
+        f"(m0 = {m0!r})",
+        hankel=hankel,
+    )
+
+
+def least_mass(
+    m1: float, m2: float, m3: float, a: float = -math.inf, b: float = math.inf
+) -> float:
+    """The least mass mu putting both nodes of (mu, m1, m2, m3) in [a, b], inf if none.
+
+    The chain's nodes are the roots of
+
+        D(t) = mu (m2 t^2 - m3 t) + (m1 m3 - m2^2 + m1 m2 t - m1^2 t^2).
+
+    With H = mu m2 - m1^2 > 0 both lie in [a, b] iff D(a) >= 0, D(b) >= 0
+    and the vertex (mu m3 - m1 m2) / (2H) is in [a, b]: conditions linear in
+    mu, so the admissible masses form one interval, and this is its least
+    element.  An unbounded [a, b] leaves the Hankel bound m1^2 / m2 (inf
+    when m2 <= 0), the least mass that makes the chain solvable at all.
+    """
+    if a > b:
+        return math.inf
+    lo, hi = m1 * m1 / m2 if m2 > 0 else math.inf, math.inf
+    det = m1 * m3 - m2 * m2
+    for e, side in ((a, 1.0), (b, -1.0)):
+        if not math.isfinite(e):
+            continue
+        # D(e) >= 0, then the vertex on the inner side of e; each p * mu + q >= 0
+        p, q = m2 * e * e - m3 * e, det + m1 * m2 * e - m1 * m1 * e * e
+        if p > 0:
+            if -q / p > lo:
+                lo = -q / p
+        elif p < 0:
+            if -q / p < hi:
+                hi = -q / p
+        elif q < 0:
+            return math.inf
+        p, q = side * (m3 - 2.0 * e * m2), side * (2.0 * e * m1 * m1 - m1 * m2)
+        if p > 0:
+            if -q / p > lo:
+                lo = -q / p
+        elif p < 0:
+            if -q / p < hi:
+                hi = -q / p
+        elif q < 0:
+            return math.inf
+    return lo if lo <= hi else math.inf
+
+
+def map_nodes(
+    chains: Sequence[tuple[int, Sequence[float]]], consts: DecompositionConstants
+) -> np.ndarray:
+    """The points of R^n of chain-k node values ts, one row each, for each (k, ts).
+
+    Rows follow `chains` in order, and each chain's `ts` in order.  A
+    chain-k node value t maps to
+
+        k = 1:          (eta, ..., eta)                with eta = (t - c_n) / n
+        2 <= k <= n-1:  (alpha x (n-k+1), beta, gamma x (k-2))
+                        beta  = gamma - t / (n - k + 2)
+                        alpha = beta + (t - c_mid) / (n - k + 1)
+        k = n:          (alpha, beta, gamma x (n-2))
+                        beta  = gamma - (t + c_2) / 2,  alpha = beta + t
+
+    with c_2 = c_mid for n >= 3 and c_2 = c_n for n = 2.  Every row is
+    such a block pattern, so the (rows, n) array is filled with gamma once
+    and each row writes its leading blocks by slice assignment.
+    """
+    n, gamma = consts.n, consts.gamma
+    out = np.empty((sum(len(ts) for _, ts in chains), n))
+    out.fill(gamma)
+    row = 0
+    for k, ts in chains:
+        if not 1 <= k <= n:
+            raise ValueError(f"chain index must be in [1, {n}], got {k}")
+        if k == 1:
+            for t in ts:
+                out[row] = (t - consts.c_n) / n
+                row += 1
+            continue
+        lead = n - k + 1
+        for t in ts:
+            if k == n:
+                beta = gamma - (t + consts.c_2) / 2.0
+                out[row, 0] = beta + t
+            else:
+                beta = gamma - t / (n - k + 2)
+                out[row, :lead] = beta + (t - consts.c_mid) / lead
+            out[row, lead] = beta
+            row += 1
+    return out
+
+
+def map_node(k: int, t: float, consts: DecompositionConstants) -> tuple[float, ...]:
+    """Map a chain-k one-dimensional node value t back to a point of R^n, n = consts.n."""
+    return tuple(map_nodes([(k, (t,))], consts)[0].tolist())

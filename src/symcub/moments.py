@@ -29,7 +29,7 @@ import enum
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -162,6 +162,16 @@ class SymmetricMomentSpec:
     def moment_scale(self) -> float:
         """Largest |L(x^alpha)| over the monomials of degree <= 3."""
         return max(abs(getattr(self, name)) for name in _PATTERN_TO_FIELD.values())
+
+    def ldexp(self, j: int) -> "SymmetricMomentSpec":
+        """The functional times 2^j: every moment scaled by math.ldexp.
+
+        Exact while no moment leaves the normal floats; math.ldexp raises
+        OverflowError past the largest float.
+        """
+        return replace(self, **{
+            name: math.ldexp(getattr(self, name), j) for name in _PATTERN_TO_FIELD.values()
+        })
 
 
 def _as_exponents(exponents: Sequence[int], n: int) -> tuple[int, ...]:

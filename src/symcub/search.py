@@ -5,13 +5,9 @@ construction, and chain k's moments depend only on mu_k and the mass
 ahead of it, r = m_1 - sum(mu_1 .. mu_{k-1}), so the chains are placed
 one at a time.  A chain-k node is affine in its 1-D value t, so every
 region margin is concave of degree <= 2 in t and {t : every margin >=
-tau} is one interval [a, b].  The chain's nodes are the roots of
-
-    D(t) = mu (m2 t^2 - m3 t) + (m1 m3 - m2^2 + m1 m2 t - m1^2 t^2).
-
-With H = mu m2 - m1^2 > 0 both lie in [a, b] iff D(a) >= 0, D(b) >= 0
-and the vertex (mu m3 - m1 m2) / (2H) is in [a, b]: conditions linear in
-mu, so the admissible masses form one interval, least element least_k(r).
+tau} is one interval [a, b].  The masses that put both of the chain's
+nodes in [a, b] form one interval too, whose least element least_k(r)
+:func:`~symcub.decomposition.least_mass` gives in closed form.
 
 A walk at margin tau gives chains 1 .. n-1 their least masses.  Chain n
 takes the remainder or, with compensation, its least mass, the rest
@@ -43,14 +39,14 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import CubatureRule, _gamma_filled, _write_chain, assemble_rule
-from .decomposition import MassSplit, _add_exact, _chain_mass_bound, chain_moments, compute_constants
+from .assembly import CubatureRule, assemble_rule
+from .decomposition import MassSplit, add_exact, chain_moments, compute_constants, least_mass, map_nodes
 from .errors import InvalidSplitError
-from .moments import _PATTERN_TO_FIELD, RegionId, SymmetricMomentSpec
+from .moments import RegionId, SymmetricMomentSpec
 from .validation import BOUNDARY_TOL, NodeClass, node_class, node_margins
 
 __all__ = ["SearchMode", "SearchObjective", "SearchResult", "search_masses"]
@@ -117,40 +113,6 @@ def _score_candidate(
     return (float(violations), float(negative), -float(least.min()))
 
 
-def _least_mass(m1: float, m2: float, m3: float, a: float, b: float) -> float:
-    """least_k: the least mass putting both chain nodes in [a, b], inf if none.
-
-    An unbounded [a, b] leaves the Hankel bound m1^2 / m2.
-    """
-    if a > b:
-        return math.inf
-    lo, hi = _chain_mass_bound(m1, m2), math.inf
-    det = m1 * m3 - m2 * m2
-    for e, side in ((a, 1.0), (b, -1.0)):
-        if not math.isfinite(e):
-            continue
-        # D(e) >= 0, then the vertex on the inner side of e; each p * mu + q >= 0
-        p, q = m2 * e * e - m3 * e, det + m1 * m2 * e - m1 * m1 * e * e
-        if p > 0:
-            if -q / p > lo:
-                lo = -q / p
-        elif p < 0:
-            if -q / p < hi:
-                hi = -q / p
-        elif q < 0:
-            return math.inf
-        p, q = side * (m3 - 2.0 * e * m2), side * (2.0 * e * m1 * m1 - m1 * m2)
-        if p > 0:
-            if -q / p > lo:
-                lo = -q / p
-        elif p < 0:
-            if -q / p < hi:
-                hi = -q / p
-        elif q < 0:
-            return math.inf
-    return lo if lo <= hi else math.inf
-
-
 class _ChainWalk:
     """The constants, chain moments and distinct margin coefficients of (spec, region).
 
@@ -163,17 +125,13 @@ class _ChainWalk:
         consts = self.consts = compute_constants(spec)
         # Least masses are homogeneous of degree 1 in the spec, so the walk
         # runs on the spec scaled by m_1's power of two, which is exact:
-        # no product in _least_mass underflows however small L(1) is.
+        # no product in least_mass underflows however small L(1) is.
         self.scale = math.frexp(spec.m_1)[1]
-        unit = replace(spec, **{
-            f: math.ldexp(getattr(spec, f), -self.scale) for f in _PATTERN_TO_FIELD.values()
-        })
+        unit = spec.ldexp(-self.scale)
         self.m_1 = unit.m_1
         self.moments = chain_moments(unit, consts)
         # every margin along chain k is A + B t + C t^2: read it at t = -1, 0, 1
-        nodes = _gamma_filled(3 * n, consts)
-        for k in range(1, n + 1):
-            _write_chain(nodes, 3 * k - 3, k, (-1.0, 0.0, 1.0), consts)
+        nodes = map_nodes([(k, (-1.0, 0.0, 1.0)) for k in range(1, n + 1)], consts)
         g_lo, A, g_hi = node_margins(region, nodes).reshape(n, 3, -1).transpose(1, 0, 2)
         B, C = 0.5 * (g_hi - g_lo), 0.5 * (g_hi + g_lo) - A
         # a linear margin leaves a C of rounding size only
@@ -224,13 +182,13 @@ class _ChainWalk:
         moments, interval, n, m_1 = self.moments, self.interval, self.n, self.m_1
         masses, peeled, remaining = [], [], m_1  # peeled: exact sum of masses
         for k in range(1, n + 1):
-            least = _least_mass(*moments(k, remaining), *interval(k, tau))
+            least = least_mass(*moments(k, remaining), *interval(k, tau))
             if not 0 < least < math.inf:
                 return None, f"chain {k} admits no mass > 0 at margin {tau:.6g}", None
             if k == n:
                 break
             masses.append(least)
-            _add_exact(peeled, least)
+            add_exact(peeled, least)
             remaining = m_1 - math.fsum(peeled)
         available = remaining + (slack or 0.0)
         surplus = available - least

@@ -104,6 +104,17 @@ def test_overflowing_number_list_exit_1(capsys, option):
     assert "cannot parse number list" in err
 
 
+@pytest.mark.parametrize("compensate", [[], ["--compensate"]])
+def test_overflowing_mass_sum_exit_1(capsys, compensate):
+    # each mass is finite, their sum is not: one error line, no traceback
+    code, out, err = _run(
+        capsys, "generate", "--region", "cube", "--dim", "3", "--mu", "1e308,1e308,1e308",
+        *compensate,
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: the masses sum past the largest float"]
+
+
 @pytest.mark.parametrize("key, literal", [("mx", "NaN"), ("mxxx", "Infinity")])
 def test_generate_non_finite_spec_is_a_usage_error(tmp_path, capsys, key, literal):
     # json.load reads the NaN and Infinity literals

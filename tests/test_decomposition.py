@@ -1,6 +1,7 @@
 """Decomposition constants, mass splits, and the reduced moment chain."""
 
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from symcub import (
     Region,
     RegionId,
     SymmetricMomentSpec,
+    build_rule,
     compute_constants,
     cube_spec,
     default_split,
@@ -216,6 +218,39 @@ def test_validate_split_errors():
     assert len(chain) == 3
     with pytest.raises(InvalidSplitError, match="masses"):
         reduced_moment_chain(spec, MassSplit((0.1, 0.1)), consts)
+
+
+@pytest.mark.parametrize("compensation", [False, True])
+@pytest.mark.parametrize("masses, match", [
+    ((math.inf, 1.0, 1.0), "mu_1 must be finite"),
+    ((1.0, 1.0, math.nan), "mu_3 must be finite"),
+    ((1e308, 1e308, 1e308), "sum past the largest float"),
+])
+def test_infinite_or_overflowing_masses_are_named(masses, match, compensation):
+    # an infinite mass, or masses whose sum overflows, never reach a chain
+    spec = cube_spec(3)
+    with pytest.raises(InvalidSplitError, match=match):
+        build_rule(spec, MassSplit(masses, compensation))
+
+
+def test_largest_finite_masses_are_accepted_with_compensation():
+    # the sum of these masses is the largest float: no overflow, so the
+    # split is checked and fails only on chain feasibility or not at all
+    spec = cube_spec(3)
+    masses = (math.ldexp(1.0, 1023), math.ldexp(1.0, 1022), math.ldexp(1.0, 1022) * (1 - 2**-51))
+    assert math.fsum(masses) == sys.float_info.max
+    consts = compute_constants(spec)
+    assert len(reduced_moment_chain(spec, MassSplit(masses, True), consts)) == 3
+
+
+@pytest.mark.parametrize("t, name", [
+    (["1/0", "1", "1"], "t_1"),
+    (["1", "abc", "1"], "t_2"),
+    (["1", "1", "1e400"], "t_3"),
+])
+def test_split_from_bad_t_string_names_the_parameter(t, name):
+    with pytest.raises(InvalidSplitError, match=f"{name} = .* is not a finite number"):
+        MassSplit.from_t(t, simplex_spec(3))
 
 
 @pytest.mark.parametrize("region", list(Region))

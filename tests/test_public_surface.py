@@ -79,7 +79,7 @@ def test_module_names_resolve(module_name):
 
 
 def test_submodules_are_found():
-    assert {"assembly", "cli", "decomposition", "moment1d", "validation"} <= set(SUBMODULES)
+    assert {"assembly", "cli", "decomposition", "validation"} <= set(SUBMODULES)
 
 
 def test_import_loads_no_scipy():

@@ -25,12 +25,10 @@ from symcub import (
     simplex_spec,
 )
 import symcub.search
-from symcub.assembly import _gamma_filled, _write_chain
-from symcub.decomposition import _add_exact, chain_moments
-from symcub.moments import _PATTERN_TO_FIELD
+from symcub.decomposition import add_exact, chain_moments, least_mass, map_nodes
 from symcub.reference import load_reference_rule
 from symcub.search import (
-    _WALKS_PER_PASS, _ChainWalk, _bracket, _least_mass, _score_candidate, _walker,
+    _WALKS_PER_PASS, _ChainWalk, _bracket, _score_candidate, _walker,
 )
 from symcub.validation import BOUNDARY_TOL, node_margins
 from reference_helpers import Feasibility, closure_chain_moments, hankel_feasibility
@@ -40,7 +38,7 @@ def _least_unbounded(spec, consts, prefix):
     # the least mass of chain len(prefix) + 1 over an unbounded node interval
     k = len(prefix) + 1
     m1, m2, m3 = chain_moments(spec, consts)(k, spec.m_1 - math.fsum(prefix))
-    return _least_mass(m1, m2, m3, -math.inf, math.inf)
+    return least_mass(m1, m2, m3, -math.inf, math.inf)
 
 
 def test_bounds_chain1_simplex3():
@@ -103,7 +101,7 @@ def test_least_mass_puts_both_nodes_in_the_node_interval():
     consts = compute_constants(spec)
     m1, m2, m3 = chain_moments(spec, consts)(1, spec.m_1)
     a, b = m1 / spec.m_1 - 0.3, m1 / spec.m_1 + 0.4
-    lo = _least_mass(m1, m2, m3, a, b)
+    lo = least_mass(m1, m2, m3, a, b)
     assert m1 * m1 / m2 < lo < math.inf
     for mu, inside in ((lo * (1 + 1e-9), True), (lo * (1 - 1e-6), False)):
         coeffs = (mu * m2 - m1 * m1, m1 * m2 - mu * m3, m1 * m3 - m2 * m2)
@@ -115,9 +113,7 @@ def _reference_intervals(spec, rid, consts, tau):
     # every chain's node interval at once, vectorised over the full (n, 2n)
     # margin arrays: the reference that _ChainWalk.interval must equal exactly
     n = spec.n
-    nodes = _gamma_filled(3 * n, consts)
-    for k in range(1, n + 1):
-        _write_chain(nodes, 3 * k - 3, k, (-1.0, 0.0, 1.0), consts)
+    nodes = map_nodes([(k, (-1.0, 0.0, 1.0)) for k in range(1, n + 1)], consts)
     g_lo, A, g_hi = node_margins(rid, nodes).reshape(n, 3, -1).transpose(1, 0, 2)
     B, C = 0.5 * (g_hi - g_lo), 0.5 * (g_hi + g_lo) - A
     C[np.abs(C) <= 1e-12 * (np.abs(g_lo) + np.abs(A) + np.abs(g_hi))] = 0.0
@@ -171,7 +167,7 @@ def test_mass_left_after_least_mass_never_decreases(region, n):
             a, b = walker.interval(k, tau)
             left = []
             for r in masses_ahead:
-                least = _least_mass(*walker.moments(k, r), a, b)
+                least = least_mass(*walker.moments(k, r), a, b)
                 left.append(r - least if 0 < least < math.inf else -math.inf)
             left = np.array(left)
             placed = np.isfinite(left)
@@ -418,7 +414,7 @@ def _bisect_walk(walker, tau, slack):
     # the walk as it was before it returned chain n's surplus
     masses, peeled, remaining = [], [], walker.m_1
     for k in range(1, walker.n + 1):
-        least = _least_mass(*walker.moments(k, remaining), *walker.interval(k, tau))
+        least = least_mass(*walker.moments(k, remaining), *walker.interval(k, tau))
         if not 0 < least < math.inf:
             return None, f"chain {k} admits no mass > 0 at margin {tau:.6g}"
         if k == walker.n:
@@ -429,7 +425,7 @@ def _bisect_walk(walker, tau, slack):
             if slack is None:
                 least = remaining
         masses.append(least)
-        _add_exact(peeled, least)
+        add_exact(peeled, least)
         remaining = walker.m_1 - math.fsum(peeled)
     return tuple(masses), None
 
@@ -500,7 +496,7 @@ def _illinois_walk(walker, tau, slack):
     # the walk as it was before it read the precomputed chain moment table
     masses, peeled, remaining = [], [], walker.m_1
     for k in range(1, walker.n + 1):
-        least = _least_mass(*walker.moments(k, remaining), *walker.interval(k, tau))
+        least = least_mass(*walker.moments(k, remaining), *walker.interval(k, tau))
         if not 0 < least < math.inf:
             return None, f"chain {k} admits no mass > 0 at margin {tau:.6g}", None
         if k == walker.n:
@@ -513,7 +509,7 @@ def _illinois_walk(walker, tau, slack):
             if slack is None:
                 least = remaining
         masses.append(least)
-        _add_exact(peeled, least)
+        add_exact(peeled, least)
         remaining = walker.m_1 - math.fsum(peeled)
     return tuple(masses), None, surplus
 
@@ -521,9 +517,7 @@ def _illinois_walk(walker, tau, slack):
 def _illinois_walker(spec, region):
     # a walk table whose chain moments come from the per-call closure
     walker = _ChainWalk(spec, region)
-    unit = replace(spec, **{
-        f: math.ldexp(getattr(spec, f), -walker.scale) for f in _PATTERN_TO_FIELD.values()
-    })
+    unit = spec.ldexp(-walker.scale)
     reference = SimpleNamespace(
         n=walker.n, m_1=walker.m_1, scale=walker.scale, consts=walker.consts,
         interval=walker.interval, moments=closure_chain_moments(unit, walker.consts),
