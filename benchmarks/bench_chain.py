@@ -1,4 +1,4 @@
-"""Timing of the chain moments, the 1-D solves, the least masses, the node map and rule assembly at n = 3 .. 512.
+"""Timing of the chain moments, the 1-D solves, the least masses, the node map and rule building at n = 3 .. 512.
 
 The file name does not match `test_*.py`, so the test suite does not
 collect it and timing noise cannot fail the suite.  Run it by path:
@@ -11,9 +11,9 @@ moments alone; `map_nodes` maps their 2n node values to the (2n, n) node
 array; `least_mass` times the n least masses of the cube's chains on a search
 walk's node intervals at tau = -1, each chain with the mass ahead of it
 that the uniform split leaves;
-`assemble_rule` adds the chain moments to the solves and the node map.
-The constants, the split and every argument of the timed call are
-computed outside it.
+`build_rule` adds the constants and the chain moments to the solves and
+the node map.  The split and every argument of the timed call are
+computed outside it; `map_nodes` also takes the constants from outside.
 """
 
 import math
@@ -23,7 +23,7 @@ import pytest
 from symcub import (
     Region,
     RegionId,
-    assemble_rule,
+    build_rule,
     compute_constants,
     cube_spec,
     default_split,
@@ -38,13 +38,13 @@ SIZES = [3, 8, 32, 128, 512]
 
 def _cube(n):
     spec = cube_spec(n)
-    return spec, default_split(spec), compute_constants(spec)
+    return spec, default_split(spec)
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_reduced_moment_chain(benchmark, n):
-    spec, split, consts = _cube(n)
-    chain = benchmark(reduced_moment_chain, spec, split, consts)
+    spec, split = _cube(n)
+    chain = benchmark(reduced_moment_chain, spec, split)
     assert len(chain) == n
 
 
@@ -56,18 +56,18 @@ def test_solve_two_point(benchmark, n):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_assemble_rule(benchmark, n):
-    spec, split, consts = _cube(n)
-    rule = benchmark(assemble_rule, spec, split, consts)
+def test_build_rule(benchmark, n):
+    spec, split = _cube(n)
+    rule = benchmark(build_rule, spec, split)
     assert rule.nodes.shape == (2 * n, n)
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_map_nodes(benchmark, n):
-    spec, split, consts = _cube(n)
-    chain = reduced_moment_chain(spec, split, consts)
+    spec, split = _cube(n)
+    chain = reduced_moment_chain(spec, split)
     solved = [(k, solve_two_point(*moments)[0]) for k, moments in enumerate(chain, start=1)]
-    nodes = benchmark(map_nodes, solved, consts)
+    nodes = benchmark(map_nodes, solved, compute_constants(spec))
     assert nodes.shape == (2 * n, n)
 
 

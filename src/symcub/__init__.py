@@ -6,13 +6,12 @@ truncated moment problems, yielding rules with 2n nodes (or 2n + 1 with
 one compensation node).  See README.md for usage.
 """
 
-from .assembly import CubatureRule, assemble_rule, build_rule
+from .assembly import CubatureRule, build_rule
 from .decomposition import (
     DecompositionConstants,
     MassSplit,
     compute_constants,
     default_split,
-    map_node,
     reduced_moment_chain,
     solve_two_point,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "SearchResult",
     "SymmetricMomentSpec",
     "UnmatchedRuleError",
-    "assemble_rule",
     "build_rule",
     "check_exactness",
     "classify_nodes",
@@ -86,7 +84,6 @@ __all__ = [
     "default_split",
     "degree4_nonexactness",
     "load_spec",
-    "map_node",
     "reduced_moment_chain",
     "region_monomial_moment",
     "region_spec",

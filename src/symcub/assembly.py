@@ -1,5 +1,7 @@
 """Package the solved one-dimensional chains as a cubature rule.
 
+A rule needs only the moment spec and the mass split: :func:`build_rule`
+computes the constants from the spec, and the chain moments do the same.
 Each chain is solved by :func:`~symcub.decomposition.solve_two_point` and
 its node values are mapped to R^n by
 :func:`~symcub.decomposition.map_nodes`; weights pass through from the
@@ -22,7 +24,6 @@ from typing import Any, Mapping
 import numpy as np
 
 from .decomposition import (
-    DecompositionConstants,
     MassSplit,
     compute_constants,
     default_split,
@@ -36,7 +37,6 @@ from .moments import SymmetricMomentSpec
 
 __all__ = [
     "CubatureRule",
-    "assemble_rule",
     "build_rule",
 ]
 
@@ -93,14 +93,13 @@ class CubatureRule:
         return math.fsum(self.weights.tolist())
 
 
-def assemble_rule(
+def build_rule(
     spec: SymmetricMomentSpec,
-    split: MassSplit,
-    consts: DecompositionConstants,
+    split: MassSplit | None = None,
     *,
     region_label: str = "custom",
 ) -> CubatureRule:
-    """Solve all chains and package the rule.
+    """Solve all chains of `split` (the uniform split if None) and package the rule.
 
     Generically returns 2n nodes, or 2n + 1 when the split carries a
     compensation node; a chain of zero variance (a degenerate,
@@ -110,7 +109,9 @@ def assemble_rule(
     the chain index and the lower bound on its mass that would restore
     feasibility.
     """
-    chain = reduced_moment_chain(spec, split, consts)
+    if split is None:
+        split = default_split(spec)
+    chain = reduced_moment_chain(spec, split)
     solved: list[tuple[int, tuple[float, ...]]] = []
     weights: list[float] = []
     for k, (m0, m1, m2, m3) in enumerate(chain, start=1):
@@ -130,6 +131,7 @@ def assemble_rule(
     if split.compensation:
         solved.append((spec.n, (0.0,)))
         weights.append(spec.m_1 - math.fsum(split.masses))
+    consts = compute_constants(spec)
     metadata = {
         "region": region_label,
         "masses": list(split.masses),
@@ -138,18 +140,4 @@ def assemble_rule(
     }
     return CubatureRule(
         dim=spec.n, nodes=map_nodes(solved, consts), weights=np.array(weights), metadata=metadata
-    )
-
-
-def build_rule(
-    spec: SymmetricMomentSpec,
-    split: MassSplit | None = None,
-    *,
-    region_label: str = "custom",
-) -> CubatureRule:
-    """Convenience wrapper: constants plus assembly, default split if none."""
-    if split is None:
-        split = default_split(spec)
-    return assemble_rule(
-        spec, split, compute_constants(spec), region_label=region_label
     )

@@ -193,7 +193,7 @@ def _cmd_generate(args) -> int:
     report = check_exactness(rule, spec)
     tolerance = _tolerance(args, spec, GENERATE_REL_TOLERANCE)
     passed = report.max_abs_error <= tolerance
-    _write_output(ruleio._DUMPS[args.format](rule), args.output)
+    _write_output(ruleio.dumps(rule, args.format), args.output)
     print(
         f"generated {len(rule)} nodes (dim {rule.dim}); "
         f"max abs exactness error = {report.max_abs_error:.3e} "

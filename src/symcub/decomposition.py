@@ -21,7 +21,10 @@ base moments and the remaining mass ahead of the chain.
 This module owns every step of one chain: its moments
 (:func:`chain_moments`), its two-point solve (:func:`solve_two_point`),
 the least mass that keeps its nodes in an interval (:func:`least_mass`)
-and the map of its node values back to R^n (:func:`map_nodes`).
+and the map of its node values back to R^n (:func:`map_nodes`).  The
+constants are closed forms in the seven moments, so the spec and the
+split fix every chain: the chain moments compute the constants from the
+spec themselves, and only the node map takes them as an argument.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ __all__ = [
     "compute_constants",
     "default_split",
     "least_mass",
-    "map_node",
     "map_nodes",
     "reduced_moment_chain",
     "solve_two_point",
@@ -180,9 +182,7 @@ def add_exact(partials: list[float], x: float) -> None:
 
 
 @functools.lru_cache(maxsize=32)
-def chain_moments(
-    spec: SymmetricMomentSpec, consts: DecompositionConstants
-) -> Callable[[int, float], tuple[float, float, float]]:
+def chain_moments(spec: SymmetricMomentSpec) -> Callable[[int, float], tuple[float, float, float]]:
     """The map (k, r) -> (m1, m2, m3) of chain k with mass r ahead of it.
 
     The mass ahead of chain k is m_1 - sum(mu_1 .. mu_{k-1}).  Chain 1
@@ -195,14 +195,11 @@ def chain_moments(
     with f2 = (n - k + 1)(n - k + 2), d2 = L(x1^2 - x1 x2) and e3 =
     -L(x1^3 - 3 x1^2 x2 + 2 x1 x2 x3).  The offsets and the powers of c_mid
     are computed once here, so a call is three multiply-adds, and the map is
-    built once per (spec, constants) per process: assembly and the search's
-    walk table read the same one.
+    built once per spec per process: assembly and the search's walk table
+    read the same one.
     """
     n = spec.n
-    if consts.n != n:
-        raise InvalidSplitError(
-            f"constants were computed for n = {consts.n}, spec has n = {n}"
-        )
+    consts = compute_constants(spec)
     d2 = spec.m_xx - spec.m_xy
     c = consts.c_n
     first = (
@@ -234,9 +231,7 @@ def chain_moments(
 
 
 def reduced_moment_chain(
-    spec: SymmetricMomentSpec,
-    split: MassSplit,
-    consts: DecompositionConstants,
+    spec: SymmetricMomentSpec, split: MassSplit
 ) -> list[tuple[float, float, float, float]]:
     """Moments (m0, m1, m2, m3) of the n reduced one-dimensional functionals.
 
@@ -245,7 +240,7 @@ def reduced_moment_chain(
     from one running exact sum, rounded once per chain, so it equals
     m_1 - fsum(masses[:k - 1]) bit for bit at O(1) amortised cost.
     """
-    moments = chain_moments(spec, consts)
+    moments = chain_moments(spec)
     validate_split(split, spec)
     m_1 = spec.m_1
     out = []
@@ -395,8 +390,3 @@ def map_nodes(
             out[row, lead] = beta
             row += 1
     return out
-
-
-def map_node(k: int, t: float, consts: DecompositionConstants) -> tuple[float, ...]:
-    """Map a chain-k one-dimensional node value t back to a point of R^n, n = consts.n."""
-    return tuple(map_nodes([(k, (t,))], consts)[0].tolist())

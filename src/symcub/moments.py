@@ -17,10 +17,15 @@ A zero exponent contributes a factor of exactly 1 to each closed form,
 so a built-in moment is evaluated from its nonzero exponent pattern as
 one ratio of two exact integers (factorials or double factorials), taken
 by a single int/int true division.  That division is correctly rounded,
-so it equals ``float(Fraction(num, den))`` bit for bit; the ball sector
-then multiplies by a power of pi/2.  The seven moments of a built-in
-region are computed once per process and the frozen spec is shared
-after that; an underflow is raised again on every call.
+so it equals ``float(Fraction(num, den))`` bit for bit.  The ball sector
+then multiplies by a power of pi/2, so it divides num * 2^e by den, with
+e chosen to put the quotient in (1/2, 2), and takes 2^e off the product
+with ``math.ldexp``.  The ratio is thus never rounded as a subnormal, and
+a moment stays accurate for as long as it is a normal float; where the
+ratio is a normal float itself, the result equals the unscaled product.
+The seven moments of a built-in region are computed once per process and
+the frozen spec is shared after that; an underflow is raised again on
+every call.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .errors import (
 )
 
 __all__ = [
+    "PATTERN_TO_FIELD",
     "Region",
     "RegionId",
     "SymmetricMomentSpec",
@@ -101,7 +107,7 @@ class RegionId:
 # seven stored moments, in field order.  A pattern with more factors
 # than n has no monomial in n variables.  The custom-spec JSON
 # key of a moment is its field name without the underscore.
-_PATTERN_TO_FIELD = {
+PATTERN_TO_FIELD = {
     (): "m_1",
     (1,): "m_x",
     (2,): "m_xx",
@@ -136,7 +142,7 @@ class SymmetricMomentSpec:
         _check_dim(self.n)
         if self.n == 2:
             object.__setattr__(self, "m_xyz", 0.0)
-        for name in _PATTERN_TO_FIELD.values():
+        for name in PATTERN_TO_FIELD.values():
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise InvalidMomentSpecError(f"{name} must be finite, got {value!r}")
@@ -161,7 +167,7 @@ class SymmetricMomentSpec:
     @property
     def moment_scale(self) -> float:
         """Largest |L(x^alpha)| over the monomials of degree <= 3."""
-        return max(abs(getattr(self, name)) for name in _PATTERN_TO_FIELD.values())
+        return max(abs(getattr(self, name)) for name in PATTERN_TO_FIELD.values())
 
     def ldexp(self, j: int) -> "SymmetricMomentSpec":
         """The functional times 2^j: every moment scaled by math.ldexp.
@@ -170,7 +176,7 @@ class SymmetricMomentSpec:
         OverflowError past the largest float.
         """
         return replace(self, **{
-            name: math.ldexp(getattr(self, name), j) for name in _PATTERN_TO_FIELD.values()
+            name: math.ldexp(getattr(self, name), j) for name in PATTERN_TO_FIELD.values()
         })
 
 
@@ -193,9 +199,11 @@ def _pattern_moment(region: RegionId, pattern: Sequence[int]) -> float:
         return num / math.factorial(region.n + total)
     if region.region is Region.BALL_SECTOR:
         num = math.prod(double_factorial(a - 1) for a in pattern)
+        den = double_factorial(region.n + total)
         n_odd = sum(a % 2 for a in pattern)
-        rational = num / double_factorial(region.n + total)
-        return rational * (math.pi / 2.0) ** ((region.n - n_odd) // 2)
+        # num <= (|a| - 1)!! < den, so e >= 0, and num * 2^e / den is in (1/2, 2)
+        e = den.bit_length() - num.bit_length()
+        return math.ldexp((num << e) / den * (math.pi / 2.0) ** ((region.n - n_odd) // 2), -e)
     if region.region is Region.CUBE:
         return 1 / math.prod(a + 1 for a in pattern)
     raise ValueError(f"unknown region {region.region!r}")
@@ -217,7 +225,7 @@ def region_monomial_moment(region: RegionId, exponents: Sequence[int]) -> float:
 def _spec_from_region(region: RegionId) -> SymmetricMomentSpec:
     values = {
         field: _pattern_moment(region, pattern)
-        for pattern, field in _PATTERN_TO_FIELD.items()
+        for pattern, field in PATTERN_TO_FIELD.items()
         if len(pattern) <= region.n
     }
     # every built-in moment is positive, so a zero is a float64 underflow
@@ -257,7 +265,7 @@ def spec_from_dict(data: Mapping) -> SymmetricMomentSpec:
     For n = 2, mxyz may be absent; if present it is ignored.  Unknown keys
     are rejected.
     """
-    keys = {field: field.replace("_", "") for field in _PATTERN_TO_FIELD.values()}
+    keys = {field: field.replace("_", "") for field in PATTERN_TO_FIELD.values()}
     unknown = sorted(set(data) - {"n", *keys.values()})
     if unknown:
         raise InvalidMomentSpecError(f"unknown keys in moment spec: {unknown}")
@@ -269,7 +277,7 @@ def spec_from_dict(data: Mapping) -> SymmetricMomentSpec:
         raise InvalidMomentSpecError(f"'n' must be an integer, got {n!r}")
     _check_dim(n)
     values = {}
-    for pattern, field in _PATTERN_TO_FIELD.items():
+    for pattern, field in PATTERN_TO_FIELD.items():
         if len(pattern) > n:
             continue
         key = keys[field]

@@ -20,6 +20,7 @@ from .assembly import CubatureRule
 from .errors import CubatureError
 
 __all__ = [
+    "dumps",
     "dumps_csv",
     "dumps_json",
     "loads_csv",
@@ -142,16 +143,20 @@ def render_text(rule: CubatureRule) -> str:
     return "\n".join(lines) + "\n"
 
 
-# rule serializers by format name, for write_rule and the CLI's --format
 _DUMPS = {"json": dumps_json, "csv": dumps_csv, "text": render_text}
+
+
+def dumps(rule: CubatureRule, fmt: str) -> str:
+    """The rule serialized in format `fmt`: "json", "csv" or "text"."""
+    if fmt not in _DUMPS:
+        raise ValueError(f"unknown rule format {fmt!r}")
+    return _DUMPS[fmt](rule)
 
 
 def write_rule(rule: CubatureRule, path: str | Path, fmt: str | None = None) -> None:
     path = Path(path)
     fmt = fmt or ("csv" if path.suffix.lower() == ".csv" else "json")
-    if fmt not in _DUMPS:
-        raise ValueError(f"unknown rule format {fmt!r}")
-    path.write_text(_DUMPS[fmt](rule), encoding="utf-8")
+    path.write_text(dumps(rule, fmt), encoding="utf-8")
 
 
 def read_rule(path: str | Path) -> CubatureRule:

@@ -29,8 +29,8 @@ too), so it ends on the same grid point, and so the same split, in 8-17
 walks a pass (three regions, n <= 128) instead of 48.  It assembles that
 split once.  With compensation a first pass keeps the compensation
 weight >= 0; only if its split misses the objective may it go down to
--m_1.  The walk table of a (spec, region), its constants, chain moments
-and distinct margins, is built once per process and only read after
+-m_1.  The walk table of a (spec, region), its chain moments and
+distinct margins, is built once per process and only read after
 that.  Nothing is random: the same input gives the same split.
 """
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import CubatureRule, assemble_rule
+from .assembly import CubatureRule, build_rule
 from .decomposition import MassSplit, add_exact, chain_moments, compute_constants, least_mass, map_nodes
 from .errors import InvalidSplitError
 from .moments import RegionId, SymmetricMomentSpec
@@ -114,7 +114,7 @@ def _score_candidate(
 
 
 class _ChainWalk:
-    """The constants, chain moments and distinct margin coefficients of (spec, region).
+    """The chain moments and distinct margin coefficients of (spec, region).
 
     Read-only once built: a walk keeps its state in locals, so one table
     serves every search of the same (spec, region).
@@ -122,15 +122,15 @@ class _ChainWalk:
 
     def __init__(self, spec: SymmetricMomentSpec, region: RegionId):
         n = self.n = spec.n
-        consts = self.consts = compute_constants(spec)
         # Least masses are homogeneous of degree 1 in the spec, so the walk
         # runs on the spec scaled by m_1's power of two, which is exact:
         # no product in least_mass underflows however small L(1) is.
         self.scale = math.frexp(spec.m_1)[1]
         unit = spec.ldexp(-self.scale)
         self.m_1 = unit.m_1
-        self.moments = chain_moments(unit, consts)
+        self.moments = chain_moments(unit)
         # every margin along chain k is A + B t + C t^2: read it at t = -1, 0, 1
+        consts = compute_constants(spec)
         nodes = map_nodes([(k, (-1.0, 0.0, 1.0)) for k in range(1, n + 1)], consts)
         g_lo, A, g_hi = node_margins(region, nodes).reshape(n, 3, -1).transpose(1, 0, 2)
         B, C = 0.5 * (g_hi - g_lo), 0.5 * (g_hi + g_lo) - A
@@ -288,7 +288,7 @@ def search_masses(
         if masses is None:
             continue
         split = MassSplit([math.ldexp(mu, walker.scale) for mu in masses], slack is not None)
-        rule = assemble_rule(spec, split, walker.consts, region_label=region.region.value)
+        rule = build_rule(spec, split, region_label=region.region.value)
         score = _score_candidate(rule, region, objective.mode, objective.boundary_tol)
         if score[0] == 0.0 and math.isfinite(score[2]):
             message = f"objective {objective.mode.value} satisfied"

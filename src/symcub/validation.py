@@ -30,13 +30,7 @@ import numpy as np
 
 from .assembly import CubatureRule
 from .errors import DimensionMismatchError, UnmatchedRuleError
-from .moments import (
-    _PATTERN_TO_FIELD,
-    Region,
-    RegionId,
-    SymmetricMomentSpec,
-    _pattern_moment,
-)
+from .moments import PATTERN_TO_FIELD, Region, RegionId, SymmetricMomentSpec, region_monomial_moment
 
 __all__ = [
     "ExactnessReport",
@@ -191,7 +185,7 @@ def check_exactness(rule: CubatureRule, spec: SymmetricMomentSpec) -> ExactnessR
     values *= padded[:, columns[:, 2]]
     approx = values.T @ rule.weights
     table = np.zeros(16)
-    for pattern, name in _PATTERN_TO_FIELD.items():
+    for pattern, name in PATTERN_TO_FIELD.items():
         table[4 * sum(pattern) + len(pattern)] = getattr(spec, name)
     exact = table[classes]
     abs_err = np.abs(approx - exact)
@@ -216,7 +210,9 @@ def _degree4_targets(region: RegionId) -> tuple[tuple[float, float, float], tupl
     pairs = np.triu_indices(region.n, 1)
     for index in pairs:
         index.flags.writeable = False
-    return tuple(_pattern_moment(region, p) for p in ((4,), (2, 2), ())), pairs
+    heads = ((4,), (2, 2), ())
+    targets = tuple(region_monomial_moment(region, h + (0,) * (region.n - len(h))) for h in heads)
+    return targets, pairs
 
 
 def degree4_nonexactness(

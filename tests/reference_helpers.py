@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 
-from symcub import ExactnessReport, SymmetricMomentSpec
+from symcub import ExactnessReport, SymmetricMomentSpec, compute_constants
 from symcub.errors import DegreeOutOfRangeError
-from symcub.moments import _PATTERN_TO_FIELD, _as_exponents
+from symcub.moments import PATTERN_TO_FIELD, _as_exponents
 
 
 def moment_of_monomial(spec: SymmetricMomentSpec, exponents) -> float:
@@ -22,7 +22,7 @@ def moment_of_monomial(spec: SymmetricMomentSpec, exponents) -> float:
             f"total degree {sum(exps)} exceeds 3; only degree <= 3 moments are stored"
         )
     pattern = tuple(sorted((a for a in exps if a > 0), reverse=True))
-    return getattr(spec, _PATTERN_TO_FIELD[pattern])
+    return getattr(spec, PATTERN_TO_FIELD[pattern])
 
 
 class Feasibility(enum.Enum):
@@ -96,7 +96,7 @@ def class_moments(spec: SymmetricMomentSpec, columns: np.ndarray) -> tuple[np.nd
     degree = (columns != spec.n).sum(axis=1)
     distinct = degree - ((columns[:, 1:] == columns[:, :-1]) & (columns[:, 1:] != spec.n)).sum(axis=1)
     table = np.zeros((4, 4))
-    for pattern, name in _PATTERN_TO_FIELD.items():
+    for pattern, name in PATTERN_TO_FIELD.items():
         table[sum(pattern), len(pattern)] = getattr(spec, name)
     return table[degree, distinct], degree
 
@@ -128,12 +128,13 @@ def per_call_exactness(rule, spec: SymmetricMomentSpec) -> ExactnessReport:
     )
 
 
-def closure_chain_moments(spec: SymmetricMomentSpec, consts):
+def closure_chain_moments(spec: SymmetricMomentSpec):
     """chain_moments as it was when each call computed its own coefficients.
 
     The reference that the precomputed coefficient table, and the walk that
     reads it, must reproduce bit for bit.
     """
+    consts = compute_constants(spec)
     n = spec.n
     d2 = spec.m_xx - spec.m_xy
     c = consts.c_n
@@ -164,3 +165,30 @@ def closure_chain_moments(spec: SymmetricMomentSpec, consts):
         )
 
     return moments
+
+
+def reference_node(k: int, t: float, consts) -> tuple[float, ...]:
+    """The point of R^n, n = consts.n, of chain-k node value t, one coordinate at a time.
+
+    Written from the block formulas in plain floats, with the operations in
+    the order `map_nodes` documents, so the two agree bit for bit:
+
+        k = 1:          (eta, ..., eta),  eta = (t - c_n) / n
+        2 <= k <= n-1:  (alpha x (n-k+1), beta, gamma x (k-2)),
+                        beta = gamma - t / (n - k + 2),  alpha = beta + (t - c_mid) / (n - k + 1)
+        k = n:          (alpha, beta, gamma x (n-2)),
+                        beta = gamma - (t + c_2) / 2,  alpha = beta + t
+
+    with c_2 = c_n for n = 2 and c_mid otherwise.
+    """
+    n, gamma = consts.n, consts.gamma
+    if not 1 <= k <= n:
+        raise ValueError(f"chain index must be in [1, {n}], got {k}")
+    if k == 1:
+        return ((t - consts.c_n) / n,) * n
+    if k == n:
+        beta = gamma - (t + (consts.c_n if n == 2 else consts.c_mid)) / 2.0
+        return (beta + t, beta) + (gamma,) * (n - 2)
+    beta = gamma - t / (n - k + 2)
+    alpha = beta + (t - consts.c_mid) / (n - k + 1)
+    return (alpha,) * (n - k + 1) + (beta,) + (gamma,) * (k - 2)

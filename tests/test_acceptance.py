@@ -16,12 +16,10 @@ from symcub import (
     NodeClass,
     Region,
     RegionId,
-    assemble_rule,
     build_rule,
     check_exactness,
     classify_nodes,
     compare_to_reference,
-    compute_constants,
     classify_nodes as _classify,
     degree4_nonexactness,
     reduced_moment_chain,
@@ -43,7 +41,7 @@ def _rule_for_table(name: str):
     entry = table_spec(name)
     spec = region_spec(RegionId(entry.region, entry.dim))
     split = MassSplit.from_t(entry.t_values, spec, compensation=entry.compensation)
-    return assemble_rule(spec, split, compute_constants(spec)), spec
+    return build_rule(spec, split), spec
 
 
 def _table_deviation(name: str):
@@ -52,13 +50,13 @@ def _table_deviation(name: str):
     return rule, max(diff.max_node_distance, diff.max_weight_deviation)
 
 
-def _random_feasible_split(spec, consts, rng, compensation=False, scale=1.0):
+def _random_feasible_split(spec, rng, compensation=False, scale=1.0):
     for _ in range(500):
         t = rng.uniform(0.55, 1.45, spec.n)
         t *= spec.n / t.sum()
         masses = tuple(t * spec.m_1 / spec.n * scale)
         split = MassSplit(masses, compensation=compensation)
-        chain = reduced_moment_chain(spec, split, consts)
+        chain = reduced_moment_chain(spec, split)
         if all(hankel_feasibility(*m) is Feasibility.POSITIVE_DEFINITE for m in chain):
             return split
     raise RuntimeError("no feasible split found")
@@ -138,12 +136,11 @@ def test_criterion_4_exactness_sweep():
     for region in ALL_REGIONS:
         for n in range(2, 9):
             spec = region_spec(RegionId(region, n))
-            consts = compute_constants(spec)
             rng = np.random.default_rng(zlib.crc32(f"{region.value}:{n}".encode()))
             bound = 1e-12 * spec.moment_scale  # the `generate` gate
             for _ in range(100):
-                split = _random_feasible_split(spec, consts, rng)
-                rule = assemble_rule(spec, split, consts)
+                split = _random_feasible_split(spec, rng)
+                rule = build_rule(spec, split)
                 report = check_exactness(rule, spec)
                 worst = max(worst, report.max_abs_error / bound)
                 rules += 1
@@ -213,15 +210,12 @@ def test_criterion_7_node_counts():
     for region in ALL_REGIONS:
         for n in (2, 3, 4, 6):
             spec = region_spec(RegionId(region, n))
-            consts = compute_constants(spec)
             rng = np.random.default_rng(zlib.crc32(f"count:{region.value}:{n}".encode()))
             for _ in range(10):
-                split = _random_feasible_split(spec, consts, rng)
-                assert len(assemble_rule(spec, split, consts)) == 2 * n
-                compensated = _random_feasible_split(
-                    spec, consts, rng, compensation=True, scale=0.95
-                )
-                assert len(assemble_rule(spec, compensated, consts)) == 2 * n + 1
+                split = _random_feasible_split(spec, rng)
+                assert len(build_rule(spec, split)) == 2 * n
+                compensated = _random_feasible_split(spec, rng, compensation=True, scale=0.95)
+                assert len(build_rule(spec, compensated)) == 2 * n + 1
                 checked += 2
     _verdict(
         7,

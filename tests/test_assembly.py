@@ -15,13 +15,11 @@ from symcub import (
     Region,
     RegionId,
     SymmetricMomentSpec,
-    assemble_rule,
     build_rule,
     check_exactness,
     compute_constants,
     cube_spec,
     default_split,
-    map_node,
     reduced_moment_chain,
     region_spec,
     sector_spec,
@@ -29,20 +27,25 @@ from symcub import (
     solve_two_point,
 )
 from symcub.reference import load_reference_rule
-from symcub.decomposition import chain_moments, least_mass
+from symcub.decomposition import chain_moments, least_mass, map_nodes
 from symcub.validation import compare_to_reference
-from reference_helpers import moment_of_monomial
+from reference_helpers import moment_of_monomial, reference_node
+
+
+def _row(k, t, consts):
+    """The one row that map_nodes gives chain-k node value t, as a tuple."""
+    return tuple(map_nodes([(k, (t,))], consts)[0].tolist())
 
 
 def test_map_node_sum_chain():
     consts = compute_constants(simplex_spec(3))
-    node = map_node(1, 0.19388840, consts)
+    node = _row(1, 0.19388840, consts)
     assert node == pytest.approx((0.34240724,) * 3, abs=1e-8)
 
 
 def test_map_node_difference_chain():
     consts = compute_constants(simplex_spec(3))
-    node = map_node(3, 0.54772256, consts)
+    node = _row(3, 0.54772256, consts)
     assert node == pytest.approx((0.60719461, 0.05947205, 0.16666667), abs=1e-8)
 
 
@@ -52,7 +55,7 @@ def test_map_node_middle_chain():
     b, c = Fraction(142, 183), Fraction(-369, 610)
     t = (-float(b) + math.sqrt(float(b * b - 4 * c))) / 2
     consts = compute_constants(simplex_spec(3))
-    node = map_node(2, t, consts)
+    node = _row(2, t, consts)
     assert node == pytest.approx(
         (0.41353088165296, 0.41353088165296, 0.00627157002742), abs=5e-9
     )
@@ -63,40 +66,40 @@ def test_map_node_coordinate_multiplicities():
     consts = compute_constants(spec)
     n = 6
     for k in range(2, n):
-        node = map_node(k, 0.37, consts)
+        node = _row(k, 0.37, consts)
         assert len(node) == n
         alpha = node[: n - k + 1]
         assert all(x == alpha[0] for x in alpha)
         assert node[n - k + 1 :][1:] == (consts.gamma,) * (k - 2)
-    assert map_node(1, 0.5, consts) == ((0.5 - consts.c_n) / n,) * n
+    assert _row(1, 0.5, consts) == ((0.5 - consts.c_n) / n,) * n
     with pytest.raises(ValueError):
-        map_node(0, 0.1, consts)
+        _row(0, 0.1, consts)
     with pytest.raises(ValueError):
-        map_node(7, 0.1, consts)
+        _row(7, 0.1, consts)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])
 def test_map_node_dimension_comes_from_the_constants(n):
     consts = compute_constants(simplex_spec(n))
     for k in range(1, n + 1):
-        assert len(map_node(k, 0.25, consts)) == n
+        assert len(_row(k, 0.25, consts)) == n
 
 
 def test_compensation_node_simplex4():
     consts = compute_constants(simplex_spec(4))
-    node = map_node(4, 0.0, consts)
+    node = _row(4, 0.0, consts)
     assert node == pytest.approx((2 / 7, 2 / 7, 1 / 7, 1 / 7), abs=1e-15)
 
 
 def test_compensation_node_simplex3():
     consts = compute_constants(simplex_spec(3))
-    assert map_node(3, 0.0, consts) == pytest.approx((1 / 3, 1 / 3, 1 / 6), abs=1e-15)
+    assert _row(3, 0.0, consts) == pytest.approx((1 / 3, 1 / 3, 1 / 6), abs=1e-15)
 
 
 def test_compensation_node_cube3():
     # c_mid = 0 and gamma = 1/2 put the compensation node at the center
     consts = compute_constants(cube_spec(3))
-    assert map_node(3, 0.0, consts) == pytest.approx((0.5, 0.5, 0.5), abs=1e-14)
+    assert _row(3, 0.0, consts) == pytest.approx((0.5, 0.5, 0.5), abs=1e-14)
 
 
 def test_assembled_rule_matches_reference_table1():
@@ -117,9 +120,9 @@ def test_weight_passthrough():
     consts = compute_constants(spec)
     split = default_split(spec)
     expected = []
-    for moments in reduced_moment_chain(spec, split, consts):
+    for moments in reduced_moment_chain(spec, split):
         expected.extend(solve_two_point(*moments)[1])
-    rule = assemble_rule(spec, split, consts)
+    rule = build_rule(spec, split)
     assert np.array_equal(rule.weights, expected)
 
 
@@ -137,7 +140,7 @@ def test_compensated_rule_has_extra_node_and_conserves_mass():
     split = MassSplit.from_t(
         ["104/75", "3577/2775", "9947/8880", "49/60"], spec, compensation=True
     )
-    rule = assemble_rule(spec, split, compute_constants(spec))
+    rule = build_rule(spec, split)
     assert len(rule) == 9
     assert rule.nodes[-1] == pytest.approx((2 / 7, 2 / 7, 1 / 7, 1 / 7), abs=1e-15)
     assert rule.weights[-1] == pytest.approx(-49 / 7680, rel=1e-12)
@@ -174,11 +177,10 @@ def test_structural_constraint_sum_of_coordinates():
 
 def test_infeasible_split_reports_chain_and_bound():
     spec = simplex_spec(3)
-    consts = compute_constants(spec)
     # chain 1 needs mu_1 > m1^2/m2 = (1/72)^2 / (32/4320) = 135/5184
     bad = MassSplit((0.02, (spec.m_1 - 0.02) / 2, (spec.m_1 - 0.02) / 2))
     with pytest.raises(InfeasibleMomentError) as info:
-        assemble_rule(spec, bad, consts)
+        build_rule(spec, bad)
     assert info.value.chain == 1
     assert info.value.mass_bound == pytest.approx(135 / 5184, rel=1e-9)
     assert "chain 1" in str(info.value)
@@ -187,13 +189,14 @@ def test_infeasible_split_reports_chain_and_bound():
 
 def test_rule_metadata():
     spec = simplex_spec(3)
-    rule = assemble_rule(
-        spec, default_split(spec), compute_constants(spec), region_label="simplex"
-    )
+    rule = build_rule(spec, default_split(spec), region_label="simplex")
     assert rule.metadata["region"] == "simplex"
     assert rule.metadata["compensation"] is False
     assert rule.metadata["masses"] == pytest.approx([1 / 18] * 3)
-    assert set(rule.metadata["constants"]) == {"c_n", "c_mid", "gamma"}
+    consts = compute_constants(spec)
+    assert rule.metadata["constants"] == {
+        "c_n": consts.c_n, "c_mid": consts.c_mid, "gamma": consts.gamma
+    }
 
 
 def test_exactness_by_direct_summation_n2():
@@ -213,16 +216,16 @@ def test_exactness_by_direct_summation_n2():
 
 
 def _per_node_reference(spec, split):
-    """Nodes and weights built row by row from map_node, as tuples."""
+    """Nodes and weights built row by row from the block formulas, as tuples."""
     consts = compute_constants(spec)
     nodes, weights = [], []
-    chain = reduced_moment_chain(spec, split, consts)
+    chain = reduced_moment_chain(spec, split)
     for k, moments in enumerate(chain, start=1):
         for t, w in zip(*solve_two_point(*moments)):
-            nodes.append(map_node(k, t, consts))
+            nodes.append(reference_node(k, t, consts))
             weights.append(w)
     if split.compensation:
-        nodes.append(map_node(spec.n, 0.0, consts))
+        nodes.append(reference_node(spec.n, 0.0, consts))
         weights.append(spec.m_1 - math.fsum(split.masses))
     return np.array(nodes).reshape(len(nodes), spec.n), np.array(weights)
 
@@ -333,7 +336,7 @@ def test_infeasible_middle_chain_reports_chain_and_bound():
         spec = region_spec(RegionId(region, n))
         consts = compute_constants(spec)
         default = default_split(spec).masses
-        moments = chain_moments(spec, consts)
+        moments = chain_moments(spec)
         for k in range(2, n):
             prefix = default[: k - 1]
             m1, m2, m3 = moments(k, spec.m_1 - math.fsum(prefix))
@@ -344,10 +347,10 @@ def test_infeasible_middle_chain_reports_chain_and_bound():
             split = MassSplit(prefix + (mass,) + (tail,) * (n - k))
             if bound == 0.0:
                 assert consts.c_mid == 0.0
-                assemble_rule(spec, split, consts)
+                build_rule(spec, split)
                 continue
             with pytest.raises(InfeasibleMomentError) as info:
-                assemble_rule(spec, split, consts)
+                build_rule(spec, split)
             assert info.value.chain == k
             assert info.value.mass_bound == bound
             assert f"mu_{k}" in str(info.value)

@@ -101,7 +101,7 @@ def test_split_from_t_parses_rationals():
 
 def test_reduced_chain_simplex3_default():
     spec = simplex_spec(3)
-    chain = reduced_moment_chain(spec, default_split(spec), compute_constants(spec))
+    chain = reduced_moment_chain(spec, default_split(spec))
     assert len(chain) == 3
     assert chain[0] == pytest.approx((1 / 18, -1 / 72, 32 / 4320, -70 / 25920), rel=1e-13)
     assert chain[1] == pytest.approx(
@@ -116,7 +116,7 @@ def test_reduced_chain_simplex3_default():
 def test_last_chain_entry_zeros_are_exact():
     for make, n in [(simplex_spec, 5), (sector_spec, 4), (cube_spec, 3)]:
         spec = make(n)
-        chain = reduced_moment_chain(spec, default_split(spec), compute_constants(spec))
+        chain = reduced_moment_chain(spec, default_split(spec))
         _, m1, _, m3 = chain[-1]
         assert m1 == 0.0
         assert m3 == 0.0
@@ -154,12 +154,11 @@ def test_chain_mass_conservation_random_splits():
     for region in Region:
         for n in [2, 3, 5]:
             spec = region_spec(RegionId(region, n))
-            consts = compute_constants(spec)
             for _ in range(20):
                 t = rng.uniform(0.6, 1.4, n)
                 t *= n / t.sum()
                 split = MassSplit(tuple(t * spec.m_1 / n))
-                chain = reduced_moment_chain(spec, split, consts)
+                chain = reduced_moment_chain(spec, split)
                 total = math.fsum(m0 for m0, _, _, _ in chain)
                 assert abs(total - spec.m_1) <= 1e-12 * spec.m_1
                 assert all(m0 > 0 for m0, _, _, _ in chain)
@@ -179,7 +178,7 @@ def test_chain_remaining_mass_is_the_exact_prefix_sum(make, n):
         else:
             masses = 10.0 ** rng.uniform(low, high, n)
         split = MassSplit(tuple(masses), compensation=True)
-        chain = reduced_moment_chain(spec, split, consts)
+        chain = reduced_moment_chain(spec, split)
         d2 = spec.m_xx - spec.m_xy
         e3 = -(spec.m_xxx - 3.0 * spec.m_xxy + 2.0 * spec.m_xyz)
         cm = consts.c_mid
@@ -198,7 +197,7 @@ def test_centrally_symmetric_spec_has_odd_moments_zero():
     )
     consts = compute_constants(spec)
     assert consts.c_n == 0.0
-    chain = reduced_moment_chain(spec, default_split(spec), consts)
+    chain = reduced_moment_chain(spec, default_split(spec))
     for _, m1, _, m3 in chain:
         assert m1 == 0.0
         assert m3 == 0.0
@@ -208,16 +207,15 @@ def test_validate_split_errors():
     spec = simplex_spec(3)
     with pytest.raises(InvalidSplitError, match="3 t-parameters"):
         MassSplit.from_t(["1", "1"], spec)
-    consts = compute_constants(spec)
     with pytest.raises(InvalidSplitError, match="mu_2"):
-        reduced_moment_chain(spec, MassSplit((0.1, -0.1, 0.1)), consts)
+        reduced_moment_chain(spec, MassSplit((0.1, -0.1, 0.1)))
     with pytest.raises(InvalidSplitError, match="masses sum to"):
-        reduced_moment_chain(spec, MassSplit((0.1, 0.1, 0.1)), consts)
+        reduced_moment_chain(spec, MassSplit((0.1, 0.1, 0.1)))
     # same masses accepted once flagged as compensated
-    chain = reduced_moment_chain(spec, MassSplit((0.1, 0.1, 0.1), compensation=True), consts)
+    chain = reduced_moment_chain(spec, MassSplit((0.1, 0.1, 0.1), compensation=True))
     assert len(chain) == 3
     with pytest.raises(InvalidSplitError, match="masses"):
-        reduced_moment_chain(spec, MassSplit((0.1, 0.1)), consts)
+        reduced_moment_chain(spec, MassSplit((0.1, 0.1)))
 
 
 @pytest.mark.parametrize("compensation", [False, True])
@@ -239,8 +237,7 @@ def test_largest_finite_masses_are_accepted_with_compensation():
     spec = cube_spec(3)
     masses = (math.ldexp(1.0, 1023), math.ldexp(1.0, 1022), math.ldexp(1.0, 1022) * (1 - 2**-51))
     assert math.fsum(masses) == sys.float_info.max
-    consts = compute_constants(spec)
-    assert len(reduced_moment_chain(spec, MassSplit(masses, True), consts)) == 3
+    assert len(reduced_moment_chain(spec, MassSplit(masses, True))) == 3
 
 
 @pytest.mark.parametrize("t, name", [
@@ -258,8 +255,7 @@ def test_split_from_bad_t_string_names_the_parameter(t, name):
 def test_chain_moment_table_matches_the_closure(region, n):
     # every chain, at r = +-0, at m_1 and at random +-r over 1e-300 .. 1e300
     spec = region_spec(RegionId(region, n))
-    consts = compute_constants(spec)
-    table, reference = chain_moments(spec, consts), closure_chain_moments(spec, consts)
+    table, reference = chain_moments(spec), closure_chain_moments(spec)
     rng = np.random.default_rng(n)
     signs = rng.choice([-1.0, 1.0], 64)
     masses = [0.0, -0.0, spec.m_1, *(signs * 10.0 ** rng.uniform(-300, 300, 64)).tolist()]
@@ -271,8 +267,8 @@ def test_chain_moment_table_matches_the_closure(region, n):
 
 def test_chain_moment_table_is_built_once_per_spec():
     spec = region_spec(RegionId(Region.SIMPLEX, 6))
-    table = chain_moments(spec, compute_constants(spec))
-    assert chain_moments(replace(spec), compute_constants(spec)) is table
+    table = chain_moments(spec)
+    assert chain_moments(replace(spec)) is table
     other = region_spec(RegionId(Region.CUBE, 6))
-    assert chain_moments(other, compute_constants(other)) is not table
+    assert chain_moments(other) is not table
     assert chain_moments.cache_info().maxsize is not None

@@ -1,4 +1,4 @@
-"""The chain layers reach each other only through public names."""
+"""The modules of the package reach each other only through public names."""
 
 import ast
 from pathlib import Path
@@ -8,7 +8,7 @@ import pytest
 import symcub
 
 SRC = Path(symcub.__file__).parent
-CHAIN_LAYERS = ["assembly.py", "decomposition.py", "search.py"]
+MODULES = sorted(path.name for path in SRC.glob("*.py"))
 
 
 def _private(name):
@@ -41,7 +41,11 @@ def _private_uses(source):
     return found
 
 
-@pytest.mark.parametrize("filename", CHAIN_LAYERS)
+def test_every_module_is_checked():
+    assert {"assembly.py", "cli.py", "decomposition.py", "search.py", "validation.py"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("filename", MODULES)
 def test_chain_layers_use_no_private_name_of_another_module(filename):
     assert _private_uses((SRC / filename).read_text()) == []
 

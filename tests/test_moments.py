@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,8 @@ from symcub import (
     Region,
     RegionId,
     SymmetricMomentSpec,
+    build_rule,
+    check_exactness,
     cube_spec,
     load_spec,
     region_monomial_moment,
@@ -245,7 +248,7 @@ _UNDERFLOW_ZEROS = {
     (Region.BALL_SECTOR, 340): "m_1, m_x, m_xx, m_xy, m_xxx, m_xxy, m_xyz",
     (Region.SIMPLEX, 200): "m_1, m_x, m_xx, m_xy, m_xxx, m_xxy, m_xyz",
     # L(1) is still positive here, but the cubic moments are not
-    (Region.BALL_SECTOR, 310): "m_xxx, m_xxy, m_xyz",
+    (Region.BALL_SECTOR, 336): "m_xxx, m_xxy, m_xyz",
     (Region.SIMPLEX, 175): "m_xxx, m_xxy, m_xyz",
 }
 
@@ -278,18 +281,27 @@ def test_region_spec_is_built_once_and_shared(region):
         spec.m_1 = 2.0
 
 
+def _sector_ratio(n, exps):
+    # the sector's closed form is num / den * (pi/2)^k; m!! is
+    # prod(range(m, 0, -2)), 1 for m <= 0
+    num = math.prod(math.prod(range(a - 1, 0, -2)) for a in exps)
+    n_odd = sum(1 for a in exps if a % 2 == 1)
+    return num, math.prod(range(n + sum(exps), 0, -2)), (n - n_odd) // 2
+
+
 def _reference_region_moment(region, exps):
     # the closed forms over the full length-n exponent tuple, rounded once
-    # through Fraction; m!! is prod(range(m, 0, -2)), 1 for m <= 0
+    # through Fraction; the sector's ratio is rounded at 2^e times its size,
+    # e the bit length of its denominator, so that it is >= 1 and never
+    # subnormal, and the scale is taken off after the product with (pi/2)^k
     n, total = region.n, sum(exps)
     if region.region is Region.SIMPLEX:
         num = math.prod(math.factorial(a) for a in exps)
         return float(Fraction(num, math.factorial(n + total)))
     if region.region is Region.BALL_SECTOR:
-        num = math.prod(math.prod(range(a - 1, 0, -2)) for a in exps)
-        n_odd = sum(1 for a in exps if a % 2 == 1)
-        rational = Fraction(num, math.prod(range(n + total, 0, -2)))
-        return float(rational) * (math.pi / 2.0) ** ((n - n_odd) // 2)
+        num, den, k = _sector_ratio(n, exps)
+        e = den.bit_length()
+        return math.ldexp(float(Fraction(num << e, den)) * (math.pi / 2.0) ** k, -e)
     return float(Fraction(1, math.prod(a + 1 for a in exps)))
 
 
@@ -392,3 +404,36 @@ def test_load_spec_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(InvalidMomentSpecError):
         load_spec(path)
+
+
+def test_sector_moments_match_60_digit_values():
+    # every sector moment that is a normal float, up to n = 340: the ratio of
+    # double factorials must not be rounded as a subnormal before the
+    # product with (pi/2)^k, or the moments lose precision from n = 297
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(60):
+        half_pi = mpmath.pi / 2
+        for n in range(2, 341):
+            rid = RegionId(Region.BALL_SECTOR, n)
+            for head in [*_CLASS_HEADS.values(), (4,), (2, 2)]:
+                if len(head) > n:
+                    continue
+                exps = tuple(head) + (0,) * (n - len(head))
+                got = region_monomial_moment(rid, exps)
+                if abs(got) < sys.float_info.min:
+                    continue
+                num, den, k = _sector_ratio(n, exps)
+                exact = mpmath.mpf(num) / den * half_pi**k
+                worst = max(worst, float(abs(got - exact) / exact))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("n", [307, 308, 309])
+def test_sector_specs_past_306_are_exact(n):
+    # a subnormal ratio in the moments leaves chain 1 with zero variance
+    # here, a false InfeasibleMomentError; the default rule is exact
+    spec = sector_spec(n)
+    rule = build_rule(spec)
+    assert len(rule) == 2 * n
+    assert check_exactness(rule, spec).max_abs_error <= 1e-13 * spec.moment_scale

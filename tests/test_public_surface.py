@@ -37,7 +37,6 @@ PACKAGE_ALL = [
     "SearchResult",
     "SymmetricMomentSpec",
     "UnmatchedRuleError",
-    "assemble_rule",
     "build_rule",
     "check_exactness",
     "classify_nodes",
@@ -47,7 +46,6 @@ PACKAGE_ALL = [
     "default_split",
     "degree4_nonexactness",
     "load_spec",
-    "map_node",
     "reduced_moment_chain",
     "region_monomial_moment",
     "region_spec",

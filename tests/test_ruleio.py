@@ -8,6 +8,7 @@ import pytest
 from symcub import MassSplit, build_rule, cube_spec, default_split, sector_spec, simplex_spec
 from symcub.errors import CubatureError
 from symcub.ruleio import (
+    dumps,
     dumps_csv,
     dumps_json,
     loads_csv,
@@ -85,8 +86,19 @@ def test_csv_cells_parse_with_float_rules():
 
 def test_unknown_format_rejected(tmp_path):
     rule = build_rule(simplex_spec(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown rule format 'yaml'"):
         write_rule(rule, tmp_path / "rule.xyz", "yaml")
+    with pytest.raises(ValueError, match="unknown rule format 'yaml'"):
+        dumps(rule, "yaml")
+    assert not (tmp_path / "rule.xyz").exists()
+
+
+def test_dumps_and_write_rule_give_the_serializers_text(tmp_path):
+    rule = build_rule(sector_spec(4), MassSplit(default_split(sector_spec(4)).masses, True))
+    for fmt, serialize in (("json", dumps_json), ("csv", dumps_csv), ("text", render_text)):
+        assert dumps(rule, fmt) == serialize(rule)
+        write_rule(rule, tmp_path / "rule.out", fmt)
+        assert (tmp_path / "rule.out").read_text(encoding="utf-8") == serialize(rule)
 
 
 @pytest.mark.parametrize(

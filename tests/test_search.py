@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from symcub import (
+    InvalidMomentSpecError,
     MassSplit,
     NodeClass,
     Region,
@@ -34,35 +35,33 @@ from symcub.validation import BOUNDARY_TOL, node_margins
 from reference_helpers import Feasibility, closure_chain_moments, hankel_feasibility
 
 
-def _least_unbounded(spec, consts, prefix):
+def _least_unbounded(spec, prefix):
     # the least mass of chain len(prefix) + 1 over an unbounded node interval
     k = len(prefix) + 1
-    m1, m2, m3 = chain_moments(spec, consts)(k, spec.m_1 - math.fsum(prefix))
+    m1, m2, m3 = chain_moments(spec)(k, spec.m_1 - math.fsum(prefix))
     return least_mass(m1, m2, m3, -math.inf, math.inf)
 
 
 def test_bounds_chain1_simplex3():
     spec = simplex_spec(3)
-    consts = compute_constants(spec)
-    assert _least_unbounded(spec, consts, ()) == pytest.approx(135 / 5184, rel=1e-12)
+    assert _least_unbounded(spec, ()) == pytest.approx(135 / 5184, rel=1e-12)
 
 
 def test_bounds_chain2_and_last():
     spec = simplex_spec(3)
-    consts = compute_constants(spec)
     # m1 = -M/3 with M = 1/9, m2 = 1/20 + 1/81 -> bound = 20/909
-    assert _least_unbounded(spec, consts, (1 / 18,)) == pytest.approx(20 / 909, rel=1e-12)
-    assert _least_unbounded(spec, consts, (1 / 18, 1 / 18)) == 0.0
+    assert _least_unbounded(spec, (1 / 18,)) == pytest.approx(20 / 909, rel=1e-12)
+    assert _least_unbounded(spec, (1 / 18, 1 / 18)) == 0.0
 
 
-def _chain_with_mass(spec, consts, prefix, mass):
+def _chain_with_mass(spec, prefix, mass):
     # the bound for chain k is conditioned on the prefix masses, so keep
     # them fixed and spread the remaining budget over the later chains
     k = len(prefix) + 1
     tail_count = spec.n - k
     tail = (spec.m_1 - sum(prefix) - mass) / tail_count
     masses = tuple(prefix) + (mass,) + (tail,) * tail_count
-    return reduced_moment_chain(spec, MassSplit(masses), consts)[k - 1]
+    return reduced_moment_chain(spec, MassSplit(masses))[k - 1]
 
 
 @pytest.mark.parametrize("region", list(Region))
@@ -72,24 +71,22 @@ def test_bounds_are_the_chain_moment_ratio(region, n):
     # the least mass is m1^2 / m2 of the chain entry that
     # reduced_moment_chain builds from the same prefix
     spec = region_spec(RegionId(region, n))
-    consts = compute_constants(spec)
     rng = np.random.default_rng(n)
     for _ in range(5):
         masses = tuple(rng.uniform(0.5, 1.5, n) * spec.m_1 / n)
-        chain = reduced_moment_chain(spec, MassSplit(masses, compensation=True), consts)
+        chain = reduced_moment_chain(spec, MassSplit(masses, compensation=True))
         for k, (_, m1, m2, _) in enumerate(chain, start=1):
-            assert _least_unbounded(spec, consts, masses[: k - 1]) == m1 * m1 / m2
+            assert _least_unbounded(spec, masses[: k - 1]) == m1 * m1 / m2
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_bounds_agree_with_solver_flip(k):
     spec = simplex_spec(3)
-    consts = compute_constants(spec)
     prefix = () if k == 1 else (1 / 18,) * (k - 1)
-    bound = _least_unbounded(spec, consts, prefix)
+    bound = _least_unbounded(spec, prefix)
     assert bound > 0
-    above = _chain_with_mass(spec, consts, prefix, bound * (1 + 1e-6))
-    below = _chain_with_mass(spec, consts, prefix, bound * (1 - 1e-6))
+    above = _chain_with_mass(spec, prefix, bound * (1 + 1e-6))
+    below = _chain_with_mass(spec, prefix, bound * (1 - 1e-6))
     assert hankel_feasibility(*above) is Feasibility.POSITIVE_DEFINITE
     assert hankel_feasibility(*below) is not Feasibility.POSITIVE_DEFINITE
 
@@ -98,8 +95,7 @@ def test_least_mass_puts_both_nodes_in_the_node_interval():
     # chain 1 of the 3-simplex: at the least mass one node sits on an end
     # of [a, b]; a little more mass keeps both nodes inside
     spec = simplex_spec(3)
-    consts = compute_constants(spec)
-    m1, m2, m3 = chain_moments(spec, consts)(1, spec.m_1)
+    m1, m2, m3 = chain_moments(spec)(1, spec.m_1)
     a, b = m1 / spec.m_1 - 0.3, m1 / spec.m_1 + 0.4
     lo = least_mass(m1, m2, m3, a, b)
     assert m1 * m1 / m2 < lo < math.inf
@@ -519,8 +515,8 @@ def _illinois_walker(spec, region):
     walker = _ChainWalk(spec, region)
     unit = spec.ldexp(-walker.scale)
     reference = SimpleNamespace(
-        n=walker.n, m_1=walker.m_1, scale=walker.scale, consts=walker.consts,
-        interval=walker.interval, moments=closure_chain_moments(unit, walker.consts),
+        n=walker.n, m_1=walker.m_1, scale=walker.scale,
+        interval=walker.interval, moments=closure_chain_moments(unit),
     )
     reference.walk = lambda tau, slack: _illinois_walk(reference, tau, slack)
     return reference
@@ -595,6 +591,24 @@ def test_walk_table_is_built_once_per_spec_and_region():
     assert _walker(region_spec(RegionId(Region.CUBE, 7)), RegionId(Region.CUBE, 7)) is not walker
 
 
+@pytest.mark.parametrize("region", list(Region))
+def test_walk_scale_keeps_the_constants(region):
+    # the walk reads the chain moments of the spec scaled by m_1's power of
+    # two, and maps its nodes with the spec's constants: the two agree on
+    # every built-in spec, so the walk is that of the unscaled spec
+    checked = 0
+    for n in range(2, 600):
+        rid = RegionId(region, n)
+        try:
+            spec = region_spec(rid)
+        except InvalidMomentSpecError:
+            continue
+        unit = spec.ldexp(-math.frexp(spec.m_1)[1])
+        assert compute_constants(unit) == compute_constants(spec), n
+        checked += 1
+    assert checked >= 168  # every region builds its spec for n = 2 .. 169
+
+
 def test_walks_leave_the_walk_table_unchanged():
     rid = RegionId(Region.SIMPLEX, 9)
     spec = region_spec(rid)
@@ -603,7 +617,7 @@ def test_walks_leave_the_walk_table_unchanged():
 
     def table():
         moments = [walker.moments(k, r) for k in range(1, walker.n + 1) for r in masses_ahead]
-        return walker.n, walker.m_1, walker.scale, walker.consts, walker.margins, moments
+        return walker.n, walker.m_1, walker.scale, walker.margins, moments
 
     before = copy.deepcopy(table())
     rng = np.random.default_rng(9)
