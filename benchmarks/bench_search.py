@@ -7,8 +7,13 @@ collect it and timing noise cannot fail the suite.  Run it by path:
 
 Each call asks for an all-interior 2n-node rule (no compensation node);
 at n = 8, 32 and 128 no such rule exists and the call returns its best
-effort.  Each entry's `extra_info["walks"]` is the walk count of one
-call, which is the same on every call.
+effort.  The compensated entries ask for an all-interior 2n + 1-node
+rule of the 4-simplex, the 6-dimensional ball sector and the 8-cube:
+each first walks at the objective's threshold with the compensation
+weight >= 0, fails there, and so goes straight to the pass that lets
+that weight go negative (17, 14 and 12 walks in all).  Each
+entry's `extra_info["walks"]` is the walk count of one call, which is
+the same on every call.
 
 A process builds each (spec, region)'s walk table, and each spec's chain
 moment map, once.  The warm entry times a call that finds both built; the
@@ -28,17 +33,17 @@ def _clear_caches():
     chain_moments.cache_clear()
 
 
-def _search(benchmark, region, n, cold):
+def _search(benchmark, region, n, cold, compensation=False):
     rid = RegionId(region, n)
     spec = region_spec(rid)
-    args = (spec, rid, SearchObjective(mode=SearchMode.INTERIOR))
+    args = (spec, rid, SearchObjective(mode=SearchMode.INTERIOR, allow_compensation=compensation))
     if cold:
         rounds = max(5, 200 // n)
         result = benchmark.pedantic(search_masses, args, setup=_clear_caches, rounds=rounds)
     else:
         result = benchmark(search_masses, *args)
     benchmark.extra_info["walks"] = result.evaluations
-    assert result.rule is not None and len(result.rule) == 2 * n
+    assert result.rule is not None and len(result.rule) == 2 * n + compensation
 
 
 @pytest.mark.parametrize("n", [3, 8, 32, 128])
@@ -51,3 +56,16 @@ def test_search_masses(benchmark, region, n):
 @pytest.mark.parametrize("region", list(Region), ids=lambda r: r.value)
 def test_search_masses_cold(benchmark, region, n):
     _search(benchmark, region, n, cold=True)
+
+
+COMPENSATED = [(Region.SIMPLEX, 4), (Region.BALL_SECTOR, 6), (Region.CUBE, 8)]
+
+
+@pytest.mark.parametrize("region, n", COMPENSATED, ids=lambda x: getattr(x, "value", x))
+def test_search_masses_compensated(benchmark, region, n):
+    _search(benchmark, region, n, cold=False, compensation=True)
+
+
+@pytest.mark.parametrize("region, n", COMPENSATED, ids=lambda x: getattr(x, "value", x))
+def test_search_masses_compensated_cold(benchmark, region, n):
+    _search(benchmark, region, n, cold=True, compensation=True)

@@ -14,7 +14,11 @@ takes the remainder or, with compensation, its least mass, the rest
 weighting the compensation node at chain n's vertex t = 0.  A chain-k
 node has at most three distinct coordinates, so chain k has at most six
 distinct margins whatever n is; a walk reads chain k's only when it
-reaches chain k, and stops at the first chain that fails.  Chain n
+reaches chain k, and stops at the first chain that fails.  Margins that
+do not move with t (those of the gamma block of chain k's nodes) only
+cap tau: chain k admits no t once tau passes the least of them, so
+the table keeps that least one as the chain's cap, checks it first, and
+loops over the moving margins alone.  Chain n
 admits every mass above its least (its nodes +-sqrt(m2 / mu) move
 inwards), so when r - least_k(r) never decreases in r (no admissible
 mass counting as -inf; the tests check this on a grid) the least mass
@@ -25,11 +29,16 @@ closes the bracket by interpolating chain n's surplus (its mass less its
 least mass, which goes through 0 where the walks start to fail) instead
 of halving it, with the Anderson-Bjorck rule against a stale end.  Walks
 succeed below some tau and fail above it (the tests check this on a grid
-too), so it ends on the same grid point, and so the same split, in 8-17
+too), so it ends on the same grid point, and so the same split, in 5-17
 walks a pass (three regions, n <= 128) instead of 48.  It assembles that
 split once.  With compensation a first pass keeps the compensation
 weight >= 0; only if its split misses the objective may it go down to
--m_1.  The walk table of a (spec, region), its chain moments and
+-m_1.  For an interior or interior-or-boundary objective the search
+first walks once at the objective's threshold with that weight >= 0.
+If that walk fails, no such split keeps every node inside the
+threshold, so the first pass could only miss the objective and the
+search skips it; if it succeeds, the first pass runs as before.  The
+walk table of a (spec, region), its chain moments and
 distinct margins, is built once per process and only read after
 that.  Nothing is random: the same input gives the same split.
 """
@@ -136,17 +145,23 @@ class _ChainWalk:
         B, C = 0.5 * (g_hi - g_lo), 0.5 * (g_hi + g_lo) - A
         # a linear margin leaves a C of rounding size only
         C[np.abs(C) <= 1e-12 * (np.abs(g_lo) + np.abs(A) + np.abs(g_hi))] = 0.0
-        # chain k keeps its distinct margins only; max and min ignore their order.
-        # A chain's coordinates come in runs, so dropping each triple equal to
-        # the one before it leaves a few per chain before any becomes a float.
-        keep = np.ones(A.shape, dtype=bool)
-        keep[:, 1:] = (A[:, 1:] != A[:, :-1]) | (B[:, 1:] != B[:, :-1]) | (C[:, 1:] != C[:, :-1])
+        # a margin constant in t (the gamma block) only caps tau: chain k admits
+        # no t once tau passes the least of them, and none moves [a, b] below that
+        const = (B == 0) & (C == 0)
+        self.caps = np.where(const, A, math.inf).min(axis=1).tolist()
+        # chain k keeps its distinct moving margins only; max and min ignore their
+        # order.  A chain's coordinates come in runs, so dropping each triple equal
+        # to the one before it leaves a few per chain before any becomes a float.
+        keep = ~const
+        keep[:, 1:] &= (A[:, 1:] != A[:, :-1]) | (B[:, 1:] != B[:, :-1]) | (C[:, 1:] != C[:, :-1])
         kept = list(zip(A[keep].tolist(), B[keep].tolist(), C[keep].tolist()))
         ends = np.cumsum(keep.sum(axis=1)).tolist()
         self.margins = [list(dict.fromkeys(kept[i:j])) for i, j in zip([0] + ends, ends)]
 
     def interval(self, k: int, tau: float) -> tuple[float, float]:
         """The interval [a, b] of t keeping every margin along chain k >= tau."""
+        if tau > self.caps[k - 1]:  # a constant margin below tau
+            return math.inf, -math.inf
         a, b = -math.inf, math.inf
         for A, B, C in self.margins[k - 1]:
             A -= tau
@@ -166,8 +181,6 @@ class _ChainWalk:
             elif B < 0:
                 if -A / B < b:
                     b = -A / B
-            elif C == 0 and A < 0:  # a constant margin below tau
-                return math.inf, -math.inf
         return a, b
 
     def walk(self, tau: float, slack: float | None):
@@ -270,16 +283,29 @@ def search_masses(
 
     The margin is found on the grid a 48-walk bisection of tau would
     visit, by regula falsi on chain n's surplus: the same split as that
-    bisection, in fewer walks.  If the split misses the objective, the
-    message names the chain that fails at the objective's threshold.  At
-    most 48 walks per pass and one for that message, and at most
-    `max_evals` in all.
+    bisection, in fewer walks.  With compensation and an interior or
+    interior-or-boundary objective, one walk at the objective's threshold
+    with the compensation weight >= 0 comes first, and the pass that keeps
+    that weight >= 0 is skipped when it fails; the walk is made only when
+    `max_evals` leaves a walk for a pass after it.  If the split misses the
+    objective, the message names the chain that fails at the objective's
+    threshold.  At most one threshold walk, 48 walks per pass and one for
+    that message, and at most `max_evals` in all.
     """
     if region.n != spec.n:
         raise InvalidSplitError(f"region has n = {region.n} but spec has n = {spec.n}")
     walker = _walker(spec, region)
+    # node_class's thresholds: interior above tol, exterior below -tol
+    side = {SearchMode.INTERIOR: 1.0, SearchMode.INTERIOR_OR_BOUNDARY: -1.0}.get(objective.mode)
     split, rule, score, evaluations, why = None, None, (math.inf,) * 3, 0, None
-    for slack in (0.0, walker.m_1) if objective.allow_compensation else (None,):
+    slacks = (0.0, walker.m_1) if objective.allow_compensation else (None,)
+    if side is not None and objective.allow_compensation and objective.max_evals > 1:
+        # walks fail above some tau: failing at the threshold, no split with a
+        # compensation weight >= 0 meets the objective, so skip that pass
+        evaluations += 1
+        if walker.walk(side * objective.boundary_tol, 0.0)[0] is None:
+            slacks = (walker.m_1,)
+    for slack in slacks:
         budget = min(_WALKS_PER_PASS, objective.max_evals - evaluations)
         masses, walks, failure = _bracket(walker, slack, budget)
         evaluations += walks
@@ -293,8 +319,6 @@ def search_masses(
         if score[0] == 0.0 and math.isfinite(score[2]):
             message = f"objective {objective.mode.value} satisfied"
             return SearchResult(split, rule, True, score, evaluations, message)
-    # node_class's thresholds: interior above tol, exterior below -tol
-    side = {SearchMode.INTERIOR: 1.0, SearchMode.INTERIOR_OR_BOUNDARY: -1.0}.get(objective.mode)
     if side is not None and evaluations < objective.max_evals:
         _, why, _ = walker.walk(side * objective.boundary_tol, slack)
         evaluations += 1

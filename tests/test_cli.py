@@ -115,6 +115,17 @@ def test_overflowing_mass_sum_exit_1(capsys, compensate):
     assert err.splitlines() == ["error: the masses sum past the largest float"]
 
 
+@pytest.mark.parametrize("n", [340, 3144, 4000])
+def test_generate_underflowing_sector_is_one_error_line(capsys, n):
+    # from n = 3144 on, (pi/2)^(n/2) would overflow: the same named error, no traceback
+    code, out, err = _run(capsys, "generate", "--region", "ball-sector", "--dim", str(n))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"error: ball-sector moments at n = {n} underflow float64: m_1, m_x, m_xx, m_xy, "
+        "m_xxx, m_xxy, m_xyz round to 0.0 (L(1) = 0.0)"
+    ]
+
+
 @pytest.mark.parametrize("key, literal", [("mx", "NaN"), ("mxxx", "Infinity")])
 def test_generate_non_finite_spec_is_a_usage_error(tmp_path, capsys, key, literal):
     # json.load reads the NaN and Infinity literals

@@ -250,6 +250,9 @@ _UNDERFLOW_ZEROS = {
     # L(1) is still positive here, but the cubic moments are not
     (Region.BALL_SECTOR, 336): "m_xxx, m_xxy, m_xyz",
     (Region.SIMPLEX, 175): "m_xxx, m_xxy, m_xyz",
+    # (pi/2)^(n/2) passes the largest float from here on
+    (Region.BALL_SECTOR, 3144): "m_1, m_x, m_xx, m_xy, m_xxx, m_xxy, m_xyz",
+    (Region.BALL_SECTOR, 4000): "m_1, m_x, m_xx, m_xy, m_xxx, m_xxy, m_xyz",
 }
 
 
@@ -261,6 +264,16 @@ def test_region_moment_underflow_is_named(region, n):
     zeros = _UNDERFLOW_ZEROS[region, n]
     assert f"{region.value} moments at n = {n} underflow float64: {zeros} round" in message
     assert "L(1)" in message
+
+
+@pytest.mark.parametrize("n", [3144, 4000])
+def test_sector_moments_past_the_power_overflow_are_zero(n):
+    # the true moments are far below the least subnormal, as is (pi/2)^k / den
+    with pytest.raises(InvalidMomentSpecError, match="underflow float64"):
+        sector_spec(n)
+    rid = RegionId(Region.BALL_SECTOR, n)
+    for head in [(), (1,), (2,), (6,), (1, 1, 1)]:
+        assert region_monomial_moment(rid, head + (0,) * (n - len(head))) == 0.0
 
 
 @pytest.mark.parametrize("region, n", list(_UNDERFLOW_ZEROS))

@@ -26,6 +26,7 @@ from symcub import (
     simplex_spec,
 )
 import symcub.search
+from symcub.assembly import build_rule
 from symcub.decomposition import add_exact, chain_moments, least_mass, map_nodes
 from symcub.reference import load_reference_rule
 from symcub.search import (
@@ -130,8 +131,13 @@ def test_interval_matches_the_full_margin_arrays(region, n):
     spec = region_spec(rid)
     consts = compute_constants(spec)
     walker = _ChainWalk(spec, rid)
+    # a chain's cap is the least of its constant margins: equal to it the
+    # chain still admits t, just above it no t
+    caps = [cap for cap in walker.caps if cap < math.inf]
+    assert len(caps) >= n - 2  # at least chains 3 .. n have a gamma block
+    capped = [tau for cap in caps for tau in (cap, math.nextafter(cap, math.inf))]
     empty = 0
-    for tau in (-1.0, -0.2, 0.0, 1e-9, 0.05, 0.3, 0.9):
+    for tau in (-1.0, -0.2, 0.0, 1e-9, 0.05, 0.3, 0.9, *capped):
         a, b = _reference_intervals(spec, rid, consts, tau)
         for k in range(1, n + 1):
             assert walker.interval(k, tau) == (a[k - 1], b[k - 1]), (tau, k)
@@ -221,8 +227,8 @@ def test_satisfied_set_on_the_grid(region, compensation):
             )
             expected = mode is SearchMode.FEASIBLE or n <= SATISFIED_UP_TO[region, compensation]
             assert result.satisfied is expected, (n, mode)
-            # the walk count is deterministic: at most 14, or 27 with compensation
-            assert result.evaluations <= (27 if compensation else 14)
+            # the walk count is deterministic: at most 14, or 17 with compensation
+            assert result.evaluations <= (17 if compensation else 14)
             # best-effort rules are complete and exact as well
             assert len(result.rule) == 2 * n + compensation
             assert check_exactness(result.rule, spec).max_rel_error <= 1e-13
@@ -442,9 +448,10 @@ def _bisect(walker, slack, budget):
 
 
 # Walks of the 114 searches of test_bracket_search_matches_the_bisection per
-# region, as measured with the Anderson-Bjorck rule; the Illinois rule took
+# region, as measured with the Anderson-Bjorck rule and the threshold walk;
+# without that walk they took 1916, 1732 and 1540, the Illinois rule took
 # 2356, 2164 and 1912, and the bisection takes 7168, 7066 and 6966.
-BRACKET_WALKS = {Region.SIMPLEX: 1916, Region.BALL_SECTOR: 1732, Region.CUBE: 1540}
+BRACKET_WALKS = {Region.SIMPLEX: 1550, Region.BALL_SECTOR: 1408, Region.CUBE: 1272}
 
 
 @pytest.mark.parametrize("region", list(Region))
@@ -583,6 +590,67 @@ def test_search_matches_the_illinois_search(region, monkeypatch):
                 assert result.rule.weights.tobytes() == illinois.rule.weights.tobytes(), case
 
 
+def _search_without_threshold_walk(spec, region, objective):
+    # search_masses as it was before the threshold walk: with compensation
+    # the first pass, compensation weight >= 0, always runs
+    walker = _walker(spec, region)
+    split, rule, score, evaluations, why = None, None, (math.inf,) * 3, 0, None
+    for slack in (0.0, walker.m_1) if objective.allow_compensation else (None,):
+        budget = min(_WALKS_PER_PASS, objective.max_evals - evaluations)
+        masses, walks, failure = _bracket(walker, slack, budget)
+        evaluations += walks
+        if walks:
+            why = failure
+        if masses is None:
+            continue
+        split = MassSplit([math.ldexp(mu, walker.scale) for mu in masses], slack is not None)
+        rule = build_rule(spec, split, region_label=region.region.value)
+        score = _score_candidate(rule, region, objective.mode, objective.boundary_tol)
+        if score[0] == 0.0 and math.isfinite(score[2]):
+            message = f"objective {objective.mode.value} satisfied"
+            return SimpleNamespace(split=split, rule=rule, satisfied=True, score=score,
+                                   evaluations=evaluations, message=message)
+    side = {SearchMode.INTERIOR: 1.0, SearchMode.INTERIOR_OR_BOUNDARY: -1.0}.get(objective.mode)
+    if side is not None and evaluations < objective.max_evals:
+        _, why, _ = walker.walk(side * objective.boundary_tol, slack)
+        evaluations += 1
+    if why is None:
+        why = f"best split violates objective at {int(score[0])} node(s)"
+    return SimpleNamespace(split=split, rule=rule, satisfied=False, score=score,
+                           evaluations=evaluations, message=why)
+
+
+@pytest.mark.parametrize("region", list(Region))
+def test_threshold_walk_only_skips_a_pass_that_cannot_meet_the_objective(region):
+    # a compensated search first walks at the objective's threshold with the
+    # compensation weight >= 0, and skips that pass when the walk fails: at a
+    # full budget the same split, rule, score and message, in at most one
+    # more walk
+    skipped = 0
+    for n in [*range(2, 17), 24, 32, 64, 128]:
+        rid = RegionId(region, n)
+        spec = region_spec(rid)
+        for mode in MODES:
+            for compensation in (False, True):
+                for tol in (1e-9, 1e-3, 0.0):
+                    objective = SearchObjective(mode, compensation, max_evals=1000,
+                                                boundary_tol=tol)
+                    result = search_masses(spec, rid, objective)
+                    reference = _search_without_threshold_walk(spec, rid, objective)
+                    case = (n, mode, compensation, tol)
+                    assert (result.satisfied, result.score, result.message) == (
+                        reference.satisfied, reference.score, reference.message), case
+                    assert [mu.hex() for mu in result.split.masses] == [
+                        mu.hex() for mu in reference.split.masses], case
+                    assert result.rule.nodes.tobytes() == reference.rule.nodes.tobytes(), case
+                    assert result.rule.weights.tobytes() == reference.rule.weights.tobytes(), case
+                    assert result.evaluations <= reference.evaluations + 1, case
+                    if not compensation or mode is SearchMode.FEASIBLE:
+                        assert result.evaluations == reference.evaluations, case
+                    skipped += result.evaluations < reference.evaluations
+    assert skipped > 0
+
+
 def test_walk_table_is_built_once_per_spec_and_region():
     rid = RegionId(Region.BALL_SECTOR, 7)
     spec = region_spec(rid)
@@ -617,7 +685,7 @@ def test_walks_leave_the_walk_table_unchanged():
 
     def table():
         moments = [walker.moments(k, r) for k in range(1, walker.n + 1) for r in masses_ahead]
-        return walker.n, walker.m_1, walker.scale, walker.margins, moments
+        return walker.n, walker.m_1, walker.scale, walker.margins, walker.caps, moments
 
     before = copy.deepcopy(table())
     rng = np.random.default_rng(9)
