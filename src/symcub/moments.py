@@ -23,8 +23,8 @@ e chosen to put the quotient in (1/2, 2), and takes 2^e off the product
 with ``math.ldexp``.  The ratio is thus never rounded as a subnormal, and
 a moment stays accurate for as long as it is a normal float; where the
 ratio is a normal float itself, the result equals the unscaled product.
-A sector moment whose bound num / den * 2 * (pi/2)^k is far below the
-least subnormal is 0.0 without the power, which overflows past k = 1571.
+A sector moment whose bound 2^(1 - e) (pi/2)^k is far below the least
+subnormal is 0.0 without the power, which overflows past k = 1571.
 The seven moments of a built-in region are computed once per process and
 the frozen spec is shared after that; an underflow is raised again on
 every call.
@@ -206,8 +206,9 @@ def _pattern_moment(region: RegionId, pattern: Sequence[int]) -> float:
         # num <= (|a| - 1)!! < den, so e >= 0, and num * 2^e / den is in (1/2, 2)
         e = den.bit_length() - num.bit_length()
         k = (region.n - n_odd) // 2
-        # below 2^(1 + k log2(pi/2) - e) < 2^-1099 the moment rounds to 0.0; this
-        # also keeps (pi/2)^k from overflowing, which it does from k = 1572 (n = 3144)
+        # the moment is below 2^(1 + k log2(pi/2) - e), so under 2^-1099 it rounds
+        # to 0.0; skipping the power there also keeps (pi/2)^k from overflowing,
+        # which it does from k = 1572 (n = 3144)
         if k * math.log2(math.pi / 2.0) - e < -1100:
             return 0.0
         return math.ldexp((num << e) / den * (math.pi / 2.0) ** k, -e)
