@@ -6,11 +6,18 @@ collect it and timing noise cannot fail the suite.  Run it by path:
     python -m pytest benchmarks/bench_exactness.py --benchmark-json BENCH_exactness.json
 
 `check_exactness` runs at n = 3 .. 512: n = 3 and 8 take the full
-monomial enumeration; n = 32, 128 and 512 the directional probe.
+monomial enumeration; n = 16, 32, 128 and 512 the directional probe.
 `degree4_nonexactness`, `classify_nodes` and an in-process
 `symcub verify --format json` of a JSON rule file run at n = 3, 8 and 32.
-Rules and rule files are made outside the timed call.
+The JSON writer `indented_json` runs next to `json.dumps(indent=2)` on
+the verify report payloads of n = 3 and 64, and `dumps_json` writes the
+cube rules of n = 64 and 256.  An in-process `symcub tables` regenerates
+and diffs the eight numbered tables.
+Rules, payloads and rule files are made outside the timed call.
 """
+
+import dataclasses
+import json
 
 import pytest
 
@@ -23,11 +30,11 @@ from symcub import (
     cube_spec,
     degree4_nonexactness,
 )
-from symcub.cli import main
-from symcub.ruleio import write_rule
+from symcub.cli import _classification_to_dict, _report_to_dict, main
+from symcub.ruleio import dumps_json, indented_json, write_rule
 
 
-@pytest.mark.parametrize("n", [3, 8, 32, 128, 512])
+@pytest.mark.parametrize("n", [3, 8, 16, 32, 128, 512])
 def test_check_exactness(benchmark, n):
     spec = cube_spec(n)
     rule = build_rule(spec)
@@ -55,4 +62,39 @@ def test_cli_verify(benchmark, tmp_path, n):
     write_rule(build_rule(cube_spec(n)), rule_path)
     argv = ["verify", str(rule_path), "--region", "cube", "--format", "json",
             "--output", str(report_path)]
+    assert benchmark(main, argv) == 0
+
+
+def _verify_payload(n):
+    # the payload `symcub verify --region cube --format json` writes
+    rid = RegionId(Region.CUBE, n)
+    spec = cube_spec(n)
+    rule = build_rule(spec)
+    report = dataclasses.replace(
+        check_exactness(rule, spec), degree4_witness=degree4_nonexactness(rule, rid)
+    )
+    return {
+        "pass": True,
+        "tolerance": 1e-8 * spec.moment_scale,
+        "exactness": _report_to_dict(report),
+        "classification": _classification_to_dict(classify_nodes(rule, rid)),
+    }
+
+
+@pytest.mark.parametrize("writer", [indented_json, lambda value: json.dumps(value, indent=2)],
+                         ids=["indented_json", "json_dumps"])
+@pytest.mark.parametrize("n", [3, 64])
+def test_verify_report_json(benchmark, writer, n):
+    payload = _verify_payload(n)
+    assert benchmark(writer, payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_dumps_json(benchmark, n):
+    rule = build_rule(cube_spec(n))
+    assert benchmark(dumps_json, rule).startswith("{")
+
+
+def test_cli_tables(benchmark, tmp_path):
+    argv = ["tables", "--output-dir", str(tmp_path / "tables")]
     assert benchmark(main, argv) == 0

@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 usage or parse failure, 2 infeasible split or
 unsatisfied search, 3 verification failure.  Split parameters accept
 exact rationals ("93/85"), parsed to floats at the last moment.  The
 default exactness gates are relative to the largest |moment| of degree
-<= 3; --tolerance sets an absolute one.  When SYMCUB_OUTPUT_DIR is set,
-relative --output and --output-dir paths are resolved against it.
+<= 3; --tolerance sets an absolute one, finite and >= 0.  When
+SYMCUB_OUTPUT_DIR is set, relative --output and --output-dir paths are
+resolved against it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -119,6 +120,9 @@ def _split_from_args(args, spec: SymmetricMomentSpec) -> MassSplit:
 
 def _tolerance(args, spec: SymmetricMomentSpec, relative: float) -> float:
     if args.tolerance is not None:
+        # a NaN gate fails every rule and an infinite one passes every rule
+        if not 0 <= args.tolerance < math.inf:
+            raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
         return args.tolerance
     return relative * spec.moment_scale
 
@@ -228,7 +232,7 @@ def _cmd_verify(args) -> int:
         }
         if classification is not None:
             payload["classification"] = _classification_to_dict(classification)
-        rendered = json.dumps(payload, indent=2) + "\n"
+        rendered = ruleio.indented_json(payload) + "\n"
     else:
         rendered = _render_report(report, classification, tolerance, passed)
     _write_output(rendered, args.output)
@@ -264,7 +268,7 @@ def _cmd_search(args) -> int:
         if result.rule is not None:
             rendered += ruleio.render_text(result.rule)
     else:
-        rendered = json.dumps(payload, indent=2) + "\n"
+        rendered = ruleio.indented_json(payload) + "\n"
     _write_output(rendered, args.output)
     return EXIT_OK if result.satisfied else EXIT_INFEASIBLE
 

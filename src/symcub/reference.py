@@ -16,6 +16,7 @@ silently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -93,7 +94,9 @@ def table_spec(name: str) -> TableSpec:
         raise CubatureError(f"unknown reference table {name!r}") from None
 
 
+@functools.lru_cache(maxsize=None)
 def reference_csv_text(name: str) -> str:
+    """The text of a shipped table's CSV file, read once per process."""
     spec = table_spec(name)
     return (
         resources.files("symcub")

@@ -3,7 +3,7 @@
 Exactness is checked in the original coordinates against every monomial
 of total degree <= 3.  For n <= 8 each monomial is held as three column
 indices into the node array, padded with the index of a column of ones,
-and its exact value is looked up by symmetry class among the seven
+and its exact value is gathered by symmetry class from the seven
 moments.  Above that the check probes random directions v: a rule is
 exact at degree <= 3 iff sum w (v.x)^d = L((v.x)^d) for d <= 3 and all
 v, a closed form in the seven moments and the symmetric sums of v.
@@ -11,10 +11,13 @@ Degree-4 probes (x_i^4 and x_i^2 x_j^2) demonstrate that a degree-3 rule
 is sharp; they are computed as two matrix products on the squared nodes
 against two closed-form region moments.
 
-Two tables are built once per process and shared, read-only, after
-that: the monomial table of each n <= 8 (column triples, symmetry
-classes, degree boundaries) and, per built-in region and n, the
-degree-4 targets with the index pairs i < j.
+Three tables are built once per process and shared, read-only, after
+that: the monomial table of each n <= 8 (column triples, each
+monomial's index among the seven moments, the first row of each degree
+and each monomial's exponents); the probe table of each n > 8 (the
+directions v from the fixed seed and their sums e1, e2, e3, p2 and p3);
+and, per built-in region and n, the degree-4 targets with the index
+pairs i < j.
 """
 
 from __future__ import annotations
@@ -113,29 +116,43 @@ class RuleDiff:
 
 
 @functools.lru_cache(maxsize=FULL_ENUMERATION_MAX_DIM)
-def _monomial_table(n: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+def _monomial_table(
+    n: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
     # column triples of every monomial of degree <= 3, by degree, then in
     # combinations_with_replacement order (column n is the padding column of ones),
-    # each one's class 4 * degree + distinct variables, and degree d's rows bounds[d]:bounds[d + 1]
-    columns = np.array([
-        positions + (n,) * (3 - degree)
-        for degree in range(4)
-        for positions in itertools.combinations_with_replacement(range(n), degree)
+    # each one's index among the seven moments in PATTERN_TO_FIELD order, the
+    # first row of each degree, and each one's exponent tuple
+    positions = [
+        p for degree in range(4) for p in itertools.combinations_with_replacement(range(n), degree)
+    ]
+    columns = np.array([p + (n,) * (3 - len(p)) for p in positions])
+    exponents = tuple(tuple(p.count(i) for i in range(n)) for p in positions)
+    patterns = list(PATTERN_TO_FIELD)
+    moments = np.array([
+        patterns.index(tuple(sorted(filter(None, exps), reverse=True))) for exps in exponents
     ])
-    degree = (columns != n).sum(axis=1)
-    distinct = degree - ((columns[:, 1:] == columns[:, :-1]) & (columns[:, 1:] != n)).sum(axis=1)
-    classes = 4 * degree + distinct
-    columns.flags.writeable = classes.flags.writeable = False
-    return columns, classes, tuple(np.searchsorted(degree, range(5)).tolist())
+    starts = np.searchsorted([len(p) for p in positions], range(4))
+    columns.flags.writeable = moments.flags.writeable = starts.flags.writeable = False
+    return columns, moments, starts, exponents
 
 
-def _directional_report(rule: CubatureRule, spec: SymmetricMomentSpec) -> ExactnessReport:
-    v = np.random.default_rng(_PROBE_SEED).standard_normal((spec.n, _PROBE_DIRECTIONS))
+@functools.lru_cache(maxsize=32)
+def _probe_table(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The (n, 4) probe directions v and, per direction, e1, e2, e3, p2 and p3 of v."""
+    v = np.random.default_rng(_PROBE_SEED).standard_normal((n, _PROBE_DIRECTIONS))
     # e2 and e3 of v by running prefix sums; p1^3 - 3 p1 p2 + 2 p3 would cancel
     pad = np.zeros((1, _PROBE_DIRECTIONS))
     e2_terms = v * np.vstack([pad, np.cumsum(v, axis=0)[:-1]])
     e3 = (v * np.vstack([pad, np.cumsum(e2_terms, axis=0)[:-1]])).sum(axis=0)
-    e1, e2, p2, p3 = v.sum(axis=0), e2_terms.sum(axis=0), (v**2).sum(axis=0), (v**3).sum(axis=0)
+    sums = (v.sum(axis=0), e2_terms.sum(axis=0), e3, (v**2).sum(axis=0), (v**3).sum(axis=0))
+    for array in (v, *sums):
+        array.flags.writeable = False
+    return v, sums
+
+
+def _directional_report(rule: CubatureRule, spec: SymmetricMomentSpec) -> ExactnessReport:
+    v, (e1, e2, e3, p2, p3) = _probe_table(spec.n)
     targets = (
         np.full(_PROBE_DIRECTIONS, spec.m_1),
         spec.m_x * e1,
@@ -145,10 +162,11 @@ def _directional_report(rule: CubatureRule, spec: SymmetricMomentSpec) -> Exactn
     y = rule.nodes @ v
     rel = np.empty((4, _PROBE_DIRECTIONS))
     for d, target in enumerate(targets):
+        y_d = y**d
         # on the rule's own scale sum |w| |y|^d, or on |target| when that
         # is larger: an empty rule has no scale of its own
-        own = np.maximum(np.abs(rule.weights) @ np.abs(y**d), np.abs(target))
-        rel[d] = np.abs(rule.weights @ y**d - target) / np.where(own > 0, own, 1.0)
+        own = np.maximum(np.abs(rule.weights) @ np.abs(y_d), np.abs(target))
+        rel[d] = np.abs(rule.weights @ y_d - target) / np.where(own > 0, own, 1.0)
     # numpy maxima, not Python's max(), so that a NaN propagates
     per_degree = spec.moment_scale * rel.max(axis=1)
     return ExactnessReport(
@@ -177,17 +195,14 @@ def check_exactness(rule: CubatureRule, spec: SymmetricMomentSpec) -> ExactnessR
     n = spec.n
     if n > FULL_ENUMERATION_MAX_DIM:
         return _directional_report(rule, spec)
-    columns, classes, bounds = _monomial_table(n)
+    columns, moments, starts, exponents = _monomial_table(n)
     padded = np.ones((len(rule), n + 1))
     padded[:, :n] = rule.nodes
     values = padded[:, columns[:, 0]]
     values *= padded[:, columns[:, 1]]
     values *= padded[:, columns[:, 2]]
     approx = values.T @ rule.weights
-    table = np.zeros(16)
-    for pattern, name in PATTERN_TO_FIELD.items():
-        table[4 * sum(pattern) + len(pattern)] = getattr(spec, name)
-    exact = table[classes]
+    exact = np.array([getattr(spec, name) for name in PATTERN_TO_FIELD.values()])[moments]
     abs_err = np.abs(approx - exact)
 
     scale = max(spec.m_1, float(np.abs(exact).max()))
@@ -198,8 +213,9 @@ def check_exactness(rule: CubatureRule, spec: SymmetricMomentSpec) -> ExactnessR
     return ExactnessReport(
         max_abs_error=float(abs_err[worst]),
         max_rel_error=float(rel_err.max()),
-        worst_monomial=tuple(np.bincount(columns[worst], minlength=n + 1)[:n].tolist()),
-        per_degree_max=tuple(float(abs_err[lo:hi].max()) for lo, hi in zip(bounds, bounds[1:])),
+        worst_monomial=exponents[worst],
+        # numpy maxima, so that a NaN propagates
+        per_degree_max=tuple(np.maximum.reduceat(abs_err, starts).tolist()),
         monomial_count=len(columns),
     )
 

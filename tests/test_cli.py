@@ -13,8 +13,9 @@ import pytest
 import symcub
 from symcub import CubatureError, check_exactness, reference, region_spec, RegionId, Region
 from symcub.cli import build_parser, main
-from symcub.reference import load_reference_rule, reference_csv_text
+from symcub.reference import load_reference_rule, numbered_table_names, reference_csv_text
 from symcub.ruleio import loads_csv, loads_json, read_rule
+from symcub.search import SearchResult
 from symcub.validation import compare_to_reference
 
 
@@ -423,6 +424,31 @@ def test_negative_or_non_finite_boundary_tol_exit_1(tmp_path, capsys, argv):
     assert "tol" in err
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["generate", "verify"])
+def test_negative_or_non_finite_tolerance_exit_1(tmp_path, capsys, command, value):
+    # a NaN gate would fail every rule and an infinite one pass every rule
+    table_path = tmp_path / "table1.csv"
+    table_path.write_text(reference_csv_text("table1"))
+    source = [str(table_path)] if command == "verify" else ["--dim", "3"]
+    code, out, err = _run(capsys, command, *source, "--region", "simplex", "--tolerance", value)
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and "--tolerance" in err
+
+
+@pytest.mark.parametrize("command", ["generate", "verify"])
+def test_zero_tolerance_is_accepted(tmp_path, capsys, command):
+    table_path = tmp_path / "table1.csv"
+    table_path.write_text(reference_csv_text("table1"))
+    source = [str(table_path), "--format", "json"] if command == "verify" else ["--dim", "3"]
+    code, out, err = _run(capsys, command, *source, "--region", "simplex", "--tolerance", "0")
+    assert code in (0, 3) and "error:" not in err
+    if command == "verify":
+        assert json.loads(out)["tolerance"] == 0.0
+    else:
+        assert "(tolerance 0.000e+00)" in err
+
+
 def test_csv_and_json_outputs_parse_identically(tmp_path, capsys):
     json_path = tmp_path / "rule.json"
     csv_path = tmp_path / "rule.csv"
@@ -460,6 +486,20 @@ def test_search_cli_unsatisfied_exit_2(capsys):
     assert json.loads(out)["satisfied"] is False
 
 
+def test_search_json_is_json_dumps_indent_2(capsys, monkeypatch):
+    # a satisfied search, one with a best split and one with no split at all
+    for max_evals in ("2000", "50", "1"):
+        code, out, _ = _run(capsys, "search", "--region", "simplex", "--dim", "4",
+                            "--max-evals", max_evals, "--allow-compensation")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    monkeypatch.setattr(symcub.cli, "search_masses", lambda spec, region, objective: SearchResult(
+        split=None, rule=None, score=(-math.inf, 0.0, 0.0), evaluations=3, satisfied=False,
+        message="no split"))
+    code, out, _ = _run(capsys, "search", "--region", "cube", "--dim", "3")
+    assert code == 2 and json.loads(out)["rule"] is None
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_tables_cli(tmp_path, capsys):
     out_dir = tmp_path / "tables"
     code, out, _ = _run(capsys, "tables", "--output-dir", str(out_dir))
@@ -475,6 +515,13 @@ def test_tables_cli(tmp_path, capsys):
     table5 = read_rule(out_dir / "table5.csv")
     assert table5.weights[-1] == pytest.approx(-0.0066981244805, abs=1e-9)
     assert math.fsum(table5.weights) == pytest.approx(1 / 24, rel=1e-12)
+
+
+def test_reference_csv_text_is_read_once():
+    for name in (*numbered_table_names(), "table3_interior"):
+        assert reference_csv_text(name) is reference_csv_text(name)
+    with pytest.raises(CubatureError, match="unknown reference table"):
+        reference_csv_text("table9")
 
 
 def test_reference_table_dim_must_match_registry(monkeypatch):

@@ -1,20 +1,39 @@
 """Rule serialization round trips."""
 
+import dataclasses
 import json
+import math
+import random
 
 import numpy as np
 import pytest
 
-from symcub import MassSplit, build_rule, cube_spec, default_split, sector_spec, simplex_spec
+from symcub import (
+    MassSplit,
+    Region,
+    RegionId,
+    build_rule,
+    check_exactness,
+    classify_nodes,
+    cube_spec,
+    default_split,
+    degree4_nonexactness,
+    region_spec,
+    sector_spec,
+    simplex_spec,
+)
+from symcub.cli import _classification_to_dict, _report_to_dict
 from symcub.errors import CubatureError
 from symcub.ruleio import (
     dumps,
     dumps_csv,
     dumps_json,
+    indented_json,
     loads_csv,
     loads_json,
     read_rule,
     render_text,
+    rule_to_json_dict,
     write_rule,
 )
 
@@ -132,3 +151,57 @@ def test_json_reader_parses_strings_and_rejects_nulls():
         loads_json('{"dim": 2, "nodes": [[0.5, null]], "weights": [1.0]}')
     with pytest.raises(CubatureError):
         loads_json('{"dim": 2, "nodes": [[0.5], [0.5, 1.0]], "weights": [1.0, 1.0]}')
+
+
+_SCALARS = [
+    0.0, -0.0, 0.1, -2.5, 1e300, 5e-324, math.nan, math.inf, -math.inf,
+    0, -3, 2**70, -(10**30), True, False, None,
+    "", "plain", "caf\u00e9 \u2603", "quote \" backslash \\ newline \n tab \t bell \x07",
+]
+_KEYS = ["k", "", "caf\u00e9", "line\nbreak", 7, -0.0, 2.5, math.nan, True, None, 10**25]
+
+
+def _payload(rng, depth):
+    # a scalar, or a dict, list or tuple of up to five items, down to depth 4
+    if depth == 4 or rng.random() < 0.3:
+        return rng.choice(_SCALARS)
+    items = [_payload(rng, depth + 1) for _ in range(rng.choice([0, 0, 1, 2, 3, 5]))]
+    kind = rng.choice([list, tuple, dict])
+    if kind is dict:
+        return {rng.choice(_KEYS): item for item in items}
+    return kind(items)
+
+
+def test_indented_json_matches_json_dumps():
+    rng = random.Random(20)
+    cases = [[], {}, (), [[]], {"a": {}}, [[], [{}], ()], {"a": [[[], {}]]}, 1.5, "x", None]
+    cases += [_payload(rng, 0) for _ in range(3000)]
+    assert any(isinstance(case, dict) and case for case in cases)
+    for case in cases:
+        assert indented_json(case) == json.dumps(case, indent=2), repr(case)
+
+
+def test_indented_json_rejects_what_json_dumps_rejects():
+    for bad in ([1, object()], {"a": [1], (1, 2): 3}, {"a": {1j: 2}}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            indented_json(bad)
+
+
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64])
+def test_indented_json_on_verify_payloads_and_rules(region, n):
+    rid = RegionId(region, n)
+    spec = region_spec(rid)
+    rule = build_rule(spec, region_label=region.value)
+    report = check_exactness(rule, spec)
+    witnessed = dataclasses.replace(report, degree4_witness=degree4_nonexactness(rule, rid))
+    classification = _classification_to_dict(classify_nodes(rule, rid))
+    for exactness in (report, witnessed):
+        payload = {"pass": True, "tolerance": 1e-8 * spec.moment_scale,
+                   "exactness": _report_to_dict(exactness)}
+        assert indented_json(payload) == json.dumps(payload, indent=2)
+        payload["classification"] = classification
+        assert indented_json(payload) == json.dumps(payload, indent=2)
+    assert dumps_json(rule) == json.dumps(rule_to_json_dict(rule), indent=2) + "\n"

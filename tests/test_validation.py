@@ -10,6 +10,7 @@ import pytest
 from symcub import (
     CubatureRule,
     DimensionMismatchError,
+    ExactnessReport,
     NodeClass,
     Region,
     RegionId,
@@ -28,7 +29,14 @@ from symcub import (
 from symcub.cli import main
 from symcub.reference import load_reference_rule, numbered_table_names, regenerate_table
 from symcub.ruleio import write_rule
-from symcub.validation import _degree4_targets, _monomial_table, node_class, node_margins
+from symcub.moments import PATTERN_TO_FIELD
+from symcub.validation import (
+    _degree4_targets,
+    _monomial_table,
+    _probe_table,
+    node_class,
+    node_margins,
+)
 from reference_helpers import moment_of_monomial, per_call_exactness
 
 
@@ -491,13 +499,95 @@ def test_cached_monomial_table_matches_per_call_tables(region, n):
 
 
 def test_cached_tables_reject_writes():
-    columns, classes, bounds = _monomial_table(4)
-    assert bounds == (0, 1, 5, 15, 35)
+    columns, moments, starts, exponents = _monomial_table(4)
+    assert starts.tolist() == [0, 1, 5, 15] and len(columns) == len(exponents) == 35
+    assert exponents[6] == (1, 1, 0, 0) and moments[6] == 3  # x1 x2: m_xy
     (quartic, pair, mass), pairs = _degree4_targets(RegionId(Region.CUBE, 4))
     assert (quartic, pair, mass) == (0.2, 1 / 9, 1.0)
-    for array in (columns, classes, *pairs):
+    directions, sums = _probe_table(16)
+    assert directions.shape == (16, 4) and len(sums) == 5
+    for array in (columns, moments, starts, *pairs, directions, *sums):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+def test_tables_are_built_once_per_n():
+    # the same objects come back on every call, whichever n came between
+    tables = {n: (_monomial_table(n) if n <= 8 else _probe_table(n)) for n in (3, 8, 9, 64)}
+    for n in (64, 9, 8, 3):
+        again = _monomial_table(n) if n <= 8 else _probe_table(n)
+        assert all(a is b for a, b in zip(again, tables[n]))
+
+
+def _per_call_check(rule, spec):
+    # check_exactness as it was when each call built its own probe
+    # directions, moment lookup table, worst exponents and degree maxima
+    n = spec.n
+    if n > 8:
+        v = np.random.default_rng(0).standard_normal((n, 4))
+        pad = np.zeros((1, 4))
+        e2_terms = v * np.vstack([pad, np.cumsum(v, axis=0)[:-1]])
+        e3 = (v * np.vstack([pad, np.cumsum(e2_terms, axis=0)[:-1]])).sum(axis=0)
+        e1, e2, p2, p3 = v.sum(axis=0), e2_terms.sum(axis=0), (v**2).sum(axis=0), (v**3).sum(axis=0)
+        targets = (
+            np.full(4, spec.m_1),
+            spec.m_x * e1,
+            spec.m_xx * p2 + 2 * spec.m_xy * e2,
+            spec.m_xxx * p3 + 3 * spec.m_xxy * (e1 * p2 - p3) + 6 * spec.m_xyz * e3,
+        )
+        y = rule.nodes @ v
+        rel = np.empty((4, 4))
+        for d, target in enumerate(targets):
+            own = np.maximum(np.abs(rule.weights) @ np.abs(y**d), np.abs(target))
+            rel[d] = np.abs(rule.weights @ y**d - target) / np.where(own > 0, own, 1.0)
+        per_degree = spec.moment_scale * rel.max(axis=1)
+        return ExactnessReport(
+            max_abs_error=float(per_degree.max()),
+            max_rel_error=float(rel.max()),
+            worst_monomial=None,
+            per_degree_max=tuple(per_degree.tolist()),
+            monomial_count=math.comb(n + 3, 3),
+        )
+    columns = np.array([
+        positions + (n,) * (3 - degree)
+        for degree in range(4)
+        for positions in itertools.combinations_with_replacement(range(n), degree)
+    ])
+    degree = (columns != n).sum(axis=1)
+    distinct = degree - ((columns[:, 1:] == columns[:, :-1]) & (columns[:, 1:] != n)).sum(axis=1)
+    bounds = tuple(np.searchsorted(degree, range(5)).tolist())
+    padded = np.ones((len(rule), n + 1))
+    padded[:, :n] = rule.nodes
+    values = padded[:, columns[:, 0]] * padded[:, columns[:, 1]] * padded[:, columns[:, 2]]
+    approx = values.T @ rule.weights
+    table = np.zeros(16)
+    for pattern, name in PATTERN_TO_FIELD.items():
+        table[4 * sum(pattern) + len(pattern)] = getattr(spec, name)
+    exact = table[4 * degree + distinct]
+    abs_err = np.abs(approx - exact)
+    scale = max(spec.m_1, float(np.abs(exact).max()))
+    rel_err = abs_err / np.where(np.abs(exact) > 0, np.abs(exact), scale)
+    worst = int(np.argmax(abs_err))
+    return ExactnessReport(
+        max_abs_error=float(abs_err[worst]),
+        max_rel_error=float(rel_err.max()),
+        worst_monomial=tuple(np.bincount(columns[worst], minlength=n + 1)[:n].tolist()),
+        per_degree_max=tuple(float(abs_err[lo:hi].max()) for lo, hi in zip(bounds, bounds[1:])),
+        monomial_count=len(columns),
+    )
+
+
+@pytest.mark.parametrize(
+    "region, n",
+    # simplex and sector moments underflow to 0 before n = 512
+    [(region, n) for region in Region for n in [*range(2, 9), 9, 16, 33, 64]]
+    + [(Region.SIMPLEX, 160), (Region.BALL_SECTOR, 320), (Region.CUBE, 512)],
+)
+def test_check_exactness_matches_the_per_call_code(region, n):
+    spec = region_spec(RegionId(region, n))
+    for name, rule in _check_variants(build_rule(spec)).items():
+        # repr compares every float bit for bit and NaN equal to NaN
+        assert repr(check_exactness(rule, spec)) == repr(_per_call_check(rule, spec)), name
 
 
 def test_alternating_dimensions_match_fresh_tables():
