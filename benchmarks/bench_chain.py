@@ -7,22 +7,30 @@ collect it and timing noise cannot fail the suite.  Run it by path:
 
 `reduced_moment_chain` computes the n chains' moments of a default cube
 split; `solve_two_point` times the n one-dimensional solves of those
-moments alone; `map_nodes` maps their 2n node values to the (2n, n) node
-array; `least_mass` times the n least masses of the cube's chains on a search
+moments alone, one call per chain, and `solve_two_point_array` the same
+solves as one call on their (n, 4) array; `map_nodes` and
+`map_nodes_array` map their 2n node values to the (2n, n) node array;
+`least_mass` times the n least masses of the cube's chains on a search
 walk's node intervals at tau = -1, each chain with the mass ahead of it
-that the uniform split leaves;
-`build_rule` adds the constants and the chain moments to the solves and
-the node map.  The split and every argument of the timed call are
-computed outside it; `map_nodes` also takes the constants from outside.
+that the uniform split leaves.  `build_rule` adds the constants and the
+chain moments to the solves and the node map, on the uniform split and
+on a compensated one, and `build_rule_path` times each of its two paths
+at every n: where the array path starts to win sets
+`symcub.assembly.ARRAY_MIN_N`, hence the sizes between 16 and 32.  The
+split and every argument of the timed call are computed outside it; the
+node maps also take the constants from outside.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from symcub import (
+    MassSplit,
     Region,
     RegionId,
+    assembly,
     build_rule,
     compute_constants,
     cube_spec,
@@ -30,10 +38,10 @@ from symcub import (
     reduced_moment_chain,
     solve_two_point,
 )
-from symcub.decomposition import least_mass, map_nodes
+from symcub.decomposition import least_mass, map_nodes, map_nodes_array, solve_two_point_array
 from symcub.search import _walker
 
-SIZES = [3, 8, 32, 128, 512]
+SIZES = [3, 8, 16, 20, 24, 28, 32, 128, 512]
 
 
 def _cube(n):
@@ -56,7 +64,32 @@ def test_solve_two_point(benchmark, n):
 
 
 @pytest.mark.parametrize("n", SIZES)
+def test_solve_two_point_array(benchmark, n):
+    chain = reduced_moment_chain(*_cube(n))
+    nodes, _ = benchmark(lambda: solve_two_point_array(np.array(chain)))
+    assert nodes.shape == (n, 2)
+
+
+@pytest.mark.parametrize("n", SIZES)
 def test_build_rule(benchmark, n):
+    spec, split = _cube(n)
+    rule = benchmark(build_rule, spec, split)
+    assert rule.nodes.shape == (2 * n, n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_build_rule_compensated(benchmark, n):
+    spec = cube_spec(n)
+    t = np.random.default_rng(n).uniform(0.9, 1.1, n)
+    split = MassSplit.from_t(list(t), spec, compensation=True)
+    rule = benchmark(build_rule, spec, split)
+    assert rule.nodes.shape == (2 * n + 1, n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("path", ["per-chain", "array"])
+def test_build_rule_path(benchmark, monkeypatch, path, n):
+    monkeypatch.setattr(assembly, "ARRAY_MIN_N", 2 if path == "array" else math.inf)
     spec, split = _cube(n)
     rule = benchmark(build_rule, spec, split)
     assert rule.nodes.shape == (2 * n, n)
@@ -68,6 +101,14 @@ def test_map_nodes(benchmark, n):
     chain = reduced_moment_chain(spec, split)
     solved = [(k, solve_two_point(*moments)[0]) for k, moments in enumerate(chain, start=1)]
     nodes = benchmark(map_nodes, solved, compute_constants(spec))
+    assert nodes.shape == (2 * n, n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_map_nodes_array(benchmark, n):
+    spec, split = _cube(n)
+    ts, _ = solve_two_point_array(np.array(reduced_moment_chain(spec, split)))
+    nodes = benchmark(map_nodes_array, ts, compute_constants(spec))
     assert nodes.shape == (2 * n, n)
 
 

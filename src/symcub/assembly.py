@@ -1,14 +1,29 @@
 """Package the solved one-dimensional chains as a cubature rule.
 
 A rule needs only the moment spec and the mass split: :func:`build_rule`
-computes the constants from the spec, and the chain moments do the same.
-Each chain is solved by :func:`~symcub.decomposition.solve_two_point` and
-its node values are mapped to R^n by
-:func:`~symcub.decomposition.map_nodes`; weights pass through from the
-one-dimensional rules unchanged.  The compensation node is the k = n
-image of t = 0; a node at t = 0 only contributes to the zeroth moment of
-chain n, whose first and third moments vanish, so adding it preserves
-degree-3 exactness while absorbing the mass residual m_1 - sum(mu).
+derives the constants from the spec, as the chain moments do.  Weights
+pass through from the one-dimensional rules unchanged.  The chains are
+solved and mapped to R^n on one of two paths, chosen by n alone:
+
+* n < ARRAY_MIN_N: each chain by
+  :func:`~symcub.decomposition.solve_two_point`, and its rows by
+  :func:`~symcub.decomposition.map_nodes`;
+* n >= ARRAY_MIN_N: all chains at once by
+  :func:`~symcub.decomposition.solve_two_point_array`, and the whole node
+  array by :func:`~symcub.decomposition.map_nodes_array`.
+
+The array path makes a fixed number of numpy calls, which cost more than
+the per-chain loop below ARRAY_MIN_N = 24, where the two cross on
+``benchmarks/bench_chain.py`` (``test_build_rule_path``).  Both paths do
+the same operations in the same order, so the rule is the same bit for
+bit.  When a chain is an atom or infeasible the array solve returns
+None, and the per-chain path builds the rule: it writes the atom's one
+row, or raises the chain's :class:`InfeasibleMomentError`.
+
+The compensation node is the k = n image of t = 0; a node at t = 0 only
+contributes to the zeroth moment of chain n, whose first and third
+moments vanish, so adding it preserves degree-3 exactness while
+absorbing the mass residual m_1 - sum(mu).
 
 Node ordering is canonical: chain index ascending, node value descending
 within a chain, compensation node last.  Identical inputs produce
@@ -17,6 +32,7 @@ bit-identical rules.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -29,8 +45,10 @@ from .decomposition import (
     default_split,
     least_mass,
     map_nodes,
+    map_nodes_array,
     reduced_moment_chain,
     solve_two_point,
+    solve_two_point_array,
 )
 from .errors import InfeasibleMomentError
 from .moments import SymmetricMomentSpec
@@ -39,6 +57,10 @@ __all__ = [
     "CubatureRule",
     "build_rule",
 ]
+
+# The least n at which build_rule solves and maps every chain at once: the
+# crossover of the two paths measured by bench_chain.py's build_rule_path.
+ARRAY_MIN_N = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,14 +126,40 @@ def build_rule(
     Generically returns 2n nodes, or 2n + 1 when the split carries a
     compensation node; a chain of zero variance (a degenerate,
     single-orbit functional) contributes one node instead of two.  The
-    nodes are mapped into one (N, n) array once every chain is solved.  An
+    nodes are mapped into one (N, n) array once every chain is solved,
+    per chain below n = ARRAY_MIN_N and as arrays from there on.  An
     infeasible chain raises :class:`InfeasibleMomentError` tagged with
     the chain index and the lower bound on its mass that would restore
     feasibility.
     """
     if split is None:
         split = default_split(spec)
+    n = spec.n
+    consts = compute_constants(spec)
     chain = reduced_moment_chain(spec, split)
+    solved = None
+    if n >= ARRAY_MIN_N:
+        # fromiter over the flattened rows takes half the time of np.array(chain)
+        moments = np.fromiter(itertools.chain.from_iterable(chain), np.float64, 4 * n)
+        solved = solve_two_point_array(moments.reshape(n, 4))
+    if solved is None:
+        nodes, weights = _build_per_chain(chain, split, spec, consts)
+    else:
+        ts, ws = solved
+        nodes, weights = map_nodes_array(ts, consts, split.compensation), ws.ravel()
+        if split.compensation:
+            weights = np.append(weights, spec.m_1 - math.fsum(split.masses))
+    metadata = {
+        "region": region_label,
+        "masses": list(split.masses),
+        "compensation": split.compensation,
+        "constants": {"c_n": consts.c_n, "c_mid": consts.c_mid, "gamma": consts.gamma},
+    }
+    return CubatureRule(dim=n, nodes=nodes, weights=weights, metadata=metadata)
+
+
+def _build_per_chain(chain, split, spec, consts):
+    """The node and weight arrays of `chain`, solved one chain at a time."""
     solved: list[tuple[int, tuple[float, ...]]] = []
     weights: list[float] = []
     for k, (m0, m1, m2, m3) in enumerate(chain, start=1):
@@ -131,13 +179,4 @@ def build_rule(
     if split.compensation:
         solved.append((spec.n, (0.0,)))
         weights.append(spec.m_1 - math.fsum(split.masses))
-    consts = compute_constants(spec)
-    metadata = {
-        "region": region_label,
-        "masses": list(split.masses),
-        "compensation": split.compensation,
-        "constants": {"c_n": consts.c_n, "c_mid": consts.c_mid, "gamma": consts.gamma},
-    }
-    return CubatureRule(
-        dim=spec.n, nodes=map_nodes(solved, consts), weights=np.array(weights), metadata=metadata
-    )
+    return map_nodes(solved, consts), np.array(weights)

@@ -83,13 +83,20 @@ def _output_path(path: str) -> Path:
 
 
 def _write_output(text: str, output: str | None) -> None:
-    """Write to --output, resolved by :func:`_output_path`, or to stdout."""
+    """Write to --output, resolved by :func:`_output_path`, or to stdout.
+
+    The parent directory is created only when the first write finds it
+    missing, so a write to an existing directory makes one system call.
+    """
     if output is None:
         sys.stdout.write(text)
         return
     path = _output_path(output)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.write_text(text, encoding="utf-8")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
 
 
 def _spec_from_args(args, dim_hint: int | None = None) -> tuple[SymmetricMomentSpec, RegionId | None]:

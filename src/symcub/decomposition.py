@@ -22,9 +22,20 @@ This module owns every step of one chain: its moments
 (:func:`chain_moments`), its two-point solve (:func:`solve_two_point`),
 the least mass that keeps its nodes in an interval (:func:`least_mass`)
 and the map of its node values back to R^n (:func:`map_nodes`).  The
-constants are closed forms in the seven moments, so the spec and the
-split fix every chain: the chain moments compute the constants from the
-spec themselves, and only the node map takes them as an argument.
+constants are closed forms in the seven moments, computed once per spec
+(:func:`compute_constants`), so the spec and the split fix every chain:
+the chain moments derive the constants from the spec themselves, and
+only the node maps take them as an argument.
+
+The n chains are independent, so the solve and the node map also come
+as array versions over all chains at once: :func:`solve_two_point_array`
+and :func:`map_nodes_array`.  Each does the operations of its scalar
+version in the same order, elementwise, so the two agree bit for bit;
+a fix to one formula belongs in both.  The array solve returns None
+when any chain is an atom or infeasible, and the caller then solves the
+chains one by one, for the scalar version's atom and errors.  Which
+version a rule build takes depends on n only; see
+:mod:`symcub.assembly`.
 """
 
 from __future__ import annotations
@@ -51,8 +62,10 @@ __all__ = [
     "default_split",
     "least_mass",
     "map_nodes",
+    "map_nodes_array",
     "reduced_moment_chain",
     "solve_two_point",
+    "solve_two_point_array",
     "validate_split",
 ]
 
@@ -121,11 +134,14 @@ class MassSplit:
         return cls(tuple(tk * spec.m_1 / spec.n for tk in t), compensation)
 
 
+@functools.lru_cache(maxsize=32)
 def compute_constants(spec: SymmetricMomentSpec) -> DecompositionConstants:
     """Compute c_n, c_mid and gamma from the seven base moments.
 
     For n = 2 the c_n numerator reduces to L(x1^3 - x1^2 x2): the triple
-    product term carries coefficient n - 2 = 0.
+    product term carries coefficient n - 2 = 0.  The constants are
+    computed once per spec per process, so the chain moments, the rule
+    builder and the search's walk table share one object.
     """
     d2 = spec.m_xx - spec.m_xy
     if d2 <= 0:
@@ -304,6 +320,32 @@ def solve_two_point(
     )
 
 
+def solve_two_point_array(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Solve every row (m0, m1, m2, m3) of an (r, 4) array as :func:`solve_two_point` does.
+
+    Returns ``(nodes, weights)``, two (r, 2) arrays whose row i holds
+    ``(t_hi, t_lo)`` and ``(w_hi, w_lo)``: bit for bit what
+    :func:`solve_two_point` returns for row i, since every elementwise
+    operation is the scalar one in the same order.  Returns None when some
+    row is not a strict two-point problem (m0 <= 0 or a variance within
+    rounding of 0 or below), so that the caller can solve the rows one by
+    one and report the atom or the infeasible row as the scalar solve does.
+    """
+    m0 = moments[:, 0]
+    with np.errstate(all="ignore"):
+        a, b, c = (moments[:, 1:] / moments[:, :1]).T
+        var = b - a * a
+        if not ((m0 > 0).all() and (var > 1e-13 * np.maximum(np.abs(b), a * a)).all()):
+            return None
+        s = (c - a * (3.0 * b - 2.0 * a * a)) / var
+        q = 0.5 * (s + np.copysign(np.sqrt(s * s + 4.0 * var), s))
+        # var > 0, so q and -var/q have opposite signs and u_hi is the larger
+        r = -var / q
+        u_hi, u_lo = np.maximum(q, r), np.minimum(q, r)
+        w_hi = m0 * (-u_lo / (u_hi - u_lo))
+    return np.array((a + u_hi, a + u_lo)).T, np.array((w_hi, m0 - w_hi)).T
+
+
 def least_mass(
     m1: float, m2: float, m3: float, a: float = -math.inf, b: float = math.inf
 ) -> float:
@@ -390,3 +432,40 @@ def map_nodes(
             out[row, lead] = beta
             row += 1
     return out
+
+
+def map_nodes_array(
+    ts: np.ndarray, consts: DecompositionConstants, compensation: bool = False
+) -> np.ndarray:
+    """The node array of :func:`map_nodes` for the (n, j) node values `ts`, row k - 1 of chain k.
+
+    The rows come chain by chain, j per chain, in the order of `ts`, and
+    with `compensation` one more row last: the chain-n image of t = 0.
+    Every row is one block pattern (alpha x lead, beta, gamma x (k - 2)),
+    lead = n - k + 1, except a chain-1 row, which is (eta x n).  Each row's
+    three values come from elementwise operations in the order of
+    :func:`map_nodes`, and one ``np.repeat`` of them by their run lengths
+    writes the whole array, so every bit is that of :func:`map_nodes`.
+    """
+    n, j = ts.shape
+    if n != consts.n:
+        raise ValueError(f"expected node values of {consts.n} chains, got {n}")
+    gamma, rows = consts.gamma, n * j + compensation
+    lead = np.arange(n, 0, -1)[:, None]  # n - k + 1 for chain k = 1 .. n
+    values = np.empty((rows, 3))
+    runs = np.empty((rows, 3), dtype=np.intp)
+    v, u = values[: n * j].reshape(n, j, 3), runs[: n * j].reshape(n, j, 3)
+    # the middle chains' formulas; n = 2 has none, and c_2 stands in for c_mid
+    v[..., 1] = gamma - ts / (lead + 1)
+    v[..., 0] = v[..., 1] + (ts - consts.c_2) / lead
+    u[..., 0], u[..., 1], u[..., 2] = lead, 1, n - 1 - lead
+    # chain n's rows, then the compensation node's: the chain-n image of t = 0
+    t = np.append(ts[-1], 0.0) if compensation else ts[-1]
+    last = slice((n - 1) * j, None)
+    values[last, 1] = gamma - (t + consts.c_2) / 2.0
+    values[last, 0] = values[last, 1] + t
+    runs[last] = (1, 1, n - 2)
+    values[:j, 0] = (ts[0] - consts.c_n) / n
+    runs[:j] = (n, 0, 0)
+    values[:, 2] = gamma
+    return np.repeat(values.ravel(), runs.ravel()).reshape(rows, n)

@@ -26,8 +26,9 @@ from symcub import (
     simplex_spec,
     solve_two_point,
 )
+from symcub.assembly import ARRAY_MIN_N
 from symcub.reference import load_reference_rule
-from symcub.decomposition import chain_moments, least_mass, map_nodes
+from symcub.decomposition import chain_moments, least_mass, map_nodes, map_nodes_array
 from symcub.validation import compare_to_reference
 from reference_helpers import moment_of_monomial, reference_node
 
@@ -76,6 +77,25 @@ def test_map_node_coordinate_multiplicities():
         _row(0, 0.1, consts)
     with pytest.raises(ValueError):
         _row(7, 0.1, consts)
+
+
+@pytest.mark.parametrize("make", [simplex_spec, sector_spec, cube_spec])
+@pytest.mark.parametrize("n", [2, 3, 5, 33])
+@pytest.mark.parametrize("j", [1, 2, 3])
+@pytest.mark.parametrize("compensation", [False, True])
+def test_map_nodes_array_is_bit_identical_to_map_nodes(make, n, j, compensation):
+    consts = compute_constants(make(n))
+    ts = np.random.default_rng(n * j).normal(0.0, 3.0, (n, j))
+    ts[0, 0] = 0.0
+    chains = [(k, tuple(row)) for k, row in enumerate(ts.tolist(), start=1)]
+    if compensation:
+        chains.append((n, (0.0,)))
+    got = map_nodes_array(ts, consts, compensation)
+    assert got.shape == (n * j + compensation, n)
+    assert np.array_equal(got, map_nodes(chains, consts))
+    assert np.array_equal(np.signbit(got), np.signbit(map_nodes(chains, consts)))
+    with pytest.raises(ValueError):
+        map_nodes_array(ts[1:], consts)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])
@@ -251,9 +271,10 @@ def _assert_matches_reference(spec, split):
 
 
 @pytest.mark.parametrize("region", list(Region))
-@pytest.mark.parametrize("n", [2, 3, 4, 8, 33, 128])
+@pytest.mark.parametrize("n", [2, 3, 4, 8, ARRAY_MIN_N - 1, ARRAY_MIN_N, 33, 64, 128])
 @pytest.mark.parametrize("kind", ["default", "random", "compensated"])
 def test_assembly_is_bit_identical_to_per_node_reference(region, n, kind):
+    # n < ARRAY_MIN_N solves chain by chain, larger n solves and maps all at once
     spec = region_spec(RegionId(region, n))
     _assert_matches_reference(spec, _split(spec, kind, np.random.default_rng(n)))
 
@@ -291,6 +312,11 @@ _SCALE_CASES = {
     "orbit-3": SymmetricMomentSpec(
         n=3, m_1=1.0, m_x=0.25, m_xx=0.1875, m_xy=0.0, m_xxx=0.140625, m_xxy=0.0, m_xyz=0.0
     ),
+    # the same orbit at the least n of the array path: its atom takes the per-chain path
+    f"orbit-{ARRAY_MIN_N}": SymmetricMomentSpec(
+        n=ARRAY_MIN_N, m_1=1.0, m_x=0.75 / ARRAY_MIN_N, m_xx=0.5625 / ARRAY_MIN_N, m_xy=0.0,
+        m_xxx=0.421875 / ARRAY_MIN_N, m_xxy=0.0, m_xyz=0.0,
+    ),
 }
 
 
@@ -299,8 +325,8 @@ def test_rules_scale_exactly_with_the_functional(name):
     # L -> 2^j L scales every moment exactly, so the nodes stay and the
     # weights scale by 2^j bit for bit, however small or large L(1) gets
     spec = _SCALE_CASES[name]
-    rule = build_rule(spec)
-    assert len(rule) == (5 if name == "orbit-3" else 2 * spec.n)
+    rule = _assert_matches_reference(spec, default_split(spec))
+    assert len(rule) == (2 * spec.n - 1 if name.startswith("orbit") else 2 * spec.n)
     for j in (-900, -600, -300, 300, 600, 900):
         got = build_rule(spec.ldexp(j))
         assert np.array_equal(got.nodes, rule.nodes)
@@ -332,7 +358,9 @@ def test_rule_from_sequences_validates_shapes():
 def test_infeasible_middle_chain_reports_chain_and_bound():
     # every middle chain: the error's mass bound is the search's least mass
     # over an unbounded node interval, bit for bit
-    for region, n in itertools.product(Region, (4, 6, 8)):
+    # n >= ARRAY_MIN_N finds the infeasible chain in the array solve and
+    # falls back to the per-chain solve, which reports it
+    for region, n in itertools.product(Region, (4, 6, 8, ARRAY_MIN_N, 64)):
         spec = region_spec(RegionId(region, n))
         consts = compute_constants(spec)
         default = default_split(spec).masses

@@ -23,7 +23,7 @@ from symcub import (
     sector_spec,
     simplex_spec,
 )
-from symcub.decomposition import chain_moments
+from symcub.decomposition import chain_moments, solve_two_point, solve_two_point_array
 from reference_helpers import closure_chain_moments
 
 
@@ -272,3 +272,49 @@ def test_chain_moment_table_is_built_once_per_spec():
     other = region_spec(RegionId(Region.CUBE, 6))
     assert chain_moments(other) is not table
     assert chain_moments.cache_info().maxsize is not None
+
+
+def _two_point_moments(rng, count):
+    """Moments (m0, m1, m2, m3) of seeded two-point measures c +- h.
+
+    The lighter node carries 1e-8 .. 1/2 of the mass m0 and sits above or
+    below the heavier one, so the solve's q takes both signs; |c| / h runs
+    from 1e-2 to 1e4 and m0 from 1e-200 to 1e200.
+    """
+    light = 10.0 ** rng.uniform(-8.0, math.log10(0.5), count)
+    h = 10.0 ** rng.uniform(-3.0, 3.0, count)
+    c = rng.choice([-1.0, 1.0], count) * h * 10.0 ** rng.uniform(-2.0, 4.0, count)
+    m0 = 10.0 ** rng.uniform(-200.0, 200.0, count)
+    up = rng.random(count) < 0.5
+    w_hi, w_lo = np.where(up, light, 1 - light), np.where(up, 1 - light, light)
+    x_hi, x_lo = c + h, c - h
+    return np.stack([m0 * (w_hi * x_hi**p + w_lo * x_lo**p) for p in range(4)], axis=1), light, np.abs(c) / h
+
+
+def test_array_solve_is_bit_identical_to_the_scalar_solve():
+    moments, light, ratio = _two_point_moments(np.random.default_rng(20260), 4000)
+    scalar = [solve_two_point(*row) for row in moments.tolist()]
+    # rows whose variance is within rounding of 0 are atoms: the array solve defers those
+    two = np.array([len(nodes) == 2 for nodes, _ in scalar])
+    assert two.mean() > 0.9
+    assert light[two].min() < 1e-7 and ratio[two].max() > 1e3
+    moments = moments[two]
+    scalar = [solved for solved, keep in zip(scalar, two) if keep]
+    # t_hi + t_lo - 2a is s, whose sign q takes
+    skew = [sum(ts) - 2 * m1 / m0 for (ts, _), (m0, m1, _, _) in zip(scalar, moments.tolist())]
+    assert min(skew) < 0 < max(skew)
+    nodes, weights = solve_two_point_array(moments)
+    assert [x.hex() for x in nodes.ravel().tolist()] == [x.hex() for ts, _ in scalar for x in ts]
+    assert [x.hex() for x in weights.ravel().tolist()] == [x.hex() for _, ws in scalar for x in ws]
+
+
+@pytest.mark.parametrize("row", [
+    (1.0, 0.5, 0.25, 0.125),  # an atom at 1/2
+    (-1.0, 0.0, -1.0, 0.0),  # m0 < 0 with a positive variance of m / m0
+    (0.0, 0.0, 1.0, 0.0),
+    (1.0, 0.0, -1.0, 0.0),  # a negative variance
+])
+def test_array_solve_defers_atoms_and_infeasible_rows(row):
+    moments = np.array([(1.0, 0.0, 1.0, 0.0), row])
+    assert solve_two_point_array(moments) is None
+    assert solve_two_point_array(moments[:1]) is not None
