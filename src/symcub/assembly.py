@@ -13,12 +13,13 @@ solved and mapped to R^n on one of two paths, chosen by n alone:
   array by :func:`~symcub.decomposition.map_nodes_array`.
 
 The array path makes a fixed number of numpy calls, which cost more than
-the per-chain loop below ARRAY_MIN_N = 24, where the two cross on
-``benchmarks/bench_chain.py`` (``test_build_rule_path``).  Both paths do
-the same operations in the same order, so the rule is the same bit for
-bit.  When a chain is an atom or infeasible the array solve returns
-None, and the per-chain path builds the rule: it writes the atom's one
-row, or raises the chain's :class:`InfeasibleMomentError`.
+the per-chain loop at small n; the two tie near n = 20 on
+``benchmarks/bench_chain.py`` (``test_build_rule_path``), and
+ARRAY_MIN_N = 24 is the least n where the array path is ahead.  Both
+paths do the same operations in the same order, so the rule is the same
+bit for bit.  When a chain is an atom or infeasible the array solve
+returns None, and the per-chain path builds the rule: it writes the
+atom's one row, or raises the chain's :class:`InfeasibleMomentError`.
 
 The compensation node is the k = n image of t = 0; a node at t = 0 only
 contributes to the zeroth moment of chain n, whose first and third
@@ -58,8 +59,10 @@ __all__ = [
     "build_rule",
 ]
 
-# The least n at which build_rule solves and maps every chain at once: the
-# crossover of the two paths measured by bench_chain.py's build_rule_path.
+# The least n at which build_rule solves and maps every chain at once.  On
+# benchmarks/bench_chain.py's build_rule_path (the least of three runs on a
+# 2-core x86 box) the array path takes 1.20x the per-chain time at n = 16,
+# 0.98x at 20, 0.94x at 24 and 0.81x at 28.
 ARRAY_MIN_N = 24
 
 

@@ -86,14 +86,13 @@ def test_map_node_coordinate_multiplicities():
 def test_map_nodes_array_is_bit_identical_to_map_nodes(make, n, j, compensation):
     consts = compute_constants(make(n))
     ts = np.random.default_rng(n * j).normal(0.0, 3.0, (n, j))
-    ts[0, 0] = 0.0
+    ts[0, 0] = 0.0  # a zero node value, whose sign the maps must agree on too
     chains = [(k, tuple(row)) for k, row in enumerate(ts.tolist(), start=1)]
     if compensation:
         chains.append((n, (0.0,)))
-    got = map_nodes_array(ts, consts, compensation)
+    got, want = map_nodes_array(ts, consts, compensation), map_nodes(chains, consts)
     assert got.shape == (n * j + compensation, n)
-    assert np.array_equal(got, map_nodes(chains, consts))
-    assert np.array_equal(np.signbit(got), np.signbit(map_nodes(chains, consts)))
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
     with pytest.raises(ValueError):
         map_nodes_array(ts[1:], consts)
 

@@ -269,6 +269,7 @@ def test_chain_moment_table_is_built_once_per_spec():
     spec = region_spec(RegionId(Region.SIMPLEX, 6))
     table = chain_moments(spec)
     assert chain_moments(replace(spec)) is table
+    assert compute_constants(replace(spec)) is compute_constants(spec)
     other = region_spec(RegionId(Region.CUBE, 6))
     assert chain_moments(other) is not table
     assert chain_moments.cache_info().maxsize is not None
@@ -288,7 +289,8 @@ def _two_point_moments(rng, count):
     up = rng.random(count) < 0.5
     w_hi, w_lo = np.where(up, light, 1 - light), np.where(up, 1 - light, light)
     x_hi, x_lo = c + h, c - h
-    return np.stack([m0 * (w_hi * x_hi**p + w_lo * x_lo**p) for p in range(4)], axis=1), light, np.abs(c) / h
+    moments = np.stack([m0 * (w_hi * x_hi**p + w_lo * x_lo**p) for p in range(4)], axis=1)
+    return moments, light, np.abs(c) / h
 
 
 def test_array_solve_is_bit_identical_to_the_scalar_solve():
