@@ -6,7 +6,8 @@ collect it and timing noise cannot fail the suite.  Run it by path:
     python -m pytest benchmarks/bench_chain.py --benchmark-json BENCH_chain.json
 
 `reduced_moment_chain` computes the n chains' moments of a default cube
-split; `solve_two_point` times the n one-dimensional solves of those
+split one chain at a time, and `chain_moment_array` the same moments as
+one (n, 4) array from exact prefix sums of the masses; `solve_two_point` times the n one-dimensional solves of those
 moments alone, one call per chain, and `solve_two_point_array` the same
 solves as one call on their (n, 4) array; `map_nodes` and
 `map_nodes_array` map their 2n node values to the (2n, n) node array;
@@ -38,7 +39,9 @@ from symcub import (
     reduced_moment_chain,
     solve_two_point,
 )
-from symcub.decomposition import least_mass, map_nodes, map_nodes_array, solve_two_point_array
+from symcub.decomposition import (
+    chain_moment_array, least_mass, map_nodes, map_nodes_array, solve_two_point_array,
+)
 from symcub.search import _walker
 
 SIZES = [3, 8, 16, 20, 24, 28, 32, 128, 512]
@@ -54,6 +57,13 @@ def test_reduced_moment_chain(benchmark, n):
     spec, split = _cube(n)
     chain = benchmark(reduced_moment_chain, spec, split)
     assert len(chain) == n
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_chain_moment_array(benchmark, n):
+    spec, split = _cube(n)
+    chain = benchmark(chain_moment_array, spec, split)
+    assert chain.shape == (n, 4)
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -16,21 +16,22 @@ entry's `extra_info["walks"]` is the walk count of one call, which is
 the same on every call.
 
 A process builds each (spec, region)'s walk table, and each spec's chain
-moment map, once.  The warm entry times a call that finds both built; the
-cold entry clears both caches before each call, so it pays what a one-shot
-`symcub search` pays.
+moment table and map, once.  The warm entry times a call that finds them
+built; the cold entry clears those caches before each call, so it pays
+what a one-shot `symcub search` pays.
 """
 
 import pytest
 
 from symcub import Region, RegionId, SearchMode, SearchObjective, region_spec, search_masses
-from symcub.decomposition import chain_moments
+from symcub.decomposition import _chain_table, chain_moments
 from symcub.search import _walker
 
 
 def _clear_caches():
     _walker.cache_clear()
     chain_moments.cache_clear()
+    _chain_table.cache_clear()
 
 
 def _search(benchmark, region, n, cold, compensation=False):

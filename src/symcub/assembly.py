@@ -8,9 +8,14 @@ solved and mapped to R^n on one of two paths, chosen by n alone:
 * n < ARRAY_MIN_N: each chain by
   :func:`~symcub.decomposition.solve_two_point`, and its rows by
   :func:`~symcub.decomposition.map_nodes`;
-* n >= ARRAY_MIN_N: all chains at once by
+* n >= ARRAY_MIN_N: the chain moments as one array by
+  :func:`~symcub.decomposition.chain_moment_array`, all chains at once by
   :func:`~symcub.decomposition.solve_two_point_array`, and the whole node
   array by :func:`~symcub.decomposition.map_nodes_array`.
+  ``chain_moment_array`` sums the masses exactly in int64 while they are
+  normal floats at most nine binades apart, and otherwise falls back to
+  the per-chain loop of
+  :func:`~symcub.decomposition.reduced_moment_chain`.
 
 The array path makes a fixed number of numpy calls, which cost more than
 the per-chain loop at small n; the two tie near n = 20 on
@@ -33,7 +38,6 @@ bit-identical rules.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -42,6 +46,7 @@ import numpy as np
 
 from .decomposition import (
     MassSplit,
+    chain_moment_array,
     compute_constants,
     default_split,
     least_mass,
@@ -61,8 +66,8 @@ __all__ = [
 
 # The least n at which build_rule solves and maps every chain at once.  On
 # benchmarks/bench_chain.py's build_rule_path (the least of three runs on a
-# 2-core x86 box) the array path takes 1.20x the per-chain time at n = 16,
-# 0.98x at 20, 0.94x at 24 and 0.81x at 28.
+# 2-core x86 box) the array path takes 1.25x the per-chain time at n = 16,
+# 0.98x at 20, 0.82x at 24 and 0.74x at 28.
 ARRAY_MIN_N = 24
 
 
@@ -139,12 +144,14 @@ def build_rule(
         split = default_split(spec)
     n = spec.n
     consts = compute_constants(spec)
-    chain = reduced_moment_chain(spec, split)
     solved = None
     if n >= ARRAY_MIN_N:
-        # fromiter over the flattened rows takes half the time of np.array(chain)
-        moments = np.fromiter(itertools.chain.from_iterable(chain), np.float64, 4 * n)
-        solved = solve_two_point_array(moments.reshape(n, 4))
+        chain = chain_moment_array(spec, split)
+        solved = solve_two_point_array(chain)
+        if solved is None:  # Python floats, as the per-chain errors print them
+            chain = chain.tolist()
+    else:
+        chain = reduced_moment_chain(spec, split)
     if solved is None:
         nodes, weights = _build_per_chain(chain, split, spec, consts)
     else:

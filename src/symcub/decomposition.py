@@ -27,24 +27,32 @@ constants are closed forms in the seven moments, computed once per spec
 the chain moments derive the constants from the spec themselves, and
 only the node maps take them as an argument.
 
-The n chains are independent, so the solve and the node map also come
-as array versions over all chains at once: :func:`solve_two_point_array`
-and :func:`map_nodes_array`.  Each does the operations of its scalar
-version in the same order, elementwise, so the two agree bit for bit;
-a fix to one formula belongs in both.  The array solve returns None
-when any chain is an atom or infeasible, and the caller then solves the
-chains one by one, for the scalar version's atom and errors.  Which
-version a rule build takes depends on n only; see
-:mod:`symcub.assembly`.
+The n chains are coupled only through the prefix sums of the masses, so
+the chain moments, the solve and the node map also come as array
+versions over all chains at once: :func:`chain_moment_array`,
+:func:`solve_two_point_array` and :func:`map_nodes_array`.  Each does
+the operations of its scalar version in the same order, elementwise, so
+the two agree bit for bit; a fix to one formula belongs in both.  The
+chain moments of both versions read one coefficient table per spec, and
+a coefficient past the largest float raises
+:class:`InvalidMomentSpecError` there.  :func:`chain_moment_array` takes
+the exact prefix sums from an int64 cumsum of the masses scaled to
+integers, which holds while the masses are normal floats at most
+MAX_SPREAD = 9 binades apart; other splits go through
+:func:`reduced_moment_chain`.  The array solve returns None when any
+chain is an atom or infeasible, and the caller then solves the chains
+one by one, for the scalar version's atom and errors.  Which version a
+rule build takes depends on n only; see :mod:`symcub.assembly`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,6 +65,7 @@ __all__ = [
     "DecompositionConstants",
     "MassSplit",
     "add_exact",
+    "chain_moment_array",
     "chain_moments",
     "compute_constants",
     "default_split",
@@ -104,7 +113,7 @@ class MassSplit:
     compensation: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
+        object.__setattr__(self, "masses", tuple(map(float, self.masses)))
 
     @classmethod
     def from_t(
@@ -197,22 +206,33 @@ def add_exact(partials: list[float], x: float) -> None:
     partials[i:] = [x]
 
 
+class _ChainTable(NamedTuple):
+    """The coefficients of every chain's moments for one spec; see :func:`chain_moments`."""
+
+    first: tuple[float, float, float]  # chain 1
+    last: tuple[float, float, float]  # chain n
+    powers: np.ndarray  # (3, 1): c_mid, c_mid^2, c_mid^3; zeros for n = 2
+    offsets: np.ndarray  # (3, n - 2): column k - 2 is middle chain k's (-0.0, f2 d2, f2 (n - k + 3) e3)
+
+
+def _cube(x: float) -> float:
+    """x**3, or an infinity of x's sign where it overflows."""
+    try:
+        return x**3
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _overflow(k: int, j: int, detail: str) -> InvalidMomentSpecError:
+    return InvalidMomentSpecError(f"chain moment m{j} of chain {k} overflows float64 ({detail})")
+
+
 @functools.lru_cache(maxsize=32)
-def chain_moments(spec: SymmetricMomentSpec) -> Callable[[int, float], tuple[float, float, float]]:
-    """The map (k, r) -> (m1, m2, m3) of chain k with mass r ahead of it.
+def _chain_table(spec: SymmetricMomentSpec) -> _ChainTable:
+    """The chain-moment coefficients of `spec`, built once per spec per process.
 
-    The mass ahead of chain k is m_1 - sum(mu_1 .. mu_{k-1}).  Chain 1
-    uses the full base moments shifted by c_n and chain n is (0, 2*L(x1^2
-    - x1*x2), 0); neither reads r, so both are computed once here.  Only
-    the middle chains 2 .. n-1 depend on r, and each is affine in it:
-
-        (c_mid r,  f2 d2 + c_mid^2 r,  f2 (n - k + 3) e3 + c_mid^3 r),
-
-    with f2 = (n - k + 1)(n - k + 2), d2 = L(x1^2 - x1 x2) and e3 =
-    -L(x1^3 - 3 x1^2 x2 + 2 x1 x2 x3).  The offsets and the powers of c_mid
-    are computed once here, so a call is three multiply-adds, and the map is
-    built once per spec per process: assembly and the search's walk table
-    read the same one.
+    A coefficient past the largest float raises :class:`InvalidMomentSpecError`
+    naming the chain moment it belongs to.
     """
     n = spec.n
     consts = compute_constants(spec)
@@ -226,17 +246,57 @@ def chain_moments(spec: SymmetricMomentSpec) -> Callable[[int, float], tuple[flo
         + n * (n - 1) * (n - 2) * spec.m_xyz
         + 3.0 * c * (n * spec.m_xx + n * (n - 1) * spec.m_xy)
         + 3.0 * n * c * c * spec.m_x
-        + c**3 * spec.m_1,
+        + _cube(c) * spec.m_1,
     )
     last = (0.0, 2.0 * d2, 0.0)
     e3 = -(spec.m_xxx - 3.0 * spec.m_xxy + 2.0 * spec.m_xyz)
-    cm = consts.c_mid
-    cm2, cm3 = (None, None) if cm is None else (cm * cm, cm**3)
-    offset2, offset3 = [0.0, 0.0], [0.0, 0.0]  # list position k is middle chain k
-    for k in range(2, n):
-        f2 = (n - k + 1) * (n - k + 2)
-        offset2.append(f2 * d2)
-        offset3.append(f2 * (n - k + 3) * e3)
+    cm = 0.0 if consts.c_mid is None else consts.c_mid
+    powers = (cm, cm * cm, _cube(cm))
+    # n - k + 1 for the middle chains k = 2 .. n - 1, in float64: f2 is exact and
+    # f2 (n - k + 3) rounds once, as the int product does when it meets a float
+    lead = np.arange(n - 1, 1, -1, dtype=np.float64)
+    f2 = lead * (lead + 1)
+    # -0.0 + x is x bit for bit, so m1 = c_mid r can take the add of m2 and m3
+    offsets = np.array((np.full(n - 2, -0.0), f2 * d2, f2 * (lead + 2) * e3))
+    for j, x in enumerate(first, start=1):
+        if not math.isfinite(x):
+            raise _overflow(1, j, f"c_n = {c!r}")
+    for j, x in enumerate(powers, start=1):
+        if not math.isfinite(x):
+            raise _overflow(2, j, f"c_mid^{j} with c_mid = {cm!r}")
+    for j, i in np.argwhere(~np.isfinite(offsets)).tolist():
+        raise _overflow(i + 2, j + 1, f"its constant term is {offsets[j, i]!r}")
+    if not math.isfinite(last[1]):
+        raise _overflow(n, 2, f"m_xx - m_xy = {d2!r}")
+    return _ChainTable(first, last, np.array(powers)[:, None], offsets)
+
+
+@functools.lru_cache(maxsize=32)
+def chain_moments(spec: SymmetricMomentSpec) -> Callable[[int, float], tuple[float, float, float]]:
+    """The map (k, r) -> (m1, m2, m3) of chain k with mass r ahead of it.
+
+    The mass ahead of chain k is m_1 - sum(mu_1 .. mu_{k-1}).  Chain 1
+    uses the full base moments shifted by c_n and chain n is (0, 2*L(x1^2
+    - x1*x2), 0); neither reads r.  Only the middle chains 2 .. n-1 depend
+    on r, and each is affine in it:
+
+        (c_mid r,  f2 d2 + c_mid^2 r,  f2 (n - k + 3) e3 + c_mid^3 r),
+
+    with f2 = (n - k + 1)(n - k + 2), d2 = L(x1^2 - x1 x2) and e3 =
+    -L(x1^3 - 3 x1^2 x2 + 2 x1 x2 x3).  Chain 1, chain n, the offsets and
+    the powers of c_mid form one table per spec, which
+    :func:`chain_moment_array` reads too, so a call is three multiply-adds.
+    The map is built once per spec per process: assembly and the search's
+    walk table read the same one.  A coefficient that overflows float64
+    raises :class:`InvalidMomentSpecError` naming its chain moment.
+    """
+    n = spec.n
+    table = _chain_table(spec)
+    first, last = table.first, table.last
+    cm, cm2, cm3 = table.powers.ravel().tolist()
+    # list position k is middle chain k
+    offset2 = [0.0, 0.0, *table.offsets[1].tolist()]
+    offset3 = [0.0, 0.0, *table.offsets[2].tolist()]
 
     def moments(k: int, mass_ahead: float) -> tuple[float, float, float]:
         if 1 < k < n:
@@ -266,6 +326,68 @@ def reduced_moment_chain(
         out.append((mu, m1, m2, m3))
         add_exact(peeled, mu)
     return out
+
+
+# The exact prefix sums of chain_moment_array scale every mass to an integer
+# below 2^(53 + MAX_SPREAD) < 2^63 and sum its two 32-bit words in int64; each
+# word sum stays below 2^53, so it converts to float64 exactly, while n < 2^21.
+MAX_SPREAD = 9
+_MAX_WORDS_N = 1 << 21
+
+
+def chain_moment_array(spec: SymmetricMomentSpec, split: MassSplit) -> np.ndarray:
+    """The moments of :func:`reduced_moment_chain` as one (n, 4) array, row k - 1 of chain k.
+
+    Every bit, and every error, is that of :func:`reduced_moment_chain`.
+    The mass ahead of chain k, m_1 - fsum(masses[:k - 1]), needs the
+    prefix sums of the masses, each rounded once as fsum rounds it.  They
+    come from one exact integer sum: with e the least binary exponent among
+    the masses, each mass times 2^(53 - e) (``np.ldexp``, exact) is an
+    integer below 2^62 whenever the largest and the least mass are at most
+    MAX_SPREAD binades apart.  The int64 cumsum of its high and low 32-bit
+    words is exact, ``hi * 2**32 + lo`` rounds each prefix sum once, and
+    scaling back by 2^(e - 53) is exact for normal floats.  The last prefix
+    sum is the total, which decides the mass balance as fsum's would.  The
+    middle chains then take the multiply-adds of :func:`chain_moments` from
+    the same per-spec table, elementwise and in the same order.  The array
+    is the transpose of a (4, n) one, so each moment is a contiguous row.
+
+    The data picks the fallback, which is :func:`reduced_moment_chain`
+    itself: a split of the wrong length, a mass that is not a positive
+    normal float, masses spread over more than MAX_SPREAD binades and
+    masses whose sum could pass the largest float go through it, and it
+    validates the split as always.  An unbalanced total raises
+    :func:`validate_split`'s error.
+    """
+    table = _chain_table(spec)
+    n = spec.n
+    fast = len(split.masses) == n < _MAX_WORDS_N
+    if fast:
+        masses = np.fromiter(split.masses, np.float64, n)
+        lo, hi = float(masses.min()), float(masses.max())
+        fast = (
+            sys.float_info.min <= lo  # also false for NaN
+            and hi * n < sys.float_info.max  # also false for inf
+            and math.frexp(hi)[1] - math.frexp(lo)[1] <= MAX_SPREAD
+        )
+    if not fast:
+        return np.array(reduced_moment_chain(spec, split))
+    shift = 53 - math.frexp(lo)[1]
+    # little-endian words of each scaled mass: column 0 the low, column 1 the high
+    words = np.ldexp(masses, shift).astype("<i8").view("<u4").reshape(n, 2)
+    sums = words.cumsum(axis=0, dtype=np.int64)
+    prefix = np.ldexp(sums[:, 1] * 2.0**32 + sums[:, 0], -shift)
+    if not split.compensation and abs(prefix[-1] - spec.m_1) > MASS_BALANCE_RTOL * abs(spec.m_1):
+        validate_split(split, spec)  # raises the unbalanced-sum error
+    # one row per moment, so that each operation below runs on contiguous rows
+    out = np.empty((4, n))
+    out[0] = masses
+    out[1:, 0] = table.first
+    out[1:, -1] = table.last
+    middle = out[1:, 1:-1]
+    np.multiply(table.powers, np.subtract(spec.m_1, prefix[: n - 2]), out=middle)
+    np.add(middle, table.offsets, out=middle)
+    return out.T
 
 
 def solve_two_point(

@@ -116,6 +116,21 @@ def test_overflowing_mass_sum_exit_1(capsys, compensate):
     assert err.splitlines() == ["error: the masses sum past the largest float"]
 
 
+@pytest.mark.parametrize("mxyz, message", [
+    (1e102, "error: chain moment m3 of chain 2 overflows float64 (c_mid^3 with c_mid = -1e+103)"),
+    (1e308, "error: chain moment m1 of chain 1 overflows float64 (c_n = inf)"),
+])
+def test_generate_overflowing_chain_moments_is_one_error_line(tmp_path, capsys, mxyz, message):
+    # c_mid^3 overflows in the first spec and c_n in the second: one named error, not exit 2
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"n": 3, "m1": 1.0, "mx": 0.0, "mxx": 0.4, "mxy": 0.2, "mxxx": 0.3, "mxxy": 0.1, "mxyz": mxyz}
+    ))
+    code, out, err = _run(capsys, "generate", "--spec", str(spec_path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [message]
+
+
 @pytest.mark.parametrize("n", [340, 3144, 4000])
 def test_generate_underflowing_sector_is_one_error_line(capsys, n):
     # from n = 3144 on, (pi/2)^(n/2) would overflow: the same named error, no traceback

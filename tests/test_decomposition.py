@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from symcub import (
+    InvalidMomentSpecError,
     InvalidSplitError,
     MassSplit,
     Region,
@@ -23,7 +24,11 @@ from symcub import (
     sector_spec,
     simplex_spec,
 )
-from symcub.decomposition import chain_moments, solve_two_point, solve_two_point_array
+from symcub import decomposition
+from symcub.assembly import ARRAY_MIN_N
+from symcub.decomposition import (
+    MAX_SPREAD, chain_moment_array, chain_moments, solve_two_point, solve_two_point_array,
+)
 from reference_helpers import closure_chain_moments
 
 
@@ -320,3 +325,152 @@ def test_array_solve_defers_atoms_and_infeasible_rows(row):
     moments = np.array([(1.0, 0.0, 1.0, 0.0), row])
     assert solve_two_point_array(moments) is None
     assert solve_two_point_array(moments[:1]) is not None
+
+
+def _hex(values):
+    return [x.hex() for x in np.asarray(values, dtype=np.float64).ravel().tolist()]
+
+
+def _array_vs_loop(monkeypatch, spec, split):
+    """chain_moment_array's bits, the loop's bits, and whether the array fell back to the loop."""
+    loop = reduced_moment_chain(spec, split)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return reduced_moment_chain(*args)
+
+    monkeypatch.setattr(decomposition, "reduced_moment_chain", spy)
+    got = chain_moment_array(spec, split)
+    monkeypatch.undo()
+    assert got.shape == (spec.n, 4)
+    return _hex(got), _hex(loop), bool(calls)
+
+
+def _seeded_splits(spec, seed):
+    """The uniform split, and seeded random ones, balanced and compensated."""
+    n, m_1 = spec.n, spec.m_1
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.5, 1.5, n)
+    balanced = MassSplit(tuple(t * n / t.sum() * m_1 / n))
+    return [
+        default_split(spec),
+        balanced,
+        MassSplit(tuple(rng.uniform(0.5, 1.5, n) * m_1 / n), compensation=True),
+        MassSplit(tuple(rng.uniform(0.9, 1.1, n) * m_1 / n), compensation=True),
+    ]
+
+
+@pytest.mark.parametrize("region, n", [
+    *((region, n) for region in Region for n in (ARRAY_MIN_N, 33, 128)),
+    (Region.CUBE, 512),
+    # masses near the least normal float: 2^shift itself would overflow
+    (Region.BALL_SECTOR, 320),
+    (Region.SIMPLEX, 160),
+])
+def test_chain_moment_array_is_bit_identical_to_the_loop(monkeypatch, region, n):
+    spec = region_spec(RegionId(region, n))
+    for split in _seeded_splits(spec, n):
+        got, loop, fell_back = _array_vs_loop(monkeypatch, spec, split)
+        assert got == loop
+        assert not fell_back
+
+
+@pytest.mark.parametrize("n", [3, ARRAY_MIN_N, 128])
+def test_chain_moment_array_falls_back_past_max_spread(monkeypatch, n):
+    # least mass 1.0, so binary exponent 1; the largest has exponent 1 + spread
+    spec = cube_spec(n)
+    assert MAX_SPREAD == 9
+    # the largest scaled mass of a 9-binade spread is 2^62 - 2^9
+    for spread, top in [(9, math.nextafter(2.0**10, 0)), (9, 2.0**9),
+                        (10, 2.0**10), (10, 1.5 * 2.0**10)]:
+        assert math.frexp(top)[1] - math.frexp(1.0)[1] == spread
+        masses = [1.0] * n
+        masses[n // 2] = top
+        masses[-1] = math.nextafter(1.0, 2.0)
+        got, loop, fell_back = _array_vs_loop(monkeypatch, spec, MassSplit(masses, True))
+        assert got == loop
+        assert fell_back == (spread > 9)
+
+
+def test_chain_moment_array_falls_back_on_a_subnormal_mass(monkeypatch):
+    spec = cube_spec(ARRAY_MIN_N)
+    masses = np.linspace(1.0, 3.0, ARRAY_MIN_N) * sys.float_info.min
+    # the least normal float takes the array path, a subnormal mass the loop
+    for least, subnormal in [(sys.float_info.min, False), (5e-324, True),
+                             (sys.float_info.min / 3, True)]:
+        masses[1] = least
+        got, loop, fell_back = _array_vs_loop(monkeypatch, spec, MassSplit(masses, True))
+        assert got == loop
+        assert fell_back == subnormal
+
+
+def test_chain_moment_array_prefix_sums_round_as_fsum():
+    # masses one ulp apart, whose prefix sums fall on ties and just off them
+    n = 64
+    spec = cube_spec(n)
+    rng = np.random.default_rng(64)
+    for _ in range(50):
+        ulps = rng.integers(0, 4, n)
+        masses = [math.ldexp(float(2**52 + u), -58) for u in ulps.tolist()]
+        split = MassSplit(masses, compensation=True)
+        assert _hex(chain_moment_array(spec, split)) == _hex(reduced_moment_chain(spec, split))
+
+
+def _error(call, *args):
+    try:
+        call(*args)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("compensation", [False, True])
+@pytest.mark.parametrize("case", [
+    "short", "long", "zero", "negative", "nan", "inf", "overflowing sum", "unbalanced",
+])
+def test_chain_moment_array_rejects_splits_as_the_loop_does(case, compensation):
+    n = ARRAY_MIN_N
+    spec = cube_spec(n)
+    masses = [spec.m_1 / n] * n
+    if case == "short":
+        masses = masses[:-1]
+    elif case == "long":
+        masses.append(masses[0])
+    elif case == "zero":
+        masses[3] = 0.0
+    elif case == "negative":
+        masses[3] = -masses[3]
+    elif case == "nan":
+        masses[3] = math.nan
+    elif case == "inf":
+        masses[3] = math.inf
+    elif case == "overflowing sum":
+        masses = [1e307] * n
+    else:
+        masses[3] *= 1.5
+    split = MassSplit(masses, compensation)
+    expected = _error(reduced_moment_chain, spec, split)
+    if case == "unbalanced" and compensation:
+        assert expected is None
+    else:
+        assert expected is not None and expected[0] is InvalidSplitError
+    assert _error(chain_moment_array, spec, split) == expected
+    assert _error(build_rule, spec, split) == expected
+
+
+OVERFLOWING = [
+    (1e102, "chain moment m3 of chain 2 overflows float64 (c_mid^3 with c_mid = -1e+103)"),
+    (1e308, "chain moment m1 of chain 1 overflows float64 (c_n = inf)"),
+]
+
+
+@pytest.mark.parametrize("m_xyz, message", OVERFLOWING)
+def test_overflowing_chain_moments_are_named(m_xyz, message):
+    spec = SymmetricMomentSpec(
+        n=3, m_1=1.0, m_x=0.0, m_xx=0.4, m_xy=0.2, m_xxx=0.3, m_xxy=0.1, m_xyz=m_xyz
+    )
+    for call in (lambda: chain_moments(spec), lambda: build_rule(spec)):
+        with pytest.raises(InvalidMomentSpecError) as info:
+            call()
+        assert str(info.value) == message
