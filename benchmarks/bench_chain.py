@@ -1,4 +1,4 @@
-"""Timing of the chain moments, the 1-D solves, the least masses, the node map and rule building at n = 3 .. 512.
+"""Timing of the splits, the chain moments, the 1-D solves, the least masses, the node map and rule building at n = 3 .. 512.
 
 The file name does not match `test_*.py`, so the test suite does not
 collect it and timing noise cannot fail the suite.  Run it by path:
@@ -13,7 +13,9 @@ solves as one call on their (n, 4) array; `map_nodes` and
 `map_nodes_array` map their 2n node values to the (2n, n) node array;
 `least_mass` times the n least masses of the cube's chains on a search
 walk's node intervals at tau = -1, each chain with the mass ahead of it
-that the uniform split leaves.  `build_rule` adds the constants and the
+that the uniform split leaves.  `from_t` builds a compensated split
+from a list of n float t-values, as perfbench's build workload does.
+`build_rule` adds the constants and the
 chain moments to the solves and the node map, on the uniform split and
 on a compensated one, and `build_rule_path` times each of its two paths
 at every n: where the array path starts to win sets
@@ -62,8 +64,8 @@ def test_reduced_moment_chain(benchmark, n):
 @pytest.mark.parametrize("n", SIZES)
 def test_chain_moment_array(benchmark, n):
     spec, split = _cube(n)
-    chain = benchmark(chain_moment_array, spec, split)
-    assert chain.shape == (n, 4)
+    chain, total = benchmark(chain_moment_array, spec, split)
+    assert chain.shape == (n, 4) and total == math.fsum(split.masses)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -120,6 +122,14 @@ def test_map_nodes_array(benchmark, n):
     ts, _ = solve_two_point_array(np.array(reduced_moment_chain(spec, split)))
     nodes = benchmark(map_nodes_array, ts, compute_constants(spec))
     assert nodes.shape == (2 * n, n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_from_t(benchmark, n):
+    spec = cube_spec(n)
+    t = np.random.default_rng(n).uniform(0.9, 1.1, n).tolist()
+    split = benchmark(MassSplit.from_t, t, spec, True)
+    assert len(split.masses) == n
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -5,9 +5,11 @@ derives the constants from the spec, as the chain moments do.  Weights
 pass through from the one-dimensional rules unchanged.  The chains are
 solved and mapped to R^n on one of two paths, chosen by n alone:
 
-* n < ARRAY_MIN_N: each chain by
-  :func:`~symcub.decomposition.solve_two_point`, and its rows by
-  :func:`~symcub.decomposition.map_nodes`;
+* n < ARRAY_MIN_N: one loop over the chains takes each chain's moments
+  from :func:`~symcub.decomposition.chain_moments`, with the mass ahead
+  m_1 - fsum(masses[:k - 1]), and solves it by
+  :func:`~symcub.decomposition.solve_two_point`; one call of
+  :func:`~symcub.decomposition.map_nodes` then writes every row;
 * n >= ARRAY_MIN_N: the chain moments as one array by
   :func:`~symcub.decomposition.chain_moment_array`, all chains at once by
   :func:`~symcub.decomposition.solve_two_point_array`, and the whole node
@@ -15,12 +17,14 @@ solved and mapped to R^n on one of two paths, chosen by n alone:
   ``chain_moment_array`` sums the masses exactly in int64 while they are
   normal floats at most nine binades apart, and otherwise falls back to
   the per-chain loop of
-  :func:`~symcub.decomposition.reduced_moment_chain`.
+  :func:`~symcub.decomposition.reduced_moment_chain`.  Its total of the
+  masses, fsum's bit for bit, gives the compensation weight.
 
 The array path makes a fixed number of numpy calls, which cost more than
-the per-chain loop at small n; the two tie near n = 20 on
-``benchmarks/bench_chain.py`` (``test_build_rule_path``), and
-ARRAY_MIN_N = 24 is the least n where the array path is ahead.  Both
+the per-chain loop at small n: on ``benchmarks/bench_chain.py``
+(``test_build_rule_path``) it takes 1.09x the per-chain time at n = 20
+and 0.90x at n = 24, and ARRAY_MIN_N = 24 is the least measured n where
+the array path is ahead.  Both
 paths do the same operations in the same order, so the rule is the same
 bit for bit.  When a chain is an atom or infeasible the array solve
 returns None, and the per-chain path builds the rule: it writes the
@@ -47,14 +51,15 @@ import numpy as np
 from .decomposition import (
     MassSplit,
     chain_moment_array,
+    chain_moments,
     compute_constants,
     default_split,
     least_mass,
     map_nodes,
     map_nodes_array,
-    reduced_moment_chain,
     solve_two_point,
     solve_two_point_array,
+    validate_split,
 )
 from .errors import InfeasibleMomentError
 from .moments import SymmetricMomentSpec
@@ -66,8 +71,8 @@ __all__ = [
 
 # The least n at which build_rule solves and maps every chain at once.  On
 # benchmarks/bench_chain.py's build_rule_path (the least of three runs on a
-# 2-core x86 box) the array path takes 1.25x the per-chain time at n = 16,
-# 0.98x at 20, 0.82x at 24 and 0.74x at 28.
+# 2-core x86 box) the array path takes 1.33x the per-chain time at n = 16,
+# 1.09x at 20, 0.90x at 24, 0.80x at 28 and 0.72x at 32.
 ARRAY_MIN_N = 24
 
 
@@ -146,19 +151,27 @@ def build_rule(
     consts = compute_constants(spec)
     solved = None
     if n >= ARRAY_MIN_N:
-        chain = chain_moment_array(spec, split)
+        chain, total = chain_moment_array(spec, split)
         solved = solve_two_point_array(chain)
         if solved is None:  # Python floats, as the per-chain errors print them
             chain = chain.tolist()
     else:
-        chain = reduced_moment_chain(spec, split)
+        moments = chain_moments(spec)
+        validate_split(split, spec)
+        masses, m_1 = split.masses, spec.m_1
+        # the mass ahead of chain k, rounded once as reduced_moment_chain rounds it
+        chain = (
+            (mu, *moments(k, m_1 - math.fsum(masses[: k - 1])))
+            for k, mu in enumerate(masses, start=1)
+        )
+        total = None
     if solved is None:
-        nodes, weights = _build_per_chain(chain, split, spec, consts)
+        nodes, weights = _build_per_chain(chain, split, spec, consts, total)
     else:
         ts, ws = solved
         nodes, weights = map_nodes_array(ts, consts, split.compensation), ws.ravel()
         if split.compensation:
-            weights = np.append(weights, spec.m_1 - math.fsum(split.masses))
+            weights = np.append(weights, spec.m_1 - total)
     metadata = {
         "region": region_label,
         "masses": list(split.masses),
@@ -168,8 +181,9 @@ def build_rule(
     return CubatureRule(dim=n, nodes=nodes, weights=weights, metadata=metadata)
 
 
-def _build_per_chain(chain, split, spec, consts):
-    """The node and weight arrays of `chain`, solved one chain at a time."""
+def _build_per_chain(chain, split, spec, consts, total):
+    """The node and weight arrays of the (m0, m1, m2, m3) of each chain, solved
+    one chain at a time; `total` is the sum of the masses, or None for fsum's."""
     solved: list[tuple[int, tuple[float, ...]]] = []
     weights: list[float] = []
     for k, (m0, m1, m2, m3) in enumerate(chain, start=1):
@@ -185,8 +199,8 @@ def _build_per_chain(chain, split, spec, consts):
                 mass_bound=bound,
             ) from exc
         solved.append((k, ts))
-        weights.extend(ws)
+        weights += ws
     if split.compensation:
         solved.append((spec.n, (0.0,)))
-        weights.append(spec.m_1 - math.fsum(split.masses))
+        weights.append(spec.m_1 - (math.fsum(split.masses) if total is None else total))
     return map_nodes(solved, consts), np.array(weights)

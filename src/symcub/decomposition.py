@@ -43,6 +43,14 @@ MAX_SPREAD = 9 binades apart; other splits go through
 chain is an atom or infeasible, and the caller then solves the chains
 one by one, for the scalar version's atom and errors.  Which version a
 rule build takes depends on n only; see :mod:`symcub.assembly`.
+
+Both node maps compute each row's three values (alpha, beta, gamma) and
+write the whole (rows, n) array in one numpy call, whose index depends
+only on the rows' chain indices: :func:`map_nodes` gathers through an
+index cached per (n, row pattern), and :func:`map_nodes_array` repeats
+each value by run lengths cached per (n, nodes per chain, compensation).
+Each cache holds read-only arrays, at most 32 entries of bounded size;
+its docstring gives the bytes.
 """
 
 from __future__ import annotations
@@ -127,20 +135,27 @@ class MassSplit:
         Values may be given as strings such as "93/85"; they are parsed
         exactly and converted to floats at the end.  A string that is not
         a number, divides by zero or overflows raises InvalidSplitError.
+        Each value is converted once, in one pass; only a rejected value
+        makes a second pass, which finds the first bad t_k to name it.
         """
-        t = []
-        for k, v in enumerate(t_values, start=1):
-            try:
-                t.append(float(Fraction(v)) if isinstance(v, str) else float(v))
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise InvalidSplitError(
-                    f"t-parameter t_{k} = {v!r} is not a finite number"
-                ) from exc
-        if len(t) != spec.n:
-            raise InvalidSplitError(
-                f"expected {spec.n} t-parameters, got {len(t)}"
-            )
-        return cls(tuple(tk * spec.m_1 / spec.n for tk in t), compensation)
+        m_1, n = spec.m_1, spec.n
+        try:
+            masses = tuple([
+                (float(Fraction(v)) if isinstance(v, str) else float(v)) * m_1 / n
+                for v in t_values
+            ])
+        except (ValueError, ZeroDivisionError, OverflowError):
+            for k, v in enumerate(t_values, start=1):
+                try:
+                    float(Fraction(v)) if isinstance(v, str) else float(v)
+                except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                    raise InvalidSplitError(
+                        f"t-parameter t_{k} = {v!r} is not a finite number"
+                    ) from exc
+            raise
+        if len(masses) != n:
+            raise InvalidSplitError(f"expected {n} t-parameters, got {len(masses)}")
+        return cls(masses, compensation)
 
 
 @functools.lru_cache(maxsize=32)
@@ -335,10 +350,13 @@ MAX_SPREAD = 9
 _MAX_WORDS_N = 1 << 21
 
 
-def chain_moment_array(spec: SymmetricMomentSpec, split: MassSplit) -> np.ndarray:
-    """The moments of :func:`reduced_moment_chain` as one (n, 4) array, row k - 1 of chain k.
+def chain_moment_array(spec: SymmetricMomentSpec, split: MassSplit) -> tuple[np.ndarray, float]:
+    """The moments of :func:`reduced_moment_chain` as one (n, 4) array, row k - 1 of chain k,
+    and the sum of the masses.
 
-    Every bit, and every error, is that of :func:`reduced_moment_chain`.
+    Every bit of the array, and every error, is that of
+    :func:`reduced_moment_chain`, and the sum is ``math.fsum(split.masses)``
+    bit for bit.
     The mass ahead of chain k, m_1 - fsum(masses[:k - 1]), needs the
     prefix sums of the masses, each rounded once as fsum rounds it.  They
     come from one exact integer sum: with e the least binary exponent among
@@ -347,7 +365,8 @@ def chain_moment_array(spec: SymmetricMomentSpec, split: MassSplit) -> np.ndarra
     MAX_SPREAD binades apart.  The int64 cumsum of its high and low 32-bit
     words is exact, ``hi * 2**32 + lo`` rounds each prefix sum once, and
     scaling back by 2^(e - 53) is exact for normal floats.  The last prefix
-    sum is the total, which decides the mass balance as fsum's would.  The
+    sum is the total: it decides the mass balance as fsum's would, and is
+    returned, so that a compensated rule need not sum the masses again.  The
     middle chains then take the multiply-adds of :func:`chain_moments` from
     the same per-spec table, elementwise and in the same order.  The array
     is the transpose of a (4, n) one, so each moment is a contiguous row.
@@ -356,8 +375,8 @@ def chain_moment_array(spec: SymmetricMomentSpec, split: MassSplit) -> np.ndarra
     itself: a split of the wrong length, a mass that is not a positive
     normal float, masses spread over more than MAX_SPREAD binades and
     masses whose sum could pass the largest float go through it, and it
-    validates the split as always.  An unbalanced total raises
-    :func:`validate_split`'s error.
+    validates the split as always; the sum is then fsum's.  An unbalanced
+    total raises :func:`validate_split`'s error.
     """
     table = _chain_table(spec)
     n = spec.n
@@ -371,7 +390,7 @@ def chain_moment_array(spec: SymmetricMomentSpec, split: MassSplit) -> np.ndarra
             and math.frexp(hi)[1] - math.frexp(lo)[1] <= MAX_SPREAD
         )
     if not fast:
-        return np.array(reduced_moment_chain(spec, split))
+        return np.array(reduced_moment_chain(spec, split)), math.fsum(split.masses)
     shift = 53 - math.frexp(lo)[1]
     # little-endian words of each scaled mass: column 0 the low, column 1 the high
     words = np.ldexp(masses, shift).astype("<i8").view("<u4").reshape(n, 2)
@@ -387,7 +406,7 @@ def chain_moment_array(spec: SymmetricMomentSpec, split: MassSplit) -> np.ndarra
     middle = out[1:, 1:-1]
     np.multiply(table.powers, np.subtract(spec.m_1, prefix[: n - 2]), out=middle)
     np.add(middle, table.offsets, out=middle)
-    return out.T
+    return out.T, float(prefix[-1])
 
 
 def solve_two_point(
@@ -512,6 +531,39 @@ def least_mass(
     return lo if lo <= hi else math.inf
 
 
+def _row_runs(n: int, chain: np.ndarray) -> np.ndarray:
+    """The run lengths of alpha, beta and gamma in the rows of chains `chain`, flat.
+
+    A chain-k row, k >= 2, is (alpha x (n - k + 1), beta, gamma x (k - 2));
+    a chain-1 row is its first value n times.
+    """
+    runs = np.empty((len(chain), 3), dtype=np.intp)
+    runs[:, 0] = n + 1 - chain
+    runs[:, 1] = chain > 1
+    runs[:, 2] = chain - 1 - runs[:, 1]
+    return runs.ravel()
+
+
+# map_nodes caches a gather index only while it has at most this many
+# entries, which covers every per-chain rule of n <= 31 (2n + 1 rows).
+_GATHER_MAX_ENTRIES = 2048
+
+
+@functools.lru_cache(maxsize=32)
+def _gather_index(n: int, pattern: tuple[int, ...]) -> np.ndarray:
+    """The read-only (rows, n) index of each value that map_nodes writes, row r of chain pattern[r].
+
+    Row r's alpha, beta and gamma are values 3r, 3r + 1 and 3r + 2.  An
+    entry holds at most _GATHER_MAX_ENTRIES intp (16 KiB) and a key of at
+    most 1024 ints (8 KiB), so the 32 entries take at most about 800 KiB.
+    """
+    rows = len(pattern)
+    runs = _row_runs(n, np.array(pattern, dtype=np.intp))
+    index = np.repeat(np.arange(3 * rows), runs).reshape(rows, n)
+    index.setflags(write=False)
+    return index
+
+
 def map_nodes(
     chains: Sequence[tuple[int, Sequence[float]]], consts: DecompositionConstants
 ) -> np.ndarray:
@@ -528,32 +580,61 @@ def map_nodes(
                         beta  = gamma - (t + c_2) / 2,  alpha = beta + t
 
     with c_2 = c_mid for n >= 3 and c_2 = c_n for n = 2.  Every row is
-    such a block pattern, so the (rows, n) array is filled with gamma once
-    and each row writes its leading blocks by slice assignment.
+    such a block pattern, so each row's three values are computed in plain
+    floats, and one ``take`` writes the whole (rows, n) array.  Its index
+    depends only on n and the chain index of each row, and is cached per
+    (n, row pattern) up to _GATHER_MAX_ENTRIES entries; a larger array
+    repeats the values by their run lengths instead, as
+    :func:`map_nodes_array` does.
     """
-    n, gamma = consts.n, consts.gamma
-    out = np.empty((sum(len(ts) for _, ts in chains), n))
-    out.fill(gamma)
-    row = 0
+    n, gamma, c_n, c_mid, c_2 = consts.n, consts.gamma, consts.c_n, consts.c_mid, consts.c_2
+    values: list[float] = []  # alpha, beta and gamma of each row; a chain-1 row's eta first
+    pattern: list[int] = []
     for k, ts in chains:
         if not 1 <= k <= n:
             raise ValueError(f"chain index must be in [1, {n}], got {k}")
         if k == 1:
             for t in ts:
-                out[row] = (t - consts.c_n) / n
-                row += 1
-            continue
-        lead = n - k + 1
-        for t in ts:
-            if k == n:
-                beta = gamma - (t + consts.c_2) / 2.0
-                out[row, 0] = beta + t
-            else:
-                beta = gamma - t / (n - k + 2)
-                out[row, :lead] = beta + (t - consts.c_mid) / lead
-            out[row, lead] = beta
-            row += 1
-    return out
+                values += ((t - c_n) / n, gamma, gamma)
+        elif k == n:
+            for t in ts:
+                beta = gamma - (t + c_2) / 2.0
+                values += (beta + t, beta, gamma)
+        else:
+            lead = n - k + 1
+            for t in ts:
+                beta = gamma - t / (lead + 1)
+                values += (beta + (t - c_mid) / lead, beta, gamma)
+        pattern += [k] * len(ts)
+    rows = len(pattern)
+    if rows * n <= _GATHER_MAX_ENTRIES:
+        return np.array(values).take(_gather_index(n, tuple(pattern)))
+    runs = _row_runs(n, np.array(pattern, dtype=np.intp))
+    return np.repeat(np.array(values), runs).reshape(rows, n)
+
+
+# map_nodes_array caches a run table only for at most this many rows and n
+# below it: n = 512 with two node values per chain, or n = 341 with three.
+_RUNS_MAX_ROWS = 1025
+
+
+@functools.lru_cache(maxsize=32)
+def _run_table(n: int, j: int, compensation: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """map_nodes_array's read-only run lengths, and its columns n - k + 1 and
+    n - k + 2 for k = 1 .. n as (n, 1) floats.
+
+    An entry holds 3 (n j + compensation) intp and 2n floats: at most
+    3 x 1025 + 2 x 1024 eight-byte values (41 KB) under _RUNS_MAX_ROWS, so
+    the 32 entries take at most about 1.3 MB.  At n = 512 and j = 2 an
+    entry takes 33 KB.
+    """
+    lead = np.arange(n, 0, -1, dtype=np.float64)[:, None]
+    chain = np.repeat(np.arange(1, n + 1, dtype=np.intp), j)
+    runs = _row_runs(n, np.append(chain, [n] * compensation))
+    table = runs, lead, lead + 1
+    for a in table:
+        a.setflags(write=False)
+    return table
 
 
 def map_nodes_array(
@@ -568,26 +649,26 @@ def map_nodes_array(
     three values come from elementwise operations in the order of
     :func:`map_nodes`, and one ``np.repeat`` of them by their run lengths
     writes the whole array, so every bit is that of :func:`map_nodes`.
+    The run lengths and the lead column depend only on (n, j,
+    compensation), and are cached per that key.
     """
     n, j = ts.shape
     if n != consts.n:
         raise ValueError(f"expected node values of {consts.n} chains, got {n}")
     gamma, rows = consts.gamma, n * j + compensation
-    lead = np.arange(n, 0, -1)[:, None]  # n - k + 1 for chain k = 1 .. n
+    key = (n, j, bool(compensation))
+    cached = max(rows, n + 1) <= _RUNS_MAX_ROWS
+    runs, lead, lead1 = _run_table(*key) if cached else _run_table.__wrapped__(*key)
     values = np.empty((rows, 3))
-    runs = np.empty((rows, 3), dtype=np.intp)
-    v, u = values[: n * j].reshape(n, j, 3), runs[: n * j].reshape(n, j, 3)
+    v = values[: n * j].reshape(n, j, 3)
     # the middle chains' formulas; n = 2 has none, and c_2 stands in for c_mid
-    v[..., 1] = gamma - ts / (lead + 1)
+    v[..., 1] = gamma - ts / lead1
     v[..., 0] = v[..., 1] + (ts - consts.c_2) / lead
-    u[..., 0], u[..., 1], u[..., 2] = lead, 1, n - 1 - lead
     # chain n's rows, then the compensation node's: the chain-n image of t = 0
     t = np.append(ts[-1], 0.0) if compensation else ts[-1]
     last = slice((n - 1) * j, None)
     values[last, 1] = gamma - (t + consts.c_2) / 2.0
     values[last, 0] = values[last, 1] + t
-    runs[last] = (1, 1, n - 2)
     values[:j, 0] = (ts[0] - consts.c_n) / n
-    runs[:j] = (n, 0, 0)
     values[:, 2] = gamma
-    return np.repeat(values.ravel(), runs.ravel()).reshape(rows, n)
+    return np.repeat(values.ravel(), runs).reshape(rows, n)

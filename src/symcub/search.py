@@ -53,7 +53,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import CubatureRule, build_rule
-from .decomposition import MassSplit, add_exact, chain_moments, compute_constants, least_mass, map_nodes
+from .decomposition import (
+    MassSplit, add_exact, chain_moments, compute_constants, least_mass, map_nodes_array,
+)
 from .errors import InvalidSplitError
 from .moments import RegionId, SymmetricMomentSpec
 from .validation import BOUNDARY_TOL, NodeClass, node_class, node_margins
@@ -140,7 +142,7 @@ class _ChainWalk:
         self.moments = chain_moments(unit)
         # every margin along chain k is A + B t + C t^2: read it at t = -1, 0, 1
         consts = compute_constants(spec)
-        nodes = map_nodes([(k, (-1.0, 0.0, 1.0)) for k in range(1, n + 1)], consts)
+        nodes = map_nodes_array(np.tile((-1.0, 0.0, 1.0), (n, 1)), consts)
         g_lo, A, g_hi = node_margins(region, nodes).reshape(n, 3, -1).transpose(1, 0, 2)
         B, C = 0.5 * (g_hi - g_lo), 0.5 * (g_hi + g_lo) - A
         # a linear margin leaves a C of rounding size only

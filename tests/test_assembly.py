@@ -10,6 +10,7 @@ import pytest
 
 from symcub import (
     CubatureRule,
+    InconsistentAtomError,
     InfeasibleMomentError,
     MassSplit,
     Region,
@@ -26,6 +27,7 @@ from symcub import (
     simplex_spec,
     solve_two_point,
 )
+from symcub import decomposition
 from symcub.assembly import ARRAY_MIN_N
 from symcub.reference import load_reference_rule
 from symcub.decomposition import chain_moments, least_mass, map_nodes, map_nodes_array
@@ -95,6 +97,71 @@ def test_map_nodes_array_is_bit_identical_to_map_nodes(make, n, j, compensation)
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
     with pytest.raises(ValueError):
         map_nodes_array(ts[1:], consts)
+
+
+def _layouts(n, rng):
+    """Chains of two-node rows, atoms, three-value rows, a compensation row and a mix."""
+    t = rng.normal(0.0, 3.0, (n, 3)).tolist()
+    two = [(k, (t[k - 1][0], t[k - 1][1])) for k in range(1, n + 1)]
+    return {
+        "two": two,
+        "atoms": [(k, (t[k - 1][2],)) for k in range(1, n + 1)],
+        "three": [(k, (-1.0, 0.0, 1.0)) for k in range(1, n + 1)],
+        "compensated": two + [(n, (0.0,))],
+        "mixed": [(k, ts if k % 2 else ts[:1]) for k, ts in two] + [(n, (0.0,)), (1, ())],
+    }
+
+
+@pytest.mark.parametrize("make", [simplex_spec, sector_spec, cube_spec])
+@pytest.mark.parametrize("n", [*range(2, ARRAY_MIN_N + 2), 48])
+def test_map_nodes_is_bit_identical_to_reference_node(make, n):
+    # every n of the per-chain path and the next; at n = 48 no index is cached
+    consts = compute_constants(make(n))
+    for name, chains in _layouts(n, np.random.default_rng(n)).items():
+        got = map_nodes(chains, consts)
+        want = np.array([reference_node(k, t, consts) for k, ts in chains for t in ts])
+        want = want.reshape(-1, n)
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert map_nodes([], consts).shape == (0, n)
+
+
+def test_map_nodes_gather_index_is_cached_read_only_and_bounded():
+    gather = decomposition._gather_index
+    assert gather.cache_info().maxsize == 32
+    consts = compute_constants(cube_spec(8))
+    pattern = (1, 1, 2, 3, 3, 8)
+    got = map_nodes([(1, (0.5, -0.5)), (2, (0.25,)), (3, (1.0, 2.0)), (8, (0.0,))], consts)
+    index = gather(8, pattern)
+    assert index.shape == got.shape == (6, 8)
+    assert not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0, 0] = 1
+    # an index past the cached size is built for its call alone
+    big = compute_constants(cube_spec(40))
+    before = gather.cache_info().currsize
+    rows = map_nodes([(k, (0.5, -0.5)) for k in range(1, 41)], big)
+    assert rows.shape[0] * 40 > decomposition._GATHER_MAX_ENTRIES
+    assert gather.cache_info().currsize == before
+
+
+def test_map_nodes_array_run_table_is_cached_read_only_and_bounded():
+    table = decomposition._run_table
+    assert table.cache_info().maxsize == 32
+    for n, j, compensation in [(3, 2, False), (32, 2, True), (512, 2, True), (341, 3, False)]:
+        consts = compute_constants(cube_spec(n))
+        map_nodes_array(np.zeros((n, j)), consts, compensation)
+        runs, lead, lead1 = table(n, j, compensation)
+        assert runs.shape == (3 * (n * j + compensation),)
+        assert lead.shape == lead1.shape == (n, 1)
+        for a in (runs, lead, lead1):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1
+    before = table.cache_info().currsize
+    map_nodes_array(np.zeros((1025, 1)), compute_constants(cube_spec(1025)))
+    map_nodes_array(np.zeros((512, 3)), compute_constants(cube_spec(512)))
+    assert table.cache_info().currsize == before
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])
@@ -381,6 +448,57 @@ def test_infeasible_middle_chain_reports_chain_and_bound():
             assert info.value.chain == k
             assert info.value.mass_bound == bound
             assert f"mu_{k}" in str(info.value)
+
+
+def _first_chain_error(spec, split):
+    """The chain index and error of the first chain that reduced_moment_chain's loop cannot solve."""
+    for k, moments in enumerate(reduced_moment_chain(spec, split), start=1):
+        try:
+            solve_two_point(*moments)
+        except (InfeasibleMomentError, InconsistentAtomError) as exc:
+            return k, moments, exc
+    return None
+
+
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("n", [3, 5, ARRAY_MIN_N - 1])
+def test_per_chain_build_keeps_the_infeasible_chain_error(region, n):
+    # the per-chain build walks the chain moments itself: the first failing
+    # chain, its Hankel value and its mass bound are those of the moment loop
+    spec = region_spec(RegionId(region, n))
+    m_1 = spec.m_1
+    for k in (1, 2, n - 1):
+        masses = [m_1 / n] * n
+        masses[k - 1] *= 1e-6
+        masses[-1] += m_1 / n - masses[k - 1]
+        split = MassSplit(masses)
+        expected = _first_chain_error(spec, split)
+        if expected is None:
+            build_rule(spec, split)
+            continue
+        chain, (m0, m1, m2, m3), cause = expected
+        with pytest.raises(InfeasibleMomentError) as info:
+            build_rule(spec, split)
+        assert info.value.chain == chain
+        assert info.value.hankel == cause.hankel
+        assert info.value.mass_bound == least_mass(m1, m2, m3)
+        assert str(info.value) == (
+            f"chain {chain} is infeasible (m0*m2 - m1^2 = {cause.hankel:.6e}); "
+            f"feasibility needs mu_{chain} > {least_mass(m1, m2, m3):.9g}"
+        )
+
+
+def test_per_chain_build_keeps_the_inconsistent_atom_error():
+    # the orbit of (0, 0, 0.75) with L(x1^2 x2) moved off 0: chain 1 keeps zero
+    # variance (n = 3 drops L(x1^2 x2) from c_n) but its third moment no longer fits
+    spec = SymmetricMomentSpec(
+        n=3, m_1=1.0, m_x=0.25, m_xx=0.1875, m_xy=0.0, m_xxx=0.140625, m_xxy=0.01, m_xyz=0.0
+    )
+    chain, moments, cause = _first_chain_error(spec, default_split(spec))
+    assert chain == 1 and isinstance(cause, InconsistentAtomError)
+    with pytest.raises(InconsistentAtomError) as info:
+        build_rule(spec)
+    assert str(info.value) == str(cause) == f"rank-1 moments are not a point mass: m = {moments}"
 
 
 def test_compensated_cube512_build_allocates_about_one_node_array():

@@ -255,6 +255,54 @@ def test_split_from_bad_t_string_names_the_parameter(t, name):
         MassSplit.from_t(t, simplex_spec(3))
 
 
+@pytest.mark.parametrize("n", [3, 8, 128])
+@pytest.mark.parametrize("compensation", [False, True])
+def test_split_from_string_t_equals_split_from_float_t(n, compensation):
+    # a string is parsed exactly and rounded once: "93/85" gives the float 93/85
+    spec = sector_spec(n)
+    t = np.random.default_rng(n).integers(50, 150, (n, 2)).tolist()
+    strings = [f"{p}/{q}" for p, q in t]
+    floats = [p / q for p, q in t]
+    from_strings = MassSplit.from_t(strings, spec, compensation)
+    from_floats = MassSplit.from_t(floats, spec, compensation)
+    want = [(x * spec.m_1 / n).hex() for x in floats]
+    assert [x.hex() for x in from_strings.masses] == want
+    assert [x.hex() for x in from_floats.masses] == want
+    assert all(type(x) is float for x in from_strings.masses)
+    assert from_strings.compensation is from_floats.compensation is compensation
+    # numpy floats and ints convert as floats do
+    assert MassSplit.from_t(np.array(floats), spec).masses == from_floats.masses
+    assert MassSplit.from_t([1] * n, spec).masses == default_split(spec).masses
+
+
+@pytest.mark.parametrize("t, name, cause", [
+    (["1/0", "1", "1"], "t_1", ZeroDivisionError),
+    (["1", "abc", "1"], "t_2", ValueError),
+    (["1", "1", "1e400"], "t_3", OverflowError),
+    ([1.0, 10**400, 1.0], "t_2", OverflowError),
+    (["1", "", "1/0"], "t_2", ValueError),  # the first bad value is named
+    ([1.0, 1.0, "inf"], "t_3", ValueError),
+])
+def test_split_from_rejected_t_keeps_its_error(t, name, cause):
+    with pytest.raises(InvalidSplitError) as info:
+        MassSplit.from_t(t, simplex_spec(3))
+    assert str(info.value) == f"t-parameter {name} = {t[int(name[2:]) - 1]!r} is not a finite number"
+    assert type(info.value.__cause__) is cause
+
+
+def test_split_from_t_of_the_wrong_length_or_type():
+    with pytest.raises(InvalidSplitError, match="^expected 3 t-parameters, got 4$"):
+        MassSplit.from_t(["1", "1", "1", "1"], simplex_spec(3))
+    with pytest.raises(InvalidSplitError, match="^expected 3 t-parameters, got 0$"):
+        MassSplit.from_t([], simplex_spec(3))
+    # a conversion error comes before the length check
+    with pytest.raises(InvalidSplitError, match="t_1"):
+        MassSplit.from_t(["x"], simplex_spec(3))
+    # a value that is neither a number nor a string is not a t-parameter error
+    with pytest.raises(TypeError):
+        MassSplit.from_t([1.0, None, 1.0], simplex_spec(3))
+
+
 @pytest.mark.parametrize("region", list(Region))
 @pytest.mark.parametrize("n", [2, 3, 8, 33, 128])
 def test_chain_moment_table_matches_the_closure(region, n):
@@ -332,7 +380,10 @@ def _hex(values):
 
 
 def _array_vs_loop(monkeypatch, spec, split):
-    """chain_moment_array's bits, the loop's bits, and whether the array fell back to the loop."""
+    """chain_moment_array's bits, the loop's bits, and whether the array fell back to the loop.
+
+    The sum it returns is checked against fsum's bits on the way.
+    """
     loop = reduced_moment_chain(spec, split)
     calls = []
 
@@ -341,9 +392,10 @@ def _array_vs_loop(monkeypatch, spec, split):
         return reduced_moment_chain(*args)
 
     monkeypatch.setattr(decomposition, "reduced_moment_chain", spy)
-    got = chain_moment_array(spec, split)
+    got, total = chain_moment_array(spec, split)
     monkeypatch.undo()
     assert got.shape == (spec.n, 4)
+    assert type(total) is float and total.hex() == math.fsum(split.masses).hex()
     return _hex(got), _hex(loop), bool(calls)
 
 
@@ -414,7 +466,9 @@ def test_chain_moment_array_prefix_sums_round_as_fsum():
         ulps = rng.integers(0, 4, n)
         masses = [math.ldexp(float(2**52 + u), -58) for u in ulps.tolist()]
         split = MassSplit(masses, compensation=True)
-        assert _hex(chain_moment_array(spec, split)) == _hex(reduced_moment_chain(spec, split))
+        got, total = chain_moment_array(spec, split)
+        assert _hex(got) == _hex(reduced_moment_chain(spec, split))
+        assert total.hex() == math.fsum(masses).hex()
 
 
 def _error(call, *args):
