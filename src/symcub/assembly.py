@@ -5,9 +5,8 @@ derives the constants from the spec, as the chain moments do.  Weights
 pass through from the one-dimensional rules unchanged.  The chains are
 solved and mapped to R^n on one of two paths, chosen by n alone:
 
-* n < ARRAY_MIN_N: one loop over the chains takes each chain's moments
-  from :func:`~symcub.decomposition.chain_moments`, with the mass ahead
-  m_1 - fsum(masses[:k - 1]), and solves it by
+* n < ARRAY_MIN_N: one loop walks the chain moments of
+  :func:`~symcub.decomposition.iter_moment_chain` and solves each chain by
   :func:`~symcub.decomposition.solve_two_point`; one call of
   :func:`~symcub.decomposition.map_nodes` then writes every row;
 * n >= ARRAY_MIN_N: the chain moments as one array by
@@ -22,13 +21,13 @@ solved and mapped to R^n on one of two paths, chosen by n alone:
 
 The array path makes a fixed number of numpy calls, which cost more than
 the per-chain loop at small n: on ``benchmarks/bench_chain.py``
-(``test_build_rule_path``) it takes 1.09x the per-chain time at n = 20
-and 0.90x at n = 24, and ARRAY_MIN_N = 24 is the least measured n where
-the array path is ahead.  Both
-paths do the same operations in the same order, so the rule is the same
-bit for bit.  When a chain is an atom or infeasible the array solve
-returns None, and the per-chain path builds the rule: it writes the
-atom's one row, or raises the chain's :class:`InfeasibleMomentError`.
+(``test_build_rule_path``) it takes 1.06x the per-chain time at n = 20
+and 0.91x at n = 24, and ARRAY_MIN_N = 24 is the least measured n where
+the array path is ahead.  Both paths do the same operations in the same
+order, so the rule is the same bit for bit.  When a chain is an atom or
+infeasible the array solve returns None, and the per-chain path builds
+the rule: it writes the atom's one row, or raises the chain's
+:class:`InfeasibleMomentError`.
 
 The compensation node is the k = n image of t = 0; a node at t = 0 only
 contributes to the zeroth moment of chain n, whose first and third
@@ -51,15 +50,14 @@ import numpy as np
 from .decomposition import (
     MassSplit,
     chain_moment_array,
-    chain_moments,
     compute_constants,
     default_split,
+    iter_moment_chain,
     least_mass,
     map_nodes,
     map_nodes_array,
     solve_two_point,
     solve_two_point_array,
-    validate_split,
 )
 from .errors import InfeasibleMomentError
 from .moments import SymmetricMomentSpec
@@ -71,8 +69,8 @@ __all__ = [
 
 # The least n at which build_rule solves and maps every chain at once.  On
 # benchmarks/bench_chain.py's build_rule_path (the least of three runs on a
-# 2-core x86 box) the array path takes 1.33x the per-chain time at n = 16,
-# 1.09x at 20, 0.90x at 24, 0.80x at 28 and 0.72x at 32.
+# 2-core x86 box) the array path takes 1.23x the per-chain time at n = 16,
+# 1.06x at 20, 0.91x at 24, 0.76x at 28 and 0.65x at 32.
 ARRAY_MIN_N = 24
 
 
@@ -156,15 +154,7 @@ def build_rule(
         if solved is None:  # Python floats, as the per-chain errors print them
             chain = chain.tolist()
     else:
-        moments = chain_moments(spec)
-        validate_split(split, spec)
-        masses, m_1 = split.masses, spec.m_1
-        # the mass ahead of chain k, rounded once as reduced_moment_chain rounds it
-        chain = (
-            (mu, *moments(k, m_1 - math.fsum(masses[: k - 1])))
-            for k, mu in enumerate(masses, start=1)
-        )
-        total = None
+        chain, total = iter_moment_chain(spec, split), math.fsum(split.masses)
     if solved is None:
         nodes, weights = _build_per_chain(chain, split, spec, consts, total)
     else:
@@ -183,7 +173,7 @@ def build_rule(
 
 def _build_per_chain(chain, split, spec, consts, total):
     """The node and weight arrays of the (m0, m1, m2, m3) of each chain, solved
-    one chain at a time; `total` is the sum of the masses, or None for fsum's."""
+    one chain at a time; `total` is the sum of the masses."""
     solved: list[tuple[int, tuple[float, ...]]] = []
     weights: list[float] = []
     for k, (m0, m1, m2, m3) in enumerate(chain, start=1):
@@ -202,5 +192,5 @@ def _build_per_chain(chain, split, spec, consts, total):
         weights += ws
     if split.compensation:
         solved.append((spec.n, (0.0,)))
-        weights.append(spec.m_1 - (math.fsum(split.masses) if total is None else total))
+        weights.append(spec.m_1 - total)
     return map_nodes(solved, consts), np.array(weights)

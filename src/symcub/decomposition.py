@@ -39,18 +39,22 @@ a coefficient past the largest float raises
 the exact prefix sums from an int64 cumsum of the masses scaled to
 integers, which holds while the masses are normal floats at most
 MAX_SPREAD = 9 binades apart; other splits go through
-:func:`reduced_moment_chain`.  The array solve returns None when any
-chain is an atom or infeasible, and the caller then solves the chains
-one by one, for the scalar version's atom and errors.  Which version a
-rule build takes depends on n only; see :mod:`symcub.assembly`.
+:func:`reduced_moment_chain`, which keeps the mass ahead of chain k,
+m_1 - fsum(masses[:k - 1]), as a running exact sum, O(n).
+:func:`iter_moment_chain` yields the same chains lazily, with fsum taken
+over each prefix, which costs less below a few dozen chains.  All three
+round the mass ahead once, so they agree bit for bit.  The array solve
+returns None when any chain is an atom or infeasible, and the caller
+then solves the chains one by one, for the scalar version's atom and
+errors.  Which version a rule build takes depends on n only; see
+:mod:`symcub.assembly`.
 
 Both node maps compute each row's three values (alpha, beta, gamma) and
-write the whole (rows, n) array in one numpy call, whose index depends
-only on the rows' chain indices: :func:`map_nodes` gathers through an
-index cached per (n, row pattern), and :func:`map_nodes_array` repeats
-each value by run lengths cached per (n, nodes per chain, compensation).
-Each cache holds read-only arrays, at most 32 entries of bounded size;
-its docstring gives the bytes.
+write the whole (rows, n) array with one ``ndarray.repeat`` by run
+lengths that depend only on the rows' chain indices: :func:`map_nodes`
+caches them per (n, row pattern), and :func:`map_nodes_array` per (n,
+nodes per chain, compensation).  Each cache holds read-only arrays, at most 32
+entries of bounded size; its docstring gives the bytes.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,6 +81,7 @@ __all__ = [
     "chain_moments",
     "compute_constants",
     "default_split",
+    "iter_moment_chain",
     "least_mass",
     "map_nodes",
     "map_nodes_array",
@@ -135,24 +140,18 @@ class MassSplit:
         Values may be given as strings such as "93/85"; they are parsed
         exactly and converted to floats at the end.  A string that is not
         a number, divides by zero or overflows raises InvalidSplitError.
-        Each value is converted once, in one pass; only a rejected value
-        makes a second pass, which finds the first bad t_k to name it.
+        Each value is converted once, in one pass.
         """
         m_1, n = spec.m_1, spec.n
-        try:
-            masses = tuple([
-                (float(Fraction(v)) if isinstance(v, str) else float(v)) * m_1 / n
-                for v in t_values
-            ])
-        except (ValueError, ZeroDivisionError, OverflowError):
-            for k, v in enumerate(t_values, start=1):
-                try:
-                    float(Fraction(v)) if isinstance(v, str) else float(v)
-                except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                    raise InvalidSplitError(
-                        f"t-parameter t_{k} = {v!r} is not a finite number"
-                    ) from exc
-            raise
+        masses = []
+        for k, v in enumerate(t_values, start=1):
+            try:
+                tk = float(Fraction(v)) if isinstance(v, str) else float(v)
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise InvalidSplitError(
+                    f"t-parameter t_{k} = {v!r} is not a finite number"
+                ) from exc
+            masses.append(tk * m_1 / n)
         if len(masses) != n:
             raise InvalidSplitError(f"expected {n} t-parameters, got {len(masses)}")
         return cls(masses, compensation)
@@ -343,6 +342,26 @@ def reduced_moment_chain(
     return out
 
 
+def iter_moment_chain(
+    spec: SymmetricMomentSpec, split: MassSplit
+) -> Iterator[tuple[float, float, float, float]]:
+    """The moments of :func:`reduced_moment_chain`, chain by chain, bit for bit.
+
+    The split is validated on the call; the chains are then walked lazily,
+    each with the mass ahead m_1 - fsum(masses[:k - 1]) taken as written.
+    Its O(n^2) adds run inside fsum, in C, and below n of a few dozen cost
+    less than the running exact sum; build_rule walks its chains this way
+    below ARRAY_MIN_N.
+    """
+    moments = chain_moments(spec)
+    validate_split(split, spec)
+    masses, m_1 = split.masses, spec.m_1
+    return (
+        (mu, *moments(k, m_1 - math.fsum(masses[: k - 1])))
+        for k, mu in enumerate(masses, start=1)
+    )
+
+
 # The exact prefix sums of chain_moment_array scale every mass to an integer
 # below 2^(53 + MAX_SPREAD) < 2^63 and sum its two 32-bit words in int64; each
 # word sum stays below 2^53, so it converts to float64 exactly, while n < 2^21.
@@ -531,6 +550,12 @@ def least_mass(
     return lo if lo <= hi else math.inf
 
 
+# The node maps cache run lengths only for at most this many rows, and
+# map_nodes_array only for n below it: n = 512 with two node values per
+# chain, or n = 341 with three.
+_RUNS_MAX_ROWS = 1025
+
+
 def _row_runs(n: int, chain: np.ndarray) -> np.ndarray:
     """The run lengths of alpha, beta and gamma in the rows of chains `chain`, flat.
 
@@ -542,26 +567,6 @@ def _row_runs(n: int, chain: np.ndarray) -> np.ndarray:
     runs[:, 1] = chain > 1
     runs[:, 2] = chain - 1 - runs[:, 1]
     return runs.ravel()
-
-
-# map_nodes caches a gather index only while it has at most this many
-# entries, which covers every per-chain rule of n <= 31 (2n + 1 rows).
-_GATHER_MAX_ENTRIES = 2048
-
-
-@functools.lru_cache(maxsize=32)
-def _gather_index(n: int, pattern: tuple[int, ...]) -> np.ndarray:
-    """The read-only (rows, n) index of each value that map_nodes writes, row r of chain pattern[r].
-
-    Row r's alpha, beta and gamma are values 3r, 3r + 1 and 3r + 2.  An
-    entry holds at most _GATHER_MAX_ENTRIES intp (16 KiB) and a key of at
-    most 1024 ints (8 KiB), so the 32 entries take at most about 800 KiB.
-    """
-    rows = len(pattern)
-    runs = _row_runs(n, np.array(pattern, dtype=np.intp))
-    index = np.repeat(np.arange(3 * rows), runs).reshape(rows, n)
-    index.setflags(write=False)
-    return index
 
 
 def map_nodes(
@@ -581,11 +586,10 @@ def map_nodes(
 
     with c_2 = c_mid for n >= 3 and c_2 = c_n for n = 2.  Every row is
     such a block pattern, so each row's three values are computed in plain
-    floats, and one ``take`` writes the whole (rows, n) array.  Its index
-    depends only on n and the chain index of each row, and is cached per
-    (n, row pattern) up to _GATHER_MAX_ENTRIES entries; a larger array
-    repeats the values by their run lengths instead, as
-    :func:`map_nodes_array` does.
+    floats, and one ``ndarray.repeat`` of them by their run lengths writes
+    the whole (rows, n) array, as :func:`map_nodes_array` does.  The run
+    lengths depend only on n and the chain index of each row, and are
+    cached per (n, row pattern).
     """
     n, gamma, c_n, c_mid, c_2 = consts.n, consts.gamma, consts.c_n, consts.c_mid, consts.c_2
     values: list[float] = []  # alpha, beta and gamma of each row; a chain-1 row's eta first
@@ -606,16 +610,23 @@ def map_nodes(
                 beta = gamma - t / (lead + 1)
                 values += (beta + (t - c_mid) / lead, beta, gamma)
         pattern += [k] * len(ts)
-    rows = len(pattern)
-    if rows * n <= _GATHER_MAX_ENTRIES:
-        return np.array(values).take(_gather_index(n, tuple(pattern)))
+    rows, key = len(pattern), (n, tuple(pattern))
+    runs = _pattern_runs(*key) if rows <= _RUNS_MAX_ROWS else _pattern_runs.__wrapped__(*key)
+    return np.array(values).repeat(runs).reshape(rows, n)
+
+
+@functools.lru_cache(maxsize=32)
+def _pattern_runs(n: int, pattern: tuple[int, ...]) -> np.ndarray:
+    """map_nodes' read-only run lengths of the rows of chains `pattern`.
+
+    An entry holds 3 x rows intp, a key of rows ints and at most rows
+    distinct int objects: at most 3 x 1025 x 8 + 1025 x (8 + 32) bytes
+    (66 KB) under _RUNS_MAX_ROWS, so the 32 entries take at most about
+    2.1 MB.  A per-chain rule of n = 23 takes about 1.5 KB.
+    """
     runs = _row_runs(n, np.array(pattern, dtype=np.intp))
-    return np.repeat(np.array(values), runs).reshape(rows, n)
-
-
-# map_nodes_array caches a run table only for at most this many rows and n
-# below it: n = 512 with two node values per chain, or n = 341 with three.
-_RUNS_MAX_ROWS = 1025
+    runs.setflags(write=False)
+    return runs
 
 
 @functools.lru_cache(maxsize=32)
@@ -647,7 +658,7 @@ def map_nodes_array(
     Every row is one block pattern (alpha x lead, beta, gamma x (k - 2)),
     lead = n - k + 1, except a chain-1 row, which is (eta x n).  Each row's
     three values come from elementwise operations in the order of
-    :func:`map_nodes`, and one ``np.repeat`` of them by their run lengths
+    :func:`map_nodes`, and one ``ndarray.repeat`` of them by their run lengths
     writes the whole array, so every bit is that of :func:`map_nodes`.
     The run lengths and the lead column depend only on (n, j,
     compensation), and are cached per that key.
@@ -671,4 +682,4 @@ def map_nodes_array(
     values[last, 0] = values[last, 1] + t
     values[:j, 0] = (ts[0] - consts.c_n) / n
     values[:, 2] = gamma
-    return np.repeat(values.ravel(), runs).reshape(rows, n)
+    return values.ravel().repeat(runs).reshape(rows, n)

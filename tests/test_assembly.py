@@ -115,7 +115,7 @@ def _layouts(n, rng):
 @pytest.mark.parametrize("make", [simplex_spec, sector_spec, cube_spec])
 @pytest.mark.parametrize("n", [*range(2, ARRAY_MIN_N + 2), 48])
 def test_map_nodes_is_bit_identical_to_reference_node(make, n):
-    # every n of the per-chain path and the next; at n = 48 no index is cached
+    # every n of the per-chain path and the next, and one n of the array path
     consts = compute_constants(make(n))
     for name, chains in _layouts(n, np.random.default_rng(n)).items():
         got = map_nodes(chains, consts)
@@ -126,29 +126,33 @@ def test_map_nodes_is_bit_identical_to_reference_node(make, n):
     assert map_nodes([], consts).shape == (0, n)
 
 
-def test_map_nodes_gather_index_is_cached_read_only_and_bounded():
-    gather = decomposition._gather_index
-    assert gather.cache_info().maxsize == 32
+def test_map_nodes_run_lengths_are_cached_read_only_and_bounded():
+    cache = decomposition._pattern_runs
+    assert cache.cache_info().maxsize == 32
+    cache.cache_clear()
     consts = compute_constants(cube_spec(8))
-    pattern = (1, 1, 2, 3, 3, 8)
     got = map_nodes([(1, (0.5, -0.5)), (2, (0.25,)), (3, (1.0, 2.0)), (8, (0.0,))], consts)
-    index = gather(8, pattern)
-    assert index.shape == got.shape == (6, 8)
-    assert not index.flags.writeable
+    assert got.shape == (6, 8)
+    assert cache.cache_info().currsize == 1
+    runs = cache(8, (1, 1, 2, 3, 3, 8))
+    assert cache.cache_info().hits == 1
+    assert runs.tolist() == [8, 0, 0, 8, 0, 0, 7, 1, 0, 6, 1, 1, 6, 1, 1, 1, 1, 6]
+    assert not runs.flags.writeable
     with pytest.raises(ValueError):
-        index[0, 0] = 1
-    # an index past the cached size is built for its call alone
-    big = compute_constants(cube_spec(40))
-    before = gather.cache_info().currsize
-    rows = map_nodes([(k, (0.5, -0.5)) for k in range(1, 41)], big)
-    assert rows.shape[0] * 40 > decomposition._GATHER_MAX_ENTRIES
-    assert gather.cache_info().currsize == before
+        runs[0] = 1
+    # the run lengths of more rows than the bound are built for their call alone
+    big = compute_constants(cube_spec(600))
+    rows = map_nodes([(k, (0.5, -0.5)) for k in range(1, 601)], big)
+    assert rows.shape == (1200, 600) and 1200 > decomposition._RUNS_MAX_ROWS
+    assert cache.cache_info().currsize == 1 and cache.cache_info().misses == 1
 
 
 def test_map_nodes_array_run_table_is_cached_read_only_and_bounded():
     table = decomposition._run_table
     assert table.cache_info().maxsize == 32
-    for n, j, compensation in [(3, 2, False), (32, 2, True), (512, 2, True), (341, 3, False)]:
+    table.cache_clear()
+    keys = [(3, 2, False), (32, 2, True), (512, 2, True), (341, 3, False)]
+    for n, j, compensation in keys:
         consts = compute_constants(cube_spec(n))
         map_nodes_array(np.zeros((n, j)), consts, compensation)
         runs, lead, lead1 = table(n, j, compensation)
@@ -158,10 +162,11 @@ def test_map_nodes_array_run_table_is_cached_read_only_and_bounded():
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1
-    before = table.cache_info().currsize
+    assert table.cache_info().currsize == table.cache_info().misses == len(keys)
+    # more chains, or more rows, than the bound: built for the call alone
     map_nodes_array(np.zeros((1025, 1)), compute_constants(cube_spec(1025)))
     map_nodes_array(np.zeros((512, 3)), compute_constants(cube_spec(512)))
-    assert table.cache_info().currsize == before
+    assert table.cache_info().currsize == table.cache_info().misses == len(keys)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])

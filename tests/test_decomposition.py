@@ -27,7 +27,8 @@ from symcub import (
 from symcub import decomposition
 from symcub.assembly import ARRAY_MIN_N
 from symcub.decomposition import (
-    MAX_SPREAD, chain_moment_array, chain_moments, solve_two_point, solve_two_point_array,
+    MAX_SPREAD, chain_moment_array, chain_moments, iter_moment_chain, solve_two_point,
+    solve_two_point_array,
 )
 from reference_helpers import closure_chain_moments
 
@@ -479,13 +480,12 @@ def _error(call, *args):
     return None
 
 
-@pytest.mark.parametrize("compensation", [False, True])
-@pytest.mark.parametrize("case", [
-    "short", "long", "zero", "negative", "nan", "inf", "overflowing sum", "unbalanced",
-])
-def test_chain_moment_array_rejects_splits_as_the_loop_does(case, compensation):
-    n = ARRAY_MIN_N
-    spec = cube_spec(n)
+SPLIT_CASES = ["short", "long", "zero", "negative", "nan", "inf", "overflowing sum", "unbalanced"]
+
+
+def _bad_split(spec, case, compensation):
+    """A split of `spec` broken as `case` says, or an unbalanced one."""
+    n = spec.n
     masses = [spec.m_1 / n] * n
     if case == "short":
         masses = masses[:-1]
@@ -503,7 +503,14 @@ def test_chain_moment_array_rejects_splits_as_the_loop_does(case, compensation):
         masses = [1e307] * n
     else:
         masses[3] *= 1.5
-    split = MassSplit(masses, compensation)
+    return MassSplit(masses, compensation)
+
+
+@pytest.mark.parametrize("compensation", [False, True])
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_chain_moment_array_rejects_splits_as_the_loop_does(case, compensation):
+    spec = cube_spec(ARRAY_MIN_N)
+    split = _bad_split(spec, case, compensation)
     expected = _error(reduced_moment_chain, spec, split)
     if case == "unbalanced" and compensation:
         assert expected is None
@@ -511,6 +518,34 @@ def test_chain_moment_array_rejects_splits_as_the_loop_does(case, compensation):
         assert expected is not None and expected[0] is InvalidSplitError
     assert _error(chain_moment_array, spec, split) == expected
     assert _error(build_rule, spec, split) == expected
+
+
+@pytest.mark.parametrize("compensation", [False, True])
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_iter_moment_chain_rejects_splits_on_the_call(case, compensation):
+    # the per-chain build's walk validates before it yields a chain
+    spec = cube_spec(ARRAY_MIN_N - 1)
+    split = _bad_split(spec, case, compensation)
+    expected = _error(reduced_moment_chain, spec, split)
+    assert _error(iter_moment_chain, spec, split) == expected
+    assert _error(build_rule, spec, split) == expected
+
+
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("n", [2, 3, 8, ARRAY_MIN_N - 1, 33])
+def test_iter_moment_chain_is_bit_identical_to_the_loop(region, n):
+    spec = region_spec(RegionId(region, n))
+    rng = np.random.default_rng(n)
+    splits = [
+        default_split(spec),
+        MassSplit((rng.lognormal(0.0, 0.3, n) * spec.m_1 / n).tolist(), compensation=True),
+        # hundreds of binades apart: every prefix sum rounds as fsum's
+        MassSplit((10.0 ** rng.uniform(-200.0, 200.0, n)).tolist(), compensation=True),
+    ]
+    for split in splits:
+        walk = iter_moment_chain(spec, split)
+        assert not isinstance(walk, list)
+        assert _hex(list(walk)) == _hex(reduced_moment_chain(spec, split))
 
 
 OVERFLOWING = [
