@@ -6,22 +6,27 @@ collect it and timing noise cannot fail the suite.  Run it by path:
     python -m pytest benchmarks/bench_chain.py --benchmark-json BENCH_chain.json
 
 `reduced_moment_chain` computes the n chains' moments of a default cube
-split one chain at a time, and `chain_moment_array` the same moments as
-one (n, 4) array from exact prefix sums of the masses; `solve_two_point` times the n one-dimensional solves of those
-moments alone, one call per chain, and `solve_two_point_array` the same
-solves as one call on their (n, 4) array; `map_nodes` and
-`map_nodes_array` map their 2n node values to the (2n, n) node array;
-`least_mass` times the n least masses of the cube's chains on a search
-walk's node intervals at tau = -1, each chain with the mass ahead of it
-that the uniform split leaves.  `from_t` builds a compensated split
-from a list of n float t-values, as perfbench's build workload does.
-`build_rule` adds the constants and the
-chain moments to the solves and the node map, on the uniform split and
-on a compensated one, and `build_rule_path` times each of its two paths
-at every n: where the array path starts to win sets
-`symcub.assembly.ARRAY_MIN_N`, hence the sizes between 16 and 32.  The
-split and every argument of the timed call are computed outside it; the
-node maps also take the constants from outside.
+split one chain at a time, as `build_rule` does below
+`symcub.assembly.ARRAY_MIN_N`, and `chain_moment_array` the same moments
+as one (n, 4) array from exact prefix sums of the masses;
+`solve_two_point` times the n one-dimensional solves of those moments
+alone, one call per chain, and `solve_two_point_array` the same solves
+as one call on their (n, 4) array; `map_nodes` and `map_nodes_array`
+map their 2n node values to the (2n, n) node array; `least_mass` times
+the n least masses of the cube's chains on a search walk's node
+intervals at tau = -1, each chain with the mass ahead of it that the
+uniform split leaves.  `from_t` builds a compensated split from a list
+of n float t-values, as perfbench's build workload does.  `build_rule`
+adds the constants and the chain moments to the solves and the node
+map, on the uniform split and on a compensated one, and
+`build_rule_path` times each of its two paths at every n: where the
+array path starts to win sets `ARRAY_MIN_N`, hence the sizes between 16
+and 32.  `build_rule_declined` times a compensated split whose masses
+span ten binades at n = 128 and 512: `chain_moment_array` declines it,
+so the build pays for the array path's checks and then takes the
+per-chain path, the array path's one fallback.  The split and every
+argument of the timed call are computed outside it; the node maps also
+take the constants from outside.
 """
 
 import math
@@ -64,8 +69,8 @@ def test_reduced_moment_chain(benchmark, n):
 @pytest.mark.parametrize("n", SIZES)
 def test_chain_moment_array(benchmark, n):
     spec, split = _cube(n)
-    chain, total = benchmark(chain_moment_array, spec, split)
-    assert chain.shape == (n, 4) and total == math.fsum(split.masses)
+    chain = benchmark(chain_moment_array, spec, split)
+    assert chain.shape == (n, 4)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -105,6 +110,17 @@ def test_build_rule_path(benchmark, monkeypatch, path, n):
     spec, split = _cube(n)
     rule = benchmark(build_rule, spec, split)
     assert rule.nodes.shape == (2 * n, n)
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_build_rule_declined(benchmark, n):
+    spec = cube_spec(n)
+    masses = [spec.m_1 / n] * n
+    masses[n // 2] *= 2.0**10
+    split = MassSplit(masses, compensation=True)
+    assert chain_moment_array(spec, split) is None
+    rule = benchmark(build_rule, spec, split)
+    assert rule.nodes.shape == (2 * n + 1, n)
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -6,28 +6,27 @@ pass through from the one-dimensional rules unchanged.  The chains are
 solved and mapped to R^n on one of two paths, chosen by n alone:
 
 * n < ARRAY_MIN_N: one loop walks the chain moments of
-  :func:`~symcub.decomposition.iter_moment_chain` and solves each chain by
-  :func:`~symcub.decomposition.solve_two_point`; one call of
+  :func:`~symcub.decomposition.reduced_moment_chain` and solves each chain
+  by :func:`~symcub.decomposition.solve_two_point`; one call of
   :func:`~symcub.decomposition.map_nodes` then writes every row;
 * n >= ARRAY_MIN_N: the chain moments as one array by
   :func:`~symcub.decomposition.chain_moment_array`, all chains at once by
   :func:`~symcub.decomposition.solve_two_point_array`, and the whole node
   array by :func:`~symcub.decomposition.map_nodes_array`.
-  ``chain_moment_array`` sums the masses exactly in int64 while they are
-  normal floats at most nine binades apart, and otherwise falls back to
-  the per-chain loop of
-  :func:`~symcub.decomposition.reduced_moment_chain`.  Its total of the
-  masses, fsum's bit for bit, gives the compensation weight.
 
 The array path makes a fixed number of numpy calls, which cost more than
 the per-chain loop at small n: on ``benchmarks/bench_chain.py``
-(``test_build_rule_path``) it takes 1.06x the per-chain time at n = 20
-and 0.91x at n = 24, and ARRAY_MIN_N = 24 is the least measured n where
+(``test_build_rule_path``) it takes 1.02x the per-chain time at n = 20
+and 0.87x at n = 24, and ARRAY_MIN_N = 24 is the least measured n where
 the array path is ahead.  Both paths do the same operations in the same
-order, so the rule is the same bit for bit.  When a chain is an atom or
-infeasible the array solve returns None, and the per-chain path builds
-the rule: it writes the atom's one row, or raises the chain's
-:class:`InfeasibleMomentError`.
+order, so the rule is the same bit for bit.  The array path has one
+fallback, the per-chain path: its kernels return None where they cannot
+sum the masses exactly, including every invalid or unbalanced split, or
+where a chain is an atom or infeasible.  So every split error,
+infeasible-chain error and atom comes from the per-chain path: it
+validates the split, writes the atom's one row, or raises the chain's
+:class:`InfeasibleMomentError`.  Each path takes the compensation weight
+as m_1 - fsum(masses).
 
 The compensation node is the k = n image of t = 0; a node at t = 0 only
 contributes to the zeroth moment of chain n, whose first and third
@@ -52,10 +51,10 @@ from .decomposition import (
     chain_moment_array,
     compute_constants,
     default_split,
-    iter_moment_chain,
     least_mass,
     map_nodes,
     map_nodes_array,
+    reduced_moment_chain,
     solve_two_point,
     solve_two_point_array,
 )
@@ -69,8 +68,8 @@ __all__ = [
 
 # The least n at which build_rule solves and maps every chain at once.  On
 # benchmarks/bench_chain.py's build_rule_path (the least of three runs on a
-# 2-core x86 box) the array path takes 1.23x the per-chain time at n = 16,
-# 1.06x at 20, 0.91x at 24, 0.76x at 28 and 0.65x at 32.
+# 2-core x86 box) the array path takes 1.25x the per-chain time at n = 16,
+# 1.02x at 20, 0.87x at 24, 0.75x at 28 and 0.67x at 32.
 ARRAY_MIN_N = 24
 
 
@@ -147,21 +146,8 @@ def build_rule(
         split = default_split(spec)
     n = spec.n
     consts = compute_constants(spec)
-    solved = None
-    if n >= ARRAY_MIN_N:
-        chain, total = chain_moment_array(spec, split)
-        solved = solve_two_point_array(chain)
-        if solved is None:  # Python floats, as the per-chain errors print them
-            chain = chain.tolist()
-    else:
-        chain, total = iter_moment_chain(spec, split), math.fsum(split.masses)
-    if solved is None:
-        nodes, weights = _build_per_chain(chain, split, spec, consts, total)
-    else:
-        ts, ws = solved
-        nodes, weights = map_nodes_array(ts, consts, split.compensation), ws.ravel()
-        if split.compensation:
-            weights = np.append(weights, spec.m_1 - total)
+    built = _build_array(spec, split, consts) if n >= ARRAY_MIN_N else None
+    nodes, weights = built or _build_per_chain(spec, split, consts)
     metadata = {
         "region": region_label,
         "masses": list(split.masses),
@@ -171,12 +157,25 @@ def build_rule(
     return CubatureRule(dim=n, nodes=nodes, weights=weights, metadata=metadata)
 
 
-def _build_per_chain(chain, split, spec, consts, total):
-    """The node and weight arrays of the (m0, m1, m2, m3) of each chain, solved
-    one chain at a time; `total` is the sum of the masses."""
+def _build_array(spec, split, consts):
+    """The node and weight arrays of all chains solved at once, or None where
+    the masses cannot be summed exactly or some chain is an atom or infeasible."""
+    chain = chain_moment_array(spec, split)
+    solved = None if chain is None else solve_two_point_array(chain)
+    if solved is None:
+        return None
+    ts, ws = solved
+    weights = ws.ravel()
+    if split.compensation:
+        weights = np.append(weights, spec.m_1 - math.fsum(split.masses))
+    return map_nodes_array(ts, consts, split.compensation), weights
+
+
+def _build_per_chain(spec, split, consts):
+    """The node and weight arrays of the chains of `split`, solved one chain at a time."""
     solved: list[tuple[int, tuple[float, ...]]] = []
     weights: list[float] = []
-    for k, (m0, m1, m2, m3) in enumerate(chain, start=1):
+    for k, (m0, m1, m2, m3) in enumerate(reduced_moment_chain(spec, split), start=1):
         try:
             ts, ws = solve_two_point(m0, m1, m2, m3)
         except InfeasibleMomentError as exc:
@@ -192,5 +191,5 @@ def _build_per_chain(chain, split, spec, consts, total):
         weights += ws
     if split.compensation:
         solved.append((spec.n, (0.0,)))
-        weights.append(spec.m_1 - total)
+        weights.append(spec.m_1 - math.fsum(split.masses))
     return map_nodes(solved, consts), np.array(weights)

@@ -35,26 +35,24 @@ the operations of its scalar version in the same order, elementwise, so
 the two agree bit for bit; a fix to one formula belongs in both.  The
 chain moments of both versions read one coefficient table per spec, and
 a coefficient past the largest float raises
-:class:`InvalidMomentSpecError` there.  :func:`chain_moment_array` takes
-the exact prefix sums from an int64 cumsum of the masses scaled to
+:class:`InvalidMomentSpecError` there.  The mass ahead of chain k is
+m_1 - fsum(masses[:k - 1]), rounded once: :func:`reduced_moment_chain`
+keeps it as a running exact sum, O(n), and :func:`chain_moment_array`
+takes every prefix sum from one int64 cumsum of the masses scaled to
 integers, which holds while the masses are normal floats at most
-MAX_SPREAD = 9 binades apart; other splits go through
-:func:`reduced_moment_chain`, which keeps the mass ahead of chain k,
-m_1 - fsum(masses[:k - 1]), as a running exact sum, O(n).
-:func:`iter_moment_chain` yields the same chains lazily, with fsum taken
-over each prefix, which costs less below a few dozen chains.  All three
-round the mass ahead once, so they agree bit for bit.  The array solve
-returns None when any chain is an atom or infeasible, and the caller
-then solves the chains one by one, for the scalar version's atom and
-errors.  Which version a rule build takes depends on n only; see
-:mod:`symcub.assembly`.
+MAX_SPREAD = 9 binades apart.  The array versions raise nothing for the
+data: the chain moments return None for any split they cannot sum that
+way or that is off balance, and the solve for any chain that is an atom
+or infeasible.  The caller then walks the chains one by one, and the
+scalar versions give the atom and every error.  Which version a rule
+build takes depends on n only; see :mod:`symcub.assembly`.
 
 Both node maps compute each row's three values (alpha, beta, gamma) and
 write the whole (rows, n) array with one ``ndarray.repeat`` by run
 lengths that depend only on the rows' chain indices: :func:`map_nodes`
-caches them per (n, row pattern), and :func:`map_nodes_array` per (n,
-nodes per chain, compensation).  Each cache holds read-only arrays, at most 32
-entries of bounded size; its docstring gives the bytes.
+collects them as it walks the rows, and :func:`map_nodes_array` reads
+them from a table cached per (n, nodes per chain, compensation), at most
+32 read-only entries of bounded size; its docstring gives the bytes.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,7 +79,6 @@ __all__ = [
     "chain_moments",
     "compute_constants",
     "default_split",
-    "iter_moment_chain",
     "least_mass",
     "map_nodes",
     "map_nodes_array",
@@ -342,26 +339,6 @@ def reduced_moment_chain(
     return out
 
 
-def iter_moment_chain(
-    spec: SymmetricMomentSpec, split: MassSplit
-) -> Iterator[tuple[float, float, float, float]]:
-    """The moments of :func:`reduced_moment_chain`, chain by chain, bit for bit.
-
-    The split is validated on the call; the chains are then walked lazily,
-    each with the mass ahead m_1 - fsum(masses[:k - 1]) taken as written.
-    Its O(n^2) adds run inside fsum, in C, and below n of a few dozen cost
-    less than the running exact sum; build_rule walks its chains this way
-    below ARRAY_MIN_N.
-    """
-    moments = chain_moments(spec)
-    validate_split(split, spec)
-    masses, m_1 = split.masses, spec.m_1
-    return (
-        (mu, *moments(k, m_1 - math.fsum(masses[: k - 1])))
-        for k, mu in enumerate(masses, start=1)
-    )
-
-
 # The exact prefix sums of chain_moment_array scale every mass to an integer
 # below 2^(53 + MAX_SPREAD) < 2^63 and sum its two 32-bit words in int64; each
 # word sum stays below 2^53, so it converts to float64 exactly, while n < 2^21.
@@ -369,54 +346,51 @@ MAX_SPREAD = 9
 _MAX_WORDS_N = 1 << 21
 
 
-def chain_moment_array(spec: SymmetricMomentSpec, split: MassSplit) -> tuple[np.ndarray, float]:
+def chain_moment_array(spec: SymmetricMomentSpec, split: MassSplit) -> np.ndarray | None:
     """The moments of :func:`reduced_moment_chain` as one (n, 4) array, row k - 1 of chain k,
-    and the sum of the masses.
+    or None where the masses cannot be summed exactly here.
 
-    Every bit of the array, and every error, is that of
-    :func:`reduced_moment_chain`, and the sum is ``math.fsum(split.masses)``
-    bit for bit.
-    The mass ahead of chain k, m_1 - fsum(masses[:k - 1]), needs the
-    prefix sums of the masses, each rounded once as fsum rounds it.  They
-    come from one exact integer sum: with e the least binary exponent among
-    the masses, each mass times 2^(53 - e) (``np.ldexp``, exact) is an
-    integer below 2^62 whenever the largest and the least mass are at most
+    Every bit of the array is that of :func:`reduced_moment_chain`.  The
+    mass ahead of chain k, m_1 - fsum(masses[:k - 1]), needs the prefix
+    sums of the masses, each rounded once as fsum rounds it.  They come
+    from one exact integer sum: with e the least binary exponent among the
+    masses, each mass times 2^(53 - e) (``np.ldexp``, exact) is an integer
+    below 2^62 whenever the largest and the least mass are at most
     MAX_SPREAD binades apart.  The int64 cumsum of its high and low 32-bit
     words is exact, ``hi * 2**32 + lo`` rounds each prefix sum once, and
     scaling back by 2^(e - 53) is exact for normal floats.  The last prefix
-    sum is the total: it decides the mass balance as fsum's would, and is
-    returned, so that a compensated rule need not sum the masses again.  The
-    middle chains then take the multiply-adds of :func:`chain_moments` from
-    the same per-spec table, elementwise and in the same order.  The array
-    is the transpose of a (4, n) one, so each moment is a contiguous row.
+    sum is the total, fsum's bit for bit, and decides the mass balance as
+    :func:`validate_split` does.  The middle chains then take the
+    multiply-adds of :func:`chain_moments` from the same per-spec table,
+    elementwise and in the same order.  The array is the transpose of a
+    (4, n) one, so each moment is a contiguous row.
 
-    The data picks the fallback, which is :func:`reduced_moment_chain`
-    itself: a split of the wrong length, a mass that is not a positive
-    normal float, masses spread over more than MAX_SPREAD binades and
-    masses whose sum could pass the largest float go through it, and it
-    validates the split as always; the sum is then fsum's.  An unbalanced
-    total raises :func:`validate_split`'s error.
+    Returns None, as :func:`solve_two_point_array` does for a row it
+    cannot solve, for a split of the wrong length, a mass that is not a
+    positive normal float, masses spread over more than MAX_SPREAD
+    binades, masses whose sum could pass the largest float and an
+    unbalanced total without compensation.  The caller then walks the
+    chains with :func:`reduced_moment_chain`, which validates the split.
     """
     table = _chain_table(spec)
     n = spec.n
-    fast = len(split.masses) == n < _MAX_WORDS_N
-    if fast:
-        masses = np.fromiter(split.masses, np.float64, n)
-        lo, hi = float(masses.min()), float(masses.max())
-        fast = (
-            sys.float_info.min <= lo  # also false for NaN
-            and hi * n < sys.float_info.max  # also false for inf
-            and math.frexp(hi)[1] - math.frexp(lo)[1] <= MAX_SPREAD
-        )
-    if not fast:
-        return np.array(reduced_moment_chain(spec, split)), math.fsum(split.masses)
+    if not len(split.masses) == n < _MAX_WORDS_N:
+        return None
+    masses = np.fromiter(split.masses, np.float64, n)
+    lo, hi = float(masses.min()), float(masses.max())
+    if not (
+        sys.float_info.min <= lo  # also false for NaN
+        and hi * n < sys.float_info.max  # also false for inf
+        and math.frexp(hi)[1] - math.frexp(lo)[1] <= MAX_SPREAD
+    ):
+        return None
     shift = 53 - math.frexp(lo)[1]
     # little-endian words of each scaled mass: column 0 the low, column 1 the high
     words = np.ldexp(masses, shift).astype("<i8").view("<u4").reshape(n, 2)
     sums = words.cumsum(axis=0, dtype=np.int64)
     prefix = np.ldexp(sums[:, 1] * 2.0**32 + sums[:, 0], -shift)
     if not split.compensation and abs(prefix[-1] - spec.m_1) > MASS_BALANCE_RTOL * abs(spec.m_1):
-        validate_split(split, spec)  # raises the unbalanced-sum error
+        return None
     # one row per moment, so that each operation below runs on contiguous rows
     out = np.empty((4, n))
     out[0] = masses
@@ -425,7 +399,7 @@ def chain_moment_array(spec: SymmetricMomentSpec, split: MassSplit) -> tuple[np.
     middle = out[1:, 1:-1]
     np.multiply(table.powers, np.subtract(spec.m_1, prefix[: n - 2]), out=middle)
     np.add(middle, table.offsets, out=middle)
-    return out.T, float(prefix[-1])
+    return out.T
 
 
 def solve_two_point(
@@ -550,25 +524,6 @@ def least_mass(
     return lo if lo <= hi else math.inf
 
 
-# The node maps cache run lengths only for at most this many rows, and
-# map_nodes_array only for n below it: n = 512 with two node values per
-# chain, or n = 341 with three.
-_RUNS_MAX_ROWS = 1025
-
-
-def _row_runs(n: int, chain: np.ndarray) -> np.ndarray:
-    """The run lengths of alpha, beta and gamma in the rows of chains `chain`, flat.
-
-    A chain-k row, k >= 2, is (alpha x (n - k + 1), beta, gamma x (k - 2));
-    a chain-1 row is its first value n times.
-    """
-    runs = np.empty((len(chain), 3), dtype=np.intp)
-    runs[:, 0] = n + 1 - chain
-    runs[:, 1] = chain > 1
-    runs[:, 2] = chain - 1 - runs[:, 1]
-    return runs.ravel()
-
-
 def map_nodes(
     chains: Sequence[tuple[int, Sequence[float]]], consts: DecompositionConstants
 ) -> np.ndarray:
@@ -586,47 +541,38 @@ def map_nodes(
 
     with c_2 = c_mid for n >= 3 and c_2 = c_n for n = 2.  Every row is
     such a block pattern, so each row's three values are computed in plain
-    floats, and one ``ndarray.repeat`` of them by their run lengths writes
-    the whole (rows, n) array, as :func:`map_nodes_array` does.  The run
-    lengths depend only on n and the chain index of each row, and are
-    cached per (n, row pattern).
+    floats, with the run lengths of alpha, beta and gamma in it, and one
+    ``ndarray.repeat`` of them by those run lengths writes the whole
+    (rows, n) array, as :func:`map_nodes_array` does.
     """
     n, gamma, c_n, c_mid, c_2 = consts.n, consts.gamma, consts.c_n, consts.c_mid, consts.c_2
     values: list[float] = []  # alpha, beta and gamma of each row; a chain-1 row's eta first
-    pattern: list[int] = []
+    runs: list[int] = []
     for k, ts in chains:
         if not 1 <= k <= n:
             raise ValueError(f"chain index must be in [1, {n}], got {k}")
         if k == 1:
             for t in ts:
                 values += ((t - c_n) / n, gamma, gamma)
+            row = (n, 0, 0)
         elif k == n:
             for t in ts:
                 beta = gamma - (t + c_2) / 2.0
                 values += (beta + t, beta, gamma)
+            row = (1, 1, n - 2)
         else:
             lead = n - k + 1
             for t in ts:
                 beta = gamma - t / (lead + 1)
                 values += (beta + (t - c_mid) / lead, beta, gamma)
-        pattern += [k] * len(ts)
-    rows, key = len(pattern), (n, tuple(pattern))
-    runs = _pattern_runs(*key) if rows <= _RUNS_MAX_ROWS else _pattern_runs.__wrapped__(*key)
-    return np.array(values).repeat(runs).reshape(rows, n)
+            row = (lead, 1, k - 2)
+        runs += row * len(ts)
+    return np.array(values).repeat(runs).reshape(-1, n)
 
 
-@functools.lru_cache(maxsize=32)
-def _pattern_runs(n: int, pattern: tuple[int, ...]) -> np.ndarray:
-    """map_nodes' read-only run lengths of the rows of chains `pattern`.
-
-    An entry holds 3 x rows intp, a key of rows ints and at most rows
-    distinct int objects: at most 3 x 1025 x 8 + 1025 x (8 + 32) bytes
-    (66 KB) under _RUNS_MAX_ROWS, so the 32 entries take at most about
-    2.1 MB.  A per-chain rule of n = 23 takes about 1.5 KB.
-    """
-    runs = _row_runs(n, np.array(pattern, dtype=np.intp))
-    runs.setflags(write=False)
-    return runs
+# map_nodes_array caches its run table only for at most this many rows and
+# for n below it: n = 512 with two node values per chain, or n = 341 with three.
+_RUNS_MAX_ROWS = 1025
 
 
 @functools.lru_cache(maxsize=32)
@@ -634,15 +580,21 @@ def _run_table(n: int, j: int, compensation: bool) -> tuple[np.ndarray, np.ndarr
     """map_nodes_array's read-only run lengths, and its columns n - k + 1 and
     n - k + 2 for k = 1 .. n as (n, 1) floats.
 
-    An entry holds 3 (n j + compensation) intp and 2n floats: at most
-    3 x 1025 + 2 x 1024 eight-byte values (41 KB) under _RUNS_MAX_ROWS, so
-    the 32 entries take at most about 1.3 MB.  At n = 512 and j = 2 an
-    entry takes 33 KB.
+    A chain-k row, k >= 2, is (alpha x (n - k + 1), beta, gamma x (k - 2));
+    a chain-1 row is its first value n times.  An entry holds 3 (n j +
+    compensation) intp and 2n floats: at most 3 x 1025 + 2 x 1024
+    eight-byte values (41 KB) under _RUNS_MAX_ROWS, so the 32 entries take
+    at most about 1.3 MB.  At n = 512 and j = 2 an entry takes 33 KB.
     """
     lead = np.arange(n, 0, -1, dtype=np.float64)[:, None]
     chain = np.repeat(np.arange(1, n + 1, dtype=np.intp), j)
-    runs = _row_runs(n, np.append(chain, [n] * compensation))
-    table = runs, lead, lead + 1
+    if compensation:
+        chain = np.append(chain, n)
+    runs = np.empty((len(chain), 3), dtype=np.intp)
+    runs[:, 0] = n + 1 - chain
+    runs[:, 1] = chain > 1
+    runs[:, 2] = chain - 1 - runs[:, 1]
+    table = runs.ravel(), lead, lead + 1
     for a in table:
         a.setflags(write=False)
     return table

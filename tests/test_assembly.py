@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from symcub import (
+    CubatureError,
     CubatureRule,
     InconsistentAtomError,
     InfeasibleMomentError,
+    InvalidSplitError,
     MassSplit,
     Region,
     RegionId,
@@ -27,7 +29,7 @@ from symcub import (
     simplex_spec,
     solve_two_point,
 )
-from symcub import decomposition
+from symcub import assembly, decomposition
 from symcub.assembly import ARRAY_MIN_N
 from symcub.reference import load_reference_rule
 from symcub.decomposition import chain_moments, least_mass, map_nodes, map_nodes_array
@@ -126,25 +128,10 @@ def test_map_nodes_is_bit_identical_to_reference_node(make, n):
     assert map_nodes([], consts).shape == (0, n)
 
 
-def test_map_nodes_run_lengths_are_cached_read_only_and_bounded():
-    cache = decomposition._pattern_runs
-    assert cache.cache_info().maxsize == 32
-    cache.cache_clear()
-    consts = compute_constants(cube_spec(8))
-    got = map_nodes([(1, (0.5, -0.5)), (2, (0.25,)), (3, (1.0, 2.0)), (8, (0.0,))], consts)
-    assert got.shape == (6, 8)
-    assert cache.cache_info().currsize == 1
-    runs = cache(8, (1, 1, 2, 3, 3, 8))
-    assert cache.cache_info().hits == 1
-    assert runs.tolist() == [8, 0, 0, 8, 0, 0, 7, 1, 0, 6, 1, 1, 6, 1, 1, 1, 1, 6]
-    assert not runs.flags.writeable
-    with pytest.raises(ValueError):
-        runs[0] = 1
-    # the run lengths of more rows than the bound are built for their call alone
+def test_map_nodes_writes_rows_past_the_run_table_bound():
     big = compute_constants(cube_spec(600))
     rows = map_nodes([(k, (0.5, -0.5)) for k in range(1, 601)], big)
     assert rows.shape == (1200, 600) and 1200 > decomposition._RUNS_MAX_ROWS
-    assert cache.cache_info().currsize == 1 and cache.cache_info().misses == 1
 
 
 def test_map_nodes_array_run_table_is_cached_read_only_and_bounded():
@@ -372,6 +359,14 @@ def test_tiny_mass_rules_keep_2n_rows_and_bits(region, n):
     assert check_exactness(rule, spec).max_rel_error <= 1e-13
 
 
+def _orbit_spec(n):
+    """The point (0, ..., 0, 0.75) symmetrised: chain 1 is a single atom."""
+    return SymmetricMomentSpec(
+        n=n, m_1=1.0, m_x=0.75 / n, m_xx=0.5625 / n, m_xy=0.0, m_xxx=0.421875 / n,
+        m_xxy=0.0, m_xyz=0.0,
+    )
+
+
 _SCALE_CASES = {
     "simplex-3": simplex_spec(3),
     "sector-4": sector_spec(4),
@@ -379,15 +374,9 @@ _SCALE_CASES = {
     "custom-3": SymmetricMomentSpec(
         n=3, m_1=1.0, m_x=0.5, m_xx=0.4, m_xy=0.2, m_xxx=0.3, m_xxy=0.1, m_xyz=0.05
     ),
-    # the point (0, 0, 0.75) symmetrised: chain 1 is a single atom
-    "orbit-3": SymmetricMomentSpec(
-        n=3, m_1=1.0, m_x=0.25, m_xx=0.1875, m_xy=0.0, m_xxx=0.140625, m_xxy=0.0, m_xyz=0.0
-    ),
+    "orbit-3": _orbit_spec(3),
     # the same orbit at the least n of the array path: its atom takes the per-chain path
-    f"orbit-{ARRAY_MIN_N}": SymmetricMomentSpec(
-        n=ARRAY_MIN_N, m_1=1.0, m_x=0.75 / ARRAY_MIN_N, m_xx=0.5625 / ARRAY_MIN_N, m_xy=0.0,
-        m_xxx=0.421875 / ARRAY_MIN_N, m_xxy=0.0, m_xyz=0.0,
-    ),
+    f"orbit-{ARRAY_MIN_N}": _orbit_spec(ARRAY_MIN_N),
 }
 
 
@@ -518,3 +507,74 @@ def test_compensated_cube512_build_allocates_about_one_node_array():
         tracemalloc.stop()
     assert rule.nodes.shape == (1025, 512)
     assert peak <= 1.5 * rule.nodes.nbytes
+
+
+# ---------------------------------------------------------------------------
+# Which path build_rule takes, and its one fallback.
+
+_SPIED = ("reduced_moment_chain", "chain_moment_array", "_build_per_chain")
+
+
+def _spy_build(monkeypatch, spec, split):
+    """The calls of each of _SPIED in one build_rule(spec, split), and the type of its error."""
+    calls = dict.fromkeys(_SPIED, 0)
+    for name in _SPIED:
+        def spy(*args, name=name, call=getattr(assembly, name)):
+            calls[name] += 1
+            return call(*args)
+
+        monkeypatch.setattr(assembly, name, spy)
+    try:
+        build_rule(spec, split)
+        error = None
+    except CubatureError as exc:
+        error = type(exc)
+    finally:
+        monkeypatch.undo()
+    return calls, error
+
+
+def _path_cases(n):
+    """(spec, split, whether the array path declines it, the build's error) by name."""
+    spec = cube_spec(n)
+    m_1 = spec.m_1
+    spread = [m_1 / n] * n
+    spread[n // 2] *= 2.0**10
+    unbalanced = [m_1 / n] * n
+    unbalanced[0] *= 1.5
+    # the cube's c_mid = 0 keeps every middle chain feasible; the simplex's
+    # chain 2 gets half the least mass that makes it feasible
+    simplex = simplex_spec(n)
+    m1, m2, m3 = chain_moments(simplex)(2, simplex.m_1 - simplex.m_1 / n)
+    mass = 0.5 * least_mass(m1, m2, m3)
+    infeasible = [simplex.m_1 / n, mass]
+    infeasible += [(simplex.m_1 - simplex.m_1 / n - mass) / (n - 2)] * (n - 2)
+    orbit = _orbit_spec(n)
+    return {
+        "uniform": (spec, default_split(spec), False, None),
+        "compensated": (spec, _split(spec, "compensated", np.random.default_rng(n)), False, None),
+        "10-binade spread": (spec, MassSplit(spread, True), True, None),
+        "short": (spec, MassSplit([m_1 / n] * (n - 1)), True, InvalidSplitError),
+        "unbalanced": (spec, MassSplit(unbalanced), True, InvalidSplitError),
+        "infeasible": (simplex, MassSplit(infeasible), True, InfeasibleMomentError),
+        "atom": (orbit, default_split(orbit), True, None),
+    }
+
+
+@pytest.mark.parametrize("n", [3, 8, ARRAY_MIN_N - 1])
+def test_small_builds_walk_the_chain_moments_once(monkeypatch, n):
+    for name, (spec, split, _, error) in _path_cases(n).items():
+        calls, got = _spy_build(monkeypatch, spec, split)
+        assert got is error, name
+        expected = {"reduced_moment_chain": 1, "chain_moment_array": 0, "_build_per_chain": 1}
+        assert calls == expected, name
+
+
+@pytest.mark.parametrize("n", [ARRAY_MIN_N, 64])
+def test_large_builds_fall_back_only_where_the_array_path_declines(monkeypatch, n):
+    for name, (spec, split, declined, error) in _path_cases(n).items():
+        calls, got = _spy_build(monkeypatch, spec, split)
+        assert got is error, name
+        expected = {"reduced_moment_chain": int(declined), "chain_moment_array": 1,
+                    "_build_per_chain": int(declined)}
+        assert calls == expected, name

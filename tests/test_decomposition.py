@@ -24,11 +24,10 @@ from symcub import (
     sector_spec,
     simplex_spec,
 )
-from symcub import decomposition
+from symcub import assembly
 from symcub.assembly import ARRAY_MIN_N
 from symcub.decomposition import (
-    MAX_SPREAD, chain_moment_array, chain_moments, iter_moment_chain, solve_two_point,
-    solve_two_point_array,
+    MAX_SPREAD, chain_moment_array, chain_moments, solve_two_point, solve_two_point_array,
 )
 from reference_helpers import closure_chain_moments
 
@@ -380,24 +379,30 @@ def _hex(values):
     return [x.hex() for x in np.asarray(values, dtype=np.float64).ravel().tolist()]
 
 
-def _array_vs_loop(monkeypatch, spec, split):
-    """chain_moment_array's bits, the loop's bits, and whether the array fell back to the loop.
-
-    The sum it returns is checked against fsum's bits on the way.
-    """
-    loop = reduced_moment_chain(spec, split)
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return reduced_moment_chain(*args)
-
-    monkeypatch.setattr(decomposition, "reduced_moment_chain", spy)
-    got, total = chain_moment_array(spec, split)
-    monkeypatch.undo()
+def _array_vs_loop(spec, split):
+    """chain_moment_array's bits, or None where it declines the split, and the loop's bits."""
+    got = chain_moment_array(spec, split)
+    loop = _hex(reduced_moment_chain(spec, split))
+    if got is None:
+        return None, loop
     assert got.shape == (spec.n, 4)
-    assert type(total) is float and total.hex() == math.fsum(split.masses).hex()
-    return _hex(got), _hex(loop), bool(calls)
+    return _hex(got), loop
+
+
+def _assert_rule_is_the_per_chain_rule(monkeypatch, spec, split):
+    """build_rule's rule, or its error, is the per-chain build's bit for bit."""
+    def build():
+        try:
+            rule = build_rule(spec, split)
+        except Exception as exc:  # the type and message are compared
+            return type(exc), str(exc)
+        return rule.nodes.tobytes(), rule.weights.tobytes()
+
+    rule = build()
+    monkeypatch.setattr(assembly, "ARRAY_MIN_N", math.inf)
+    per_chain = build()
+    monkeypatch.undo()
+    assert rule == per_chain
 
 
 def _seeded_splits(spec, seed):
@@ -421,12 +426,11 @@ def _seeded_splits(spec, seed):
     (Region.BALL_SECTOR, 320),
     (Region.SIMPLEX, 160),
 ])
-def test_chain_moment_array_is_bit_identical_to_the_loop(monkeypatch, region, n):
+def test_chain_moment_array_is_bit_identical_to_the_loop(region, n):
     spec = region_spec(RegionId(region, n))
     for split in _seeded_splits(spec, n):
-        got, loop, fell_back = _array_vs_loop(monkeypatch, spec, split)
+        got, loop = _array_vs_loop(spec, split)
         assert got == loop
-        assert not fell_back
 
 
 @pytest.mark.parametrize("n", [3, ARRAY_MIN_N, 128])
@@ -441,9 +445,11 @@ def test_chain_moment_array_falls_back_past_max_spread(monkeypatch, n):
         masses = [1.0] * n
         masses[n // 2] = top
         masses[-1] = math.nextafter(1.0, 2.0)
-        got, loop, fell_back = _array_vs_loop(monkeypatch, spec, MassSplit(masses, True))
-        assert got == loop
-        assert fell_back == (spread > 9)
+        split = MassSplit(masses, True)
+        got, loop = _array_vs_loop(spec, split)
+        assert (got is None) == (spread > 9)
+        assert got in (None, loop)
+        _assert_rule_is_the_per_chain_rule(monkeypatch, spec, split)
 
 
 def test_chain_moment_array_falls_back_on_a_subnormal_mass(monkeypatch):
@@ -453,9 +459,11 @@ def test_chain_moment_array_falls_back_on_a_subnormal_mass(monkeypatch):
     for least, subnormal in [(sys.float_info.min, False), (5e-324, True),
                              (sys.float_info.min / 3, True)]:
         masses[1] = least
-        got, loop, fell_back = _array_vs_loop(monkeypatch, spec, MassSplit(masses, True))
-        assert got == loop
-        assert fell_back == subnormal
+        split = MassSplit(masses, True)
+        got, loop = _array_vs_loop(spec, split)
+        assert (got is None) == subnormal
+        assert got in (None, loop)
+        _assert_rule_is_the_per_chain_rule(monkeypatch, spec, split)
 
 
 def test_chain_moment_array_prefix_sums_round_as_fsum():
@@ -466,10 +474,8 @@ def test_chain_moment_array_prefix_sums_round_as_fsum():
     for _ in range(50):
         ulps = rng.integers(0, 4, n)
         masses = [math.ldexp(float(2**52 + u), -58) for u in ulps.tolist()]
-        split = MassSplit(masses, compensation=True)
-        got, total = chain_moment_array(spec, split)
-        assert _hex(got) == _hex(reduced_moment_chain(spec, split))
-        assert total.hex() == math.fsum(masses).hex()
+        got, loop = _array_vs_loop(spec, MassSplit(masses, compensation=True))
+        assert got == loop
 
 
 def _error(call, *args):
@@ -509,43 +515,19 @@ def _bad_split(spec, case, compensation):
 @pytest.mark.parametrize("compensation", [False, True])
 @pytest.mark.parametrize("case", SPLIT_CASES)
 def test_chain_moment_array_rejects_splits_as_the_loop_does(case, compensation):
-    spec = cube_spec(ARRAY_MIN_N)
-    split = _bad_split(spec, case, compensation)
-    expected = _error(reduced_moment_chain, spec, split)
-    if case == "unbalanced" and compensation:
-        assert expected is None
-    else:
-        assert expected is not None and expected[0] is InvalidSplitError
-    assert _error(chain_moment_array, spec, split) == expected
-    assert _error(build_rule, spec, split) == expected
-
-
-@pytest.mark.parametrize("compensation", [False, True])
-@pytest.mark.parametrize("case", SPLIT_CASES)
-def test_iter_moment_chain_rejects_splits_on_the_call(case, compensation):
-    # the per-chain build's walk validates before it yields a chain
-    spec = cube_spec(ARRAY_MIN_N - 1)
-    split = _bad_split(spec, case, compensation)
-    expected = _error(reduced_moment_chain, spec, split)
-    assert _error(iter_moment_chain, spec, split) == expected
-    assert _error(build_rule, spec, split) == expected
-
-
-@pytest.mark.parametrize("region", list(Region))
-@pytest.mark.parametrize("n", [2, 3, 8, ARRAY_MIN_N - 1, 33])
-def test_iter_moment_chain_is_bit_identical_to_the_loop(region, n):
-    spec = region_spec(RegionId(region, n))
-    rng = np.random.default_rng(n)
-    splits = [
-        default_split(spec),
-        MassSplit((rng.lognormal(0.0, 0.3, n) * spec.m_1 / n).tolist(), compensation=True),
-        # hundreds of binades apart: every prefix sum rounds as fsum's
-        MassSplit((10.0 ** rng.uniform(-200.0, 200.0, n)).tolist(), compensation=True),
-    ]
-    for split in splits:
-        walk = iter_moment_chain(spec, split)
-        assert not isinstance(walk, list)
-        assert _hex(list(walk)) == _hex(reduced_moment_chain(spec, split))
+    # the kernel declines every split the loop rejects, and build_rule raises
+    # the loop's error on both sides of ARRAY_MIN_N
+    for n in (ARRAY_MIN_N - 1, ARRAY_MIN_N):
+        spec = cube_spec(n)
+        split = _bad_split(spec, case, compensation)
+        expected = _error(reduced_moment_chain, spec, split)
+        if case == "unbalanced" and compensation:
+            assert expected is None
+            assert chain_moment_array(spec, split) is not None
+        else:
+            assert expected is not None and expected[0] is InvalidSplitError
+            assert chain_moment_array(spec, split) is None
+        assert _error(build_rule, spec, split) == expected
 
 
 OVERFLOWING = [
