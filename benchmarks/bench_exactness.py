@@ -30,7 +30,7 @@ from symcub import (
     cube_spec,
     degree4_nonexactness,
 )
-from symcub.cli import _classification_to_dict, _report_to_dict, main
+from symcub.cli import _data, main
 from symcub.ruleio import dumps_json, indented_json, write_rule
 
 
@@ -73,12 +73,12 @@ def _verify_payload(n):
     report = dataclasses.replace(
         check_exactness(rule, spec), degree4_witness=degree4_nonexactness(rule, rid)
     )
-    return {
+    return _data({
         "pass": True,
         "tolerance": 1e-8 * spec.moment_scale,
-        "exactness": _report_to_dict(report),
-        "classification": _classification_to_dict(classify_nodes(rule, rid)),
-    }
+        "exactness": report,
+        "classification": classify_nodes(rule, rid),
+    })
 
 
 @pytest.mark.parametrize("writer", [indented_json, lambda value: json.dumps(value, indent=2)],

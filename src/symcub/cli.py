@@ -7,13 +7,19 @@ default exactness gates are relative to the largest |moment| of degree
 <= 3; --tolerance sets an absolute one, finite and >= 0.  When
 SYMCUB_OUTPUT_DIR is set, relative --output and --output-dir paths are
 resolved against it.
+
+`verify` and `search` each build one report payload of the library's
+results.  --format json writes it as json.dumps(indent=2) would; text
+writes the same keys and values, one `key: value` line each.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import functools
+import json
 import math
 import os
 import sys
@@ -23,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reference, ruleio
-from .assembly import build_rule
+from .assembly import CubatureRule, build_rule
 from .decomposition import MassSplit, default_split
 from .errors import CubatureError, InfeasibleMomentError
 from .moments import (
@@ -36,8 +42,6 @@ from .moments import (
 from .search import SearchMode, SearchObjective, search_masses
 from .validation import (
     BOUNDARY_TOL,
-    ExactnessReport,
-    NodeClassification,
     check_exactness,
     classify_nodes,
     compare_to_reference,
@@ -125,85 +129,75 @@ def _split_from_args(args, spec: SymmetricMomentSpec) -> MassSplit:
     return default_split(spec)
 
 
-def _tolerance(args, spec: SymmetricMomentSpec, relative: float) -> float:
-    if args.tolerance is not None:
-        # a NaN gate fails every rule and an infinite one passes every rule
-        if not 0 <= args.tolerance < math.inf:
-            raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
-        return args.tolerance
-    return relative * spec.moment_scale
+def _gate(args, rule, spec: SymmetricMomentSpec, relative: float):
+    """(report, tolerance, passed): --tolerance, or `relative` x the largest |moment|."""
+    report = check_exactness(rule, spec)
+    tolerance = relative * spec.moment_scale if args.tolerance is None else args.tolerance
+    # a NaN gate fails every rule and an infinite one passes every rule
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"--tolerance must be finite and >= 0, got {tolerance}")
+    return report, tolerance, report.max_abs_error <= tolerance
 
 
-def _report_to_dict(report: ExactnessReport) -> dict:
-    # field by field: dataclasses.asdict would deep-copy every value
-    data = {
-        f.name: getattr(report, f.name)
-        for f in dataclasses.fields(report) if f.name != "degree4_witness"
-    }
-    witness = report.degree4_witness
-    if witness is not None:
-        data["degree4_witness"] = {"monomial": witness[0], "error": witness[1]}
-    return data
+def _data(value):
+    """A report payload as JSON data: dicts, lists and tuples of scalars.
 
-
-def _classification_to_dict(classification: NodeClassification) -> dict:
+    Dataclasses and named tuples become dicts of their fields in order
+    (leaving out a None field whose default is None), enums their values
+    and rules :func:`ruleio.rule_to_json_dict`.  A run of scalars is kept
+    and a run of enums converted in one comprehension, with no per-element call.
+    """
+    kind = type(value)
+    if kind in ruleio.JSON_SCALARS:
+        return value
+    if kind is dict:
+        return {key: _data(item) for key, item in value.items()}
+    if kind is list or kind is tuple:
+        kinds = set(map(type, value))
+        if kinds <= ruleio.JSON_SCALARS:
+            return value
+        if len(kinds) == 1 and issubclass(kinds.pop(), enum.Enum):
+            return [item.value for item in value]
+        return [_data(item) for item in value]
+    if isinstance(value, CubatureRule):
+        return ruleio.rule_to_json_dict(value)
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):  # a named tuple
+        return {name: _data(item) for name, item in zip(kind._fields, value)}
     return {
-        "classes": [c.value for c in classification.classes],
-        "interior": classification.interior,
-        "boundary": classification.boundary,
-        "exterior": classification.exterior,
-        "tol": classification.tol,
-        "positive_weights": classification.positive_weights,
-        "negative_weights": classification.negative_weights,
-        "zero_weights": classification.zero_weights,
+        f.name: _data(item) for f in dataclasses.fields(value)
+        if (item := getattr(value, f.name)) is not None or f.default is not None
     }
 
 
-def _render_report(
-    report: ExactnessReport,
-    classification: NodeClassification | None,
-    tolerance: float,
-    passed: bool,
-) -> str:
-    worst = f"monomial {report.worst_monomial}"
-    if report.worst_monomial is None:  # the directional probe; argmax keeps a NaN
-        worst = f"degree {np.argmax(report.per_degree_max)} (random-direction probe)"
-    lines = [
-        f"exactness over {report.monomial_count} monomials of degree <= 3:",
-        f"  max abs error = {report.max_abs_error:.6e} at {worst}",
-        f"  max rel error = {report.max_rel_error:.6e}",
-        "  per-degree max = "
-        + ", ".join(f"d{d}: {e:.3e}" for d, e in enumerate(report.per_degree_max)),
-        f"  tolerance = {tolerance:.6e} -> {'PASS' if passed else 'FAIL'}",
-    ]
-    if report.degree4_witness is not None:
-        exps, err = report.degree4_witness
-        lines.append(
-            f"degree-4 probe: monomial {exps} error {err:.6e} "
-            "(rule is sharp at degree 3)"
-        )
-    if classification is not None:
-        lines.append(
-            f"node classification (tol = {classification.tol:g}): "
-            f"interior {classification.interior}, "
-            f"boundary {classification.boundary}, "
-            f"exterior {classification.exterior}"
-        )
-        lines.append(
-            f"weights: positive {classification.positive_weights}, "
-            f"negative {classification.negative_weights}, "
-            f"zero {classification.zero_weights}"
-        )
-    return "\n".join(lines) + "\n"
+def _text_lines(data, indent: str = "") -> list[str]:
+    """`key: value` lines for a dict and `- value` lines for a list, each value as
+    its JSON text, or a non-empty dict or list of containers indented below."""
+    is_dict = isinstance(data, dict)
+    lines = []
+    for key, value in data.items() if is_dict else enumerate(data):
+        head = f"{indent}{key}:" if is_dict else f"{indent}-"
+        nested = (isinstance(value, dict) and value) or (
+            isinstance(value, (list, tuple)) and not ruleio.JSON_SCALARS.issuperset(map(type, value)))
+        if nested:
+            lines += [head, *_text_lines(value, indent + "  ")]
+        else:
+            lines.append(f"{head} {json.dumps(value)}")
+    return lines
+
+
+def _write_report(payload: dict, args) -> None:
+    data = _data(payload)
+    text = ruleio.indented_json(data) if args.format == "json" else "\n".join(_text_lines(data))
+    _write_output(text + "\n", args.output)
 
 
 def _cmd_generate(args) -> int:
     spec, region = _spec_from_args(args)
     split = _split_from_args(args, spec)
     rule = build_rule(spec, split, region_label=region.label if region else "custom")
-    report = check_exactness(rule, spec)
-    tolerance = _tolerance(args, spec, GENERATE_REL_TOLERANCE)
-    passed = report.max_abs_error <= tolerance
+    report, tolerance, passed = _gate(args, rule, spec, GENERATE_REL_TOLERANCE)
     _write_output(ruleio.dumps(rule, args.format), args.output)
     print(
         f"generated {len(rule)} nodes (dim {rule.dim}); "
@@ -222,27 +216,13 @@ def _cmd_verify(args) -> int:
         raise _UsageError(
             f"rule has dim {rule.dim} but moment spec has n = {spec.n}"
         )
-    report = check_exactness(rule, spec)
-    classification = None
+    report, tolerance, passed = _gate(args, rule, spec, VERIFY_REL_TOLERANCE)
+    payload = {"pass": passed, "tolerance": tolerance, "exactness": report}
     if region is not None:
         witness = degree4_nonexactness(rule, region)
-        if witness is not None:
-            report = dataclasses.replace(report, degree4_witness=witness)
-        classification = classify_nodes(rule, region, args.boundary_tol)
-    tolerance = _tolerance(args, spec, VERIFY_REL_TOLERANCE)
-    passed = report.max_abs_error <= tolerance
-    if args.format == "json":
-        payload = {
-            "pass": passed,
-            "tolerance": tolerance,
-            "exactness": _report_to_dict(report),
-        }
-        if classification is not None:
-            payload["classification"] = _classification_to_dict(classification)
-        rendered = ruleio.indented_json(payload) + "\n"
-    else:
-        rendered = _render_report(report, classification, tolerance, passed)
-    _write_output(rendered, args.output)
+        payload["exactness"] = dataclasses.replace(report, degree4_witness=witness)
+        payload["classification"] = classify_nodes(rule, region, args.boundary_tol)
+    _write_report(payload, args)
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 
@@ -255,28 +235,15 @@ def _cmd_search(args) -> int:
         max_evals=args.max_evals, boundary_tol=args.boundary_tol,
     )
     result = search_masses(spec, region, objective)
-    payload = {
+    _write_report({
         "satisfied": result.satisfied,
         "message": result.message,
         "evaluations": result.evaluations,
-        "score": list(result.score),
-        "masses": list(result.split.masses) if result.split else None,
+        "score": result.score,
+        "masses": result.split.masses if result.split else None,
         "compensation": result.split.compensation if result.split else None,
-        "rule": ruleio.rule_to_json_dict(result.rule) if result.rule else None,
-    }
-    if args.format == "text":
-        lines = [
-            f"search ({args.mode}) on {args.region} dim {args.dim}: "
-            f"{result.message} after {result.evaluations} walks"
-        ]
-        if result.split is not None:
-            lines.append(f"masses: {list(result.split.masses)}")
-        rendered = "\n".join(lines) + "\n"
-        if result.rule is not None:
-            rendered += ruleio.render_text(result.rule)
-    else:
-        rendered = ruleio.indented_json(payload) + "\n"
-    _write_output(rendered, args.output)
+        "rule": result.rule,
+    }, args)
     return EXIT_OK if result.satisfied else EXIT_INFEASIBLE
 
 
@@ -382,7 +349,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # a NaN or inf reaches the report and fails its gate; no warning
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE

@@ -27,6 +27,7 @@ from .assembly import CubatureRule
 from .errors import CubatureError
 
 __all__ = [
+    "JSON_SCALARS",
     "dumps",
     "dumps_csv",
     "dumps_json",
@@ -44,7 +45,7 @@ __all__ = [
 _CONTAINERS = (list, tuple, dict)
 # the types json writes as scalars without a default; a subclass of one
 # takes the item-by-item path, which sends it to the encoder alone
-_SCALARS = frozenset({str, int, float, bool, type(None)})
+JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 _INDENT = "  "
 
 
@@ -69,7 +70,7 @@ def _indented(value, depth: int) -> str:
     encode, inner, outer = _level(depth)
     is_dict = isinstance(value, dict)
     items = value.values() if is_dict else value
-    if _SCALARS.issuperset(map(type, items)):
+    if JSON_SCALARS.issuperset(map(type, items)):
         text = "".join(encode(value, 0))
         if not value:
             return text  # "[]" or "{}"

@@ -27,7 +27,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .errors import DimensionMismatchError, UnmatchedRuleError
 from .moments import PATTERN_TO_FIELD, Region, RegionId, SymmetricMomentSpec, region_monomial_moment
 
 __all__ = [
+    "Degree4Witness",
     "ExactnessReport",
     "NodeClass",
     "NodeClassification",
@@ -57,16 +58,27 @@ _PROBE_DIRECTIONS = 4
 BOUNDARY_TOL = 1e-9
 
 
+class Degree4Witness(NamedTuple):
+    """A degree-4 monomial, as its exponents, and the rule's error on it."""
+
+    monomial: tuple[int, ...]
+    error: float
+
+
 @dataclass(frozen=True)
 class ExactnessReport:
-    """Errors of a rule against a moment spec over degree <= 3 monomials."""
+    """Errors of a rule against a moment spec over degree <= 3 monomials.
+
+    `degree4_witness` is None unless a caller attaches the result of
+    :func:`degree4_nonexactness`.
+    """
 
     max_abs_error: float
     max_rel_error: float
     worst_monomial: tuple[int, ...] | None  # None above FULL_ENUMERATION_MAX_DIM
     per_degree_max: tuple[float, float, float, float]
     monomial_count: int
-    degree4_witness: tuple[tuple[int, ...], float] | None = None
+    degree4_witness: Degree4Witness | None = None
 
 
 class NodeClass(enum.Enum):
@@ -77,28 +89,20 @@ class NodeClass(enum.Enum):
 
 @dataclass(frozen=True)
 class NodeClassification:
-    """Per-node region classification plus a weight-sign summary."""
+    """Per-node region classification plus a weight-sign summary.
+
+    `interior`, `boundary` and `exterior` count the nodes of each class in
+    `classes`.  The field order is the key order of the CLI's JSON report.
+    """
 
     classes: tuple[NodeClass, ...]
+    interior: int
+    boundary: int
+    exterior: int
     tol: float
     positive_weights: int
     negative_weights: int
     zero_weights: int
-
-    def count(self, cls: NodeClass) -> int:
-        return sum(1 for c in self.classes if c is cls)
-
-    @property
-    def interior(self) -> int:
-        return self.count(NodeClass.INTERIOR)
-
-    @property
-    def boundary(self) -> int:
-        return self.count(NodeClass.BOUNDARY)
-
-    @property
-    def exterior(self) -> int:
-        return self.count(NodeClass.EXTERIOR)
 
 
 @dataclass(frozen=True)
@@ -231,15 +235,13 @@ def _degree4_targets(region: RegionId) -> tuple[tuple[float, float, float], tupl
     return targets, pairs
 
 
-def degree4_nonexactness(
-    rule: CubatureRule, region: RegionId
-) -> tuple[tuple[int, ...], float] | None:
+def degree4_nonexactness(rule: CubatureRule, region: RegionId) -> Degree4Witness | None:
     """Find a degree-4 monomial the rule gets wrong by more than 1e-6 * L(1).
 
     Probes x_i^4 and x_i^2 x_j^2 (i < j) against the closed-form region
-    moments and returns the worst offender, the first in that order on a
-    tie, or None when every probe is matched (which would flag an anomaly
-    for a genuine degree-3 rule).
+    moments and returns the worst offender as a :class:`Degree4Witness`,
+    the first in that order on a tie, or None when every probe is matched
+    (which would flag an anomaly for a genuine degree-3 rule).
     """
     if rule.dim != region.n:
         raise DimensionMismatchError(
@@ -260,7 +262,7 @@ def degree4_nonexactness(
             exps[worst] = 4
         else:
             exps[pairs[0][worst - n]] = exps[pairs[1][worst - n]] = 2
-        return tuple(exps), float(errors[worst])
+        return Degree4Witness(tuple(exps), float(errors[worst]))
     return None
 
 
@@ -315,9 +317,13 @@ def classify_nodes(
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     least = node_margins(region, rule.nodes).min(axis=1).tolist()
+    classes = tuple([node_class(margin, tol) for margin in least])
     weights = rule.weights
     return NodeClassification(
-        classes=tuple([node_class(margin, tol) for margin in least]),
+        classes=classes,
+        interior=classes.count(NodeClass.INTERIOR),
+        boundary=classes.count(NodeClass.BOUNDARY),
+        exterior=classes.count(NodeClass.EXTERIOR),
         tol=tol,
         positive_weights=int((weights > 0).sum()),
         negative_weights=int((weights < 0).sum()),

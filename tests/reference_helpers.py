@@ -2,6 +2,7 @@
 
 import enum
 import itertools
+import json
 import math
 
 import numpy as np
@@ -192,3 +193,35 @@ def reference_node(k: int, t: float, consts) -> tuple[float, ...]:
     beta = gamma - t / (n - k + 2)
     alpha = beta + (t - consts.c_mid) / (n - k + 1)
     return (alpha,) * (n - k + 1) + (beta,) + (gamma,) * (k - 2)
+
+
+def parse_text_report(text: str):
+    """Read a `symcub verify` or `symcub search` text report back as JSON data.
+
+    A dict item is a `key: value` line and a list item a `- value` line,
+    with the value's JSON text; a line that ends at `key:` or `-` opens
+    a container on the lines below it, indented by two more spaces.
+    """
+    lines = [(len(line) - len(line.lstrip(" ")), line.lstrip(" ")) for line in text.splitlines()]
+    data, end = _parse_block(lines, 0, 0)
+    assert end == len(lines), f"line {end + 1} is not at a container's indent: {lines[end][1]!r}"
+    return data
+
+
+def _parse_block(lines, start: int, indent: int):
+    container, i = None, start
+    while i < len(lines) and lines[i][0] == indent:
+        line = lines[i][1]
+        i += 1
+        if line == "-" or line.startswith("- "):
+            key, value = None, line[2:]
+            container = [] if container is None else container
+        else:
+            key, value = (line[:-1], "") if line.endswith(":") else line.split(": ", 1)
+            container = {} if container is None else container
+        item, i = (json.loads(value), i) if value else _parse_block(lines, i, indent + 2)
+        if key is None:
+            container.append(item)
+        else:
+            container[key] = item
+    return container, i

@@ -18,6 +18,8 @@ from symcub.ruleio import loads_csv, loads_json, read_rule
 from symcub.search import SearchResult
 from symcub.validation import compare_to_reference
 
+from reference_helpers import parse_text_report
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -246,7 +248,7 @@ def test_verify_shipped_table6(tmp_path, capsys):
         capsys, "verify", str(table_path), "--region", "ball-sector"
     )
     assert code == 0
-    assert "PASS" in out
+    assert parse_text_report(out)["pass"] is True
 
 
 def test_verify_table2_classification(tmp_path, capsys):
@@ -326,7 +328,7 @@ def test_verify_wrong_region_exit_3(tmp_path, capsys):
     _run(capsys, "generate", "--region", "cube", "--dim", "3", "--output", str(rule_path))
     code, out, _ = _run(capsys, "verify", str(rule_path), "--region", "simplex")
     assert code == 3
-    assert "FAIL" in out
+    assert parse_text_report(out)["pass"] is False
 
 
 @pytest.mark.parametrize(
@@ -409,7 +411,9 @@ def test_verify_above_dim8_names_the_worst_degree(tmp_path, capsys):
     assert exactness["monomial_count"] == math.comb(15, 3)
     code, out, _ = _run(capsys, "verify", str(rule_path), "--region", "simplex")
     assert code == 0
-    assert "at degree " in out and "PASS" in out
+    # per_degree_max names the worst degree in text as in JSON
+    text = parse_text_report(out)
+    assert text["pass"] is True and text["exactness"] == exactness
 
 
 @pytest.mark.parametrize("region, dim", [("simplex", 101), ("ball-sector", 200)])
@@ -513,6 +517,58 @@ def test_search_json_is_json_dumps_indent_2(capsys, monkeypatch):
     code, out, _ = _run(capsys, "search", "--region", "cube", "--dim", "3")
     assert code == 2 and json.loads(out)["rule"] is None
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+_CUBE_SPEC = {"n": 3, "m1": 1.0, "mx": 0.5, "mxx": 1 / 3, "mxy": 0.25,
+              "mxxx": 0.25, "mxxy": 1 / 6, "mxyz": 0.125}
+
+# each case's argv (RULE3, RULE12, SPEC and PINNED name files) and exit code
+_REPORT_CASES = {
+    "verify-enumeration": (("verify", "RULE3", "--region", "cube"), 0),
+    "verify-probe": (("verify", "RULE12", "--region", "simplex"), 0),
+    "verify-spec": (("verify", "RULE3", "--spec", "SPEC"), 0),
+    "verify-corrupted": (("verify", "PINNED", "--region", "cube"), 3),
+    "search-satisfied": (("search", "--region", "simplex", "--dim", "3"), 0),
+    "search-unsatisfied": (("search", "--region", "simplex", "--dim", "4", "--max-evals", "50"), 2),
+    "search-no-split": (("search", "--region", "cube", "--dim", "3"), 2),
+}
+
+
+@pytest.mark.parametrize("case", _REPORT_CASES)
+def test_text_and_json_reports_carry_the_same_values(tmp_path, capsys, monkeypatch, case):
+    files = {name: tmp_path / name for name in ("RULE3", "RULE12", "SPEC", "PINNED")}
+    _run(capsys, "generate", "--region", "cube", "--dim", "3", "--output", str(files["RULE3"]))
+    _run(capsys, "generate", "--region", "simplex", "--dim", "12", "--output", str(files["RULE12"]))
+    files["SPEC"].write_text(json.dumps(_CUBE_SPEC))
+    files["PINNED"].write_text(_PINNED_RULE)
+    if case == "search-no-split":
+        monkeypatch.setattr(symcub.cli, "search_masses", lambda spec, region, objective: SearchResult(
+            split=None, rule=None, score=(-math.inf, 0.0, 0.0), evaluations=3, satisfied=False,
+            message="no split"))
+    argv, expected = _REPORT_CASES[case]
+    argv = [str(files[arg]) if arg in files else arg for arg in argv]
+    code, json_out, json_err = _run(capsys, *argv, "--format", "json")
+    assert (code, json_err) == (expected, "")
+    code, text_out, text_err = _run(capsys, *argv, "--format", "text")
+    assert (code, text_err) == (expected, "")
+    assert parse_text_report(text_out) == json.loads(json_out)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("dim", [3, 16])
+def test_verify_of_huge_entries_fails_without_warnings(tmp_path, capsys, fmt, dim):
+    # the sums overflow to inf or NaN, which fails the gate; numpy says nothing on stderr
+    clean = tmp_path / "clean.json"
+    _run(capsys, "generate", "--region", "cube", "--dim", str(dim), "--output", str(clean))
+    data = json.loads(clean.read_text())
+    data["nodes"][0] = [1e308] * dim
+    data["weights"][1] = -1e308
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(data))
+    code, out, err = _run(capsys, "verify", str(huge), "--region", "cube", "--format", fmt)
+    assert (code, err) == (3, "")
+    report = parse_text_report(out) if fmt == "text" else json.loads(out)
+    assert report["pass"] is False
 
 
 def test_tables_cli(tmp_path, capsys):

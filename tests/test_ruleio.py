@@ -22,7 +22,7 @@ from symcub import (
     sector_spec,
     simplex_spec,
 )
-from symcub.cli import _classification_to_dict, _report_to_dict
+from symcub.cli import _data
 from symcub.errors import CubatureError
 from symcub.ruleio import (
     dumps,
@@ -197,10 +197,10 @@ def test_indented_json_on_verify_payloads_and_rules(region, n):
     rule = build_rule(spec, region_label=region.value)
     report = check_exactness(rule, spec)
     witnessed = dataclasses.replace(report, degree4_witness=degree4_nonexactness(rule, rid))
-    classification = _classification_to_dict(classify_nodes(rule, rid))
+    classification = _data(classify_nodes(rule, rid))
     for exactness in (report, witnessed):
         payload = {"pass": True, "tolerance": 1e-8 * spec.moment_scale,
-                   "exactness": _report_to_dict(exactness)}
+                   "exactness": _data(exactness)}
         assert indented_json(payload) == json.dumps(payload, indent=2)
         payload["classification"] = classification
         assert indented_json(payload) == json.dumps(payload, indent=2)

@@ -37,7 +37,7 @@ from symcub.validation import (
     node_class,
     node_margins,
 )
-from reference_helpers import moment_of_monomial, per_call_exactness
+from reference_helpers import moment_of_monomial, parse_text_report, per_call_exactness
 
 
 def monomial_exponents(n, max_degree=3):
@@ -108,6 +108,7 @@ def test_degree4_witness_on_table1():
     witness = degree4_nonexactness(rule, region)
     assert witness is not None
     exps, error = witness
+    assert (witness.monomial, witness.error) == (exps, error)
     assert sum(exps) == 4
     assert error > 1e-5
     # the pure quartic probe alone already shows the defect
@@ -427,7 +428,7 @@ def test_corner_corruption_of_one_cubic_monomial_is_rejected(tmp_path, capsys, r
     path = tmp_path / "corner.json"
     write_rule(bad, path)
     assert main(["verify", str(path), "--region", region.value]) == 3
-    assert "FAIL" in capsys.readouterr().out
+    assert parse_text_report(capsys.readouterr().out)["pass"] is False
 
 
 @pytest.mark.parametrize("region", list(Region))
