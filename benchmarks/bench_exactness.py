@@ -9,9 +9,9 @@ collect it and timing noise cannot fail the suite.  Run it by path:
 monomial enumeration; n = 16, 32, 128 and 512 the directional probe.
 `degree4_nonexactness`, `classify_nodes` and an in-process
 `symcub verify --format json` of a JSON rule file run at n = 3, 8 and 32.
-The JSON writer `indented_json` runs next to `json.dumps(indent=2)` on
-the verify report payloads of n = 3 and 64, and `dumps_json` writes the
-cube rules of n = 64 and 256.  An in-process `symcub tables` regenerates
+`json.dumps(indent=2)`, the JSON writer of the reports, runs on the
+verify report payloads of n = 3 and 64, and `dumps_json` writes the cube
+rules of n = 64 and 256.  An in-process `symcub tables` regenerates
 and diffs the eight numbered tables.
 Rules, payloads and rule files are made outside the timed call.
 """
@@ -31,7 +31,7 @@ from symcub import (
     degree4_nonexactness,
 )
 from symcub.cli import _data, main
-from symcub.ruleio import dumps_json, indented_json, write_rule
+from symcub.ruleio import dumps_json, write_rule
 
 
 @pytest.mark.parametrize("n", [3, 8, 16, 32, 128, 512])
@@ -81,12 +81,10 @@ def _verify_payload(n):
     })
 
 
-@pytest.mark.parametrize("writer", [indented_json, lambda value: json.dumps(value, indent=2)],
-                         ids=["indented_json", "json_dumps"])
 @pytest.mark.parametrize("n", [3, 64])
-def test_verify_report_json(benchmark, writer, n):
+def test_verify_report_json(benchmark, n):
     payload = _verify_payload(n)
-    assert benchmark(writer, payload) == json.dumps(payload, indent=2)
+    assert benchmark(json.dumps, payload, indent=2, allow_nan=False).startswith("{")
 
 
 @pytest.mark.parametrize("n", [64, 256])

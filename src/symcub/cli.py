@@ -9,8 +9,9 @@ SYMCUB_OUTPUT_DIR is set, relative --output and --output-dir paths are
 resolved against it.
 
 `verify` and `search` each build one report payload of the library's
-results.  --format json writes it as json.dumps(indent=2) would; text
-writes the same keys and values, one `key: value` line each.
+results.  --format json writes it with json.dumps(indent=2); text writes
+the same keys and values, one `key: value` line each.  A non-finite float
+in a report is written as null, so a JSON report is strict JSON.
 """
 
 from __future__ import annotations
@@ -139,22 +140,30 @@ def _gate(args, rule, spec: SymmetricMomentSpec, relative: float):
     return report, tolerance, report.max_abs_error <= tolerance
 
 
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _data(value):
     """A report payload as JSON data: dicts, lists and tuples of scalars.
 
     Dataclasses and named tuples become dicts of their fields in order
-    (leaving out a None field whose default is None), enums their values
-    and rules :func:`ruleio.rule_to_json_dict`.  A run of scalars is kept
-    and a run of enums converted in one comprehension, with no per-element call.
+    (leaving out a None field whose default is None), enums their values,
+    rules :func:`ruleio.rule_to_json_dict` and a non-finite float None.  A
+    run of finite scalars is kept and a run of enums converted in one
+    comprehension, with no per-element call.
     """
     kind = type(value)
-    if kind in ruleio.JSON_SCALARS:
+    if kind is float:
+        return value if math.isfinite(value) else None
+    if kind in _JSON_SCALARS:
         return value
     if kind is dict:
         return {key: _data(item) for key, item in value.items()}
     if kind is list or kind is tuple:
         kinds = set(map(type, value))
-        if kinds <= ruleio.JSON_SCALARS:
+        # a finite sum means every float is finite; any other sum takes the per-element path
+        if kinds <= _JSON_SCALARS and (
+                float not in kinds or kinds == {float} and math.isfinite(sum(value))):
             return value
         if len(kinds) == 1 and issubclass(kinds.pop(), enum.Enum):
             return [item.value for item in value]
@@ -179,17 +188,18 @@ def _text_lines(data, indent: str = "") -> list[str]:
     for key, value in data.items() if is_dict else enumerate(data):
         head = f"{indent}{key}:" if is_dict else f"{indent}-"
         nested = (isinstance(value, dict) and value) or (
-            isinstance(value, (list, tuple)) and not ruleio.JSON_SCALARS.issuperset(map(type, value)))
+            isinstance(value, (list, tuple)) and not _JSON_SCALARS.issuperset(map(type, value)))
         if nested:
             lines += [head, *_text_lines(value, indent + "  ")]
         else:
-            lines.append(f"{head} {json.dumps(value)}")
+            lines.append(f"{head} {json.dumps(value, allow_nan=False)}")
     return lines
 
 
 def _write_report(payload: dict, args) -> None:
-    data = _data(payload)
-    text = ruleio.indented_json(data) if args.format == "json" else "\n".join(_text_lines(data))
+    data = _data(payload)  # a non-finite float that _data leaves is a ValueError below
+    text = (json.dumps(data, indent=2, allow_nan=False) if args.format == "json"
+            else "\n".join(_text_lines(data)))
     _write_output(text + "\n", args.output)
 
 

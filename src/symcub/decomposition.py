@@ -163,11 +163,7 @@ def compute_constants(spec: SymmetricMomentSpec) -> DecompositionConstants:
     computed once per spec per process, so the chain moments, the rule
     builder and the search's walk table share one object.
     """
-    d2 = spec.m_xx - spec.m_xy
-    if d2 <= 0:
-        raise InvalidMomentSpecError(
-            f"m_xx - m_xy > 0 violated: denominator = {d2!r}"
-        )
+    d2 = spec.m_xx - spec.m_xy  # > 0: SymmetricMomentSpec checks it
     n = spec.n
     c_n = -(spec.m_xxx + (n - 3) * spec.m_xxy - (n - 2) * spec.m_xyz) / d2
     if n == 2:
@@ -268,7 +264,9 @@ def _chain_table(spec: SymmetricMomentSpec) -> _ChainTable:
     lead = np.arange(n - 1, 1, -1, dtype=np.float64)
     f2 = lead * (lead + 1)
     # -0.0 + x is x bit for bit, so m1 = c_mid r can take the add of m2 and m3
-    offsets = np.array((np.full(n - 2, -0.0), f2 * d2, f2 * (lead + 2) * e3))
+    # an offset past the largest float is named below, not warned about
+    with np.errstate(over="ignore"):
+        offsets = np.array((np.full(n - 2, -0.0), f2 * d2, f2 * (lead + 2) * e3))
     for j, x in enumerate(first, start=1):
         if not math.isfinite(x):
             raise _overflow(1, j, f"c_n = {c!r}")

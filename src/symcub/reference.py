@@ -131,25 +131,21 @@ def regenerate_table(name: str) -> CubatureRule:
 
 
 def write_table_csv(name: str, rule: CubatureRule, path: str | Path) -> None:
-    """Write a regenerated table in the reference file format."""
+    """Write a regenerated table in the reference file format: five ``# key:``
+    lines, then :func:`ruleio.dumps_csv` of the rule with a note column that
+    is empty but for the published weight of a compensation node."""
     spec_entry = table_spec(name)
+    header, *rows = ruleio.dumps_csv(rule).splitlines()
+    rows = [f"{row}," for row in rows]
+    if spec_entry.published_compensation_weight is not None:
+        rows[-1] += f"published={spec_entry.published_compensation_weight}"
     lines = [
         f"# table: {name}",
         f"# region: {spec_entry.region.value}",
         f"# dim: {spec_entry.dim}",
         f"# t: {','.join(spec_entry.t_values)}",
         f"# compensation: {str(spec_entry.compensation).lower()}",
-        ",".join(f"x{i + 1}" for i in range(rule.dim)) + ",weight,note",
+        f"{header},note",
+        *rows,
     ]
-    for index, (node, weight) in enumerate(
-        zip(rule.nodes.tolist(), rule.weights.tolist())
-    ):
-        note = ""
-        if (
-            spec_entry.compensation
-            and index == len(rule) - 1
-            and spec_entry.published_compensation_weight is not None
-        ):
-            note = f"published={spec_entry.published_compensation_weight}"
-        lines.append(",".join(repr(x) for x in node) + f",{weight!r},{note}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

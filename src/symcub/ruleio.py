@@ -6,19 +6,13 @@ then the weight, under a header row.  Floats are written with the repr
 of plain Python floats (the arrays go through ``tolist``), so that CSV
 and JSON serializations of the same rule parse back to bit-identical
 arrays.  Readers convert each parsed document to the rule's arrays once.
-
-:func:`indented_json` writes the text of ``json.dumps(value, indent=2)``
-for rules and for the CLI's reports.  It walks in Python only the
-containers that hold containers and hands each container of scalars to
-json's C encoder, whose item separator carries the newline and indent.
+JSON is written by ``json.dumps(indent=2)``.
 """
 
 from __future__ import annotations
 
-import functools
 import io
 import json
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +21,9 @@ from .assembly import CubatureRule
 from .errors import CubatureError
 
 __all__ = [
-    "JSON_SCALARS",
     "dumps",
     "dumps_csv",
     "dumps_json",
-    "indented_json",
     "loads_csv",
     "loads_json",
     "read_rule",
@@ -40,75 +32,6 @@ __all__ = [
     "rule_to_json_dict",
     "write_rule",
 ]
-
-
-_CONTAINERS = (list, tuple, dict)
-# the types json writes as scalars without a default; a subclass of one
-# takes the item-by-item path, which sends it to the encoder alone
-JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
-_INDENT = "  "
-
-
-@functools.lru_cache(maxsize=None)
-def _level(depth: int):
-    """json's C encoder with one item per line at `depth + 1` indents, and
-    the line breaks that open and close a container `depth` levels deep.
-
-    The encoder is given scalars and containers of scalars only, which
-    cannot be circular, so it keeps no markers.
-    """
-    inner = "\n" + _INDENT * (depth + 1)
-    encode = c_make_encoder(
-        None, json.JSONEncoder().default, encode_basestring_ascii, None,
-        ": ", "," + inner, False, False, True,
-    )
-    return encode, inner, "\n" + _INDENT * depth
-
-
-def _indented(value, depth: int) -> str:
-    """A dict, list or tuple as json.dumps(indent=2) writes it `depth` levels deep."""
-    encode, inner, outer = _level(depth)
-    is_dict = isinstance(value, dict)
-    items = value.values() if is_dict else value
-    if JSON_SCALARS.issuperset(map(type, items)):
-        text = "".join(encode(value, 0))
-        if not value:
-            return text  # "[]" or "{}"
-        # the encoder opens and closes the container on the items' lines
-        return f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
-    if is_dict:
-        parts = [
-            f"{encode_basestring_ascii(key if isinstance(key, str) else _json_key(key, encode))}: "
-            f"{_indented(item, depth + 1) if isinstance(item, _CONTAINERS) else ''.join(encode(item, 0))}"
-            for key, item in value.items()
-        ]
-        return f"{{{inner}{(',' + inner).join(parts)}{outer}}}"
-    parts = [
-        _indented(item, depth + 1) if isinstance(item, _CONTAINERS) else "".join(encode(item, 0))
-        for item in items
-    ]
-    return f"[{inner}{(',' + inner).join(parts)}{outer}]"
-
-
-def _json_key(key, encode) -> str:
-    # json.dumps writes a float, int, bool or None key as its value's text, in quotes
-    if key is None or isinstance(key, (int, float)):
-        return "".join(encode(key, 0))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def indented_json(value) -> str:
-    """The text of ``json.dumps(value, indent=2)``, written faster.
-
-    Containers are dicts, lists and tuples, as json.dumps has them.  A
-    circular value raises RecursionError here, not ValueError.  Without
-    json's C accelerator this is json.dumps itself.
-    """
-    if c_make_encoder is None:
-        return json.dumps(value, indent=2)
-    if isinstance(value, _CONTAINERS):
-        return _indented(value, 0)
-    return "".join(_level(0)[0](value, 0))
 
 
 def rule_to_json_dict(rule: CubatureRule) -> dict:
@@ -147,7 +70,7 @@ def rule_from_json_dict(data: dict) -> CubatureRule:
 
 
 def dumps_json(rule: CubatureRule) -> str:
-    return indented_json(rule_to_json_dict(rule)) + "\n"
+    return json.dumps(rule_to_json_dict(rule), indent=2) + "\n"
 
 
 def loads_json(text: str) -> CubatureRule:

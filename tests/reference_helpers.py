@@ -195,12 +195,23 @@ def reference_node(k: int, t: float, consts) -> tuple[float, ...]:
     return (alpha,) * (n - k + 1) + (beta,) + (gamma,) * (k - 2)
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a JSON token")
+
+
+def strict_json(text: str):
+    """`json.loads`, raising on the tokens Infinity, -Infinity and NaN, which
+    Python's json writes and RFC 8259 does not have."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def parse_text_report(text: str):
     """Read a `symcub verify` or `symcub search` text report back as JSON data.
 
     A dict item is a `key: value` line and a list item a `- value` line,
-    with the value's JSON text; a line that ends at `key:` or `-` opens
-    a container on the lines below it, indented by two more spaces.
+    with the value's strict JSON text (see :func:`strict_json`); a line
+    that ends at `key:` or `-` opens a container on the lines below it,
+    indented by two more spaces.
     """
     lines = [(len(line) - len(line.lstrip(" ")), line.lstrip(" ")) for line in text.splitlines()]
     data, end = _parse_block(lines, 0, 0)
@@ -219,7 +230,7 @@ def _parse_block(lines, start: int, indent: int):
         else:
             key, value = (line[:-1], "") if line.endswith(":") else line.split(": ", 1)
             container = {} if container is None else container
-        item, i = (json.loads(value), i) if value else _parse_block(lines, i, indent + 2)
+        item, i = (strict_json(value), i) if value else _parse_block(lines, i, indent + 2)
         if key is None:
             container.append(item)
         else:

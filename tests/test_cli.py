@@ -18,7 +18,7 @@ from symcub.ruleio import loads_csv, loads_json, read_rule
 from symcub.search import SearchResult
 from symcub.validation import compare_to_reference
 
-from reference_helpers import parse_text_report
+from reference_helpers import parse_text_report, strict_json
 
 
 def _run(capsys, *argv):
@@ -557,7 +557,8 @@ def test_text_and_json_reports_carry_the_same_values(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("dim", [3, 16])
 def test_verify_of_huge_entries_fails_without_warnings(tmp_path, capsys, fmt, dim):
-    # the sums overflow to inf or NaN, which fails the gate; numpy says nothing on stderr
+    # the sums overflow to inf or NaN, which fails the gate; numpy says nothing on
+    # stderr, and the report writes each non-finite value as null
     clean = tmp_path / "clean.json"
     _run(capsys, "generate", "--region", "cube", "--dim", str(dim), "--output", str(clean))
     data = json.loads(clean.read_text())
@@ -567,8 +568,38 @@ def test_verify_of_huge_entries_fails_without_warnings(tmp_path, capsys, fmt, di
     huge.write_text(json.dumps(data))
     code, out, err = _run(capsys, "verify", str(huge), "--region", "cube", "--format", fmt)
     assert (code, err) == (3, "")
-    report = parse_text_report(out) if fmt == "text" else json.loads(out)
+    report = parse_text_report(out) if fmt == "text" else strict_json(out)
     assert report["pass"] is False
+    assert report["exactness"]["max_abs_error"] is None
+    assert None in report["exactness"]["per_degree_max"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_non_finite_rule_in_a_report_is_one_error_line(capsys, monkeypatch, fmt):
+    # a rule is written as it is, so a non-finite node cannot become a JSON token
+    rule = symcub.CubatureRule(dim=1, nodes=np.array([[math.inf]]), weights=np.array([1.0]))
+    monkeypatch.setattr(symcub.cli, "search_masses", lambda spec, region, objective: SearchResult(
+        split=None, rule=rule, score=(1.0, 0.0, 0.0), evaluations=1, satisfied=False,
+        message="stub"))
+    code, out, err = _run(capsys, "search", "--region", "cube", "--dim", "3", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_generate_compensate_without_split_uses_the_default_masses(capsys):
+    code, out, _ = _run(capsys, "generate", "--region", "simplex", "--dim", "4", "--compensate")
+    assert code == 0
+    rule = loads_json(out)
+    assert len(rule) == 9
+    assert rule.weights[-1] == 0.0
+
+
+def test_search_with_spec_is_a_usage_error(tmp_path, capsys):
+    spec_path = tmp_path / "cube.json"
+    spec_path.write_text(json.dumps(_CUBE_SPEC))
+    code, out, err = _run(capsys, "search", "--spec", str(spec_path))
+    assert (code, out) == (1, "")
+    assert err == "search needs --region; node placement is region-relative\n"
 
 
 def test_tables_cli(tmp_path, capsys):

@@ -545,3 +545,15 @@ def test_overflowing_chain_moments_are_named(m_xyz, message):
         with pytest.raises(InvalidMomentSpecError) as info:
             call()
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n, m_xx, m_xy", [
+    (100, 1e305, 0.0),  # a middle chain's offset f2 d2, built without a numpy warning
+    (2, 5e307, -4.5e307),  # chain n's m2 = 2 (m_xx - m_xy)
+])
+def test_overflowing_chain_m2_is_named(n, m_xx, m_xy):
+    spec = SymmetricMomentSpec(
+        n=n, m_1=1.0, m_x=0.0, m_xx=m_xx, m_xy=m_xy, m_xxx=0.0, m_xxy=0.0, m_xyz=0.0
+    )
+    with pytest.raises(InvalidMomentSpecError, match="^chain moment m2 of chain 2 overflows float64"):
+        build_rule(spec)

@@ -398,6 +398,20 @@ def test_spec_dict_ignores_mxyz_for_n2():
     assert spec_from_dict(data).m_xyz == 0.0
 
 
+@pytest.mark.parametrize("n, message", [
+    (None, "moment spec is missing key 'n'"),
+    (3.0, "'n' must be an integer, got 3.0"),
+    (True, "'n' must be an integer, got True"),
+])
+def test_spec_dict_requires_an_integer_n(n, message):
+    data = _cube_dict()
+    del data["n"]
+    if n is not None:
+        data["n"] = n
+    with pytest.raises(InvalidMomentSpecError, match=message):
+        spec_from_dict(data)
+
+
 def test_spec_dict_rejects_non_numeric():
     data = _cube_dict()
     data["mx"] = "a half"

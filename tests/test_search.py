@@ -10,6 +10,7 @@ import pytest
 
 from symcub import (
     InvalidMomentSpecError,
+    InvalidSplitError,
     MassSplit,
     NodeClass,
     Region,
@@ -90,6 +91,11 @@ def test_bounds_agree_with_solver_flip(k):
     below = _chain_with_mass(spec, prefix, bound * (1 - 1e-6))
     assert hankel_feasibility(*above) is Feasibility.POSITIVE_DEFINITE
     assert hankel_feasibility(*below) is not Feasibility.POSITIVE_DEFINITE
+
+
+def test_least_mass_is_inf_when_the_vertex_constraint_has_no_mass_term():
+    # at b = 1 the vertex constraint reads 0 * mu - 1 >= 0, which no mass meets
+    assert least_mass(1.0, 1.0, 2.0, -math.inf, 1.0) == math.inf
 
 
 def test_least_mass_puts_both_nodes_in_the_node_interval():
@@ -238,6 +244,11 @@ def test_satisfied_set_on_the_grid(region, compensation):
                     assert classification.interior == len(result.rule)
                 elif mode is SearchMode.INTERIOR_OR_BOUNDARY:
                     assert classification.exterior == 0
+
+
+def test_search_rejects_a_region_of_another_dimension():
+    with pytest.raises(InvalidSplitError, match="region has n = 4 but spec has n = 3"):
+        search_masses(simplex_spec(3), RegionId(Region.SIMPLEX, 4), SearchObjective())
 
 
 def test_search_interior_simplex3():

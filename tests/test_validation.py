@@ -31,6 +31,7 @@ from symcub.reference import load_reference_rule, numbered_table_names, regenera
 from symcub.ruleio import write_rule
 from symcub.moments import PATTERN_TO_FIELD
 from symcub.validation import (
+    Degree4Witness,
     _degree4_targets,
     _monomial_table,
     _probe_table,
@@ -114,6 +115,19 @@ def test_degree4_witness_on_table1():
     # the pure quartic probe alone already shows the defect
     x4 = np.array([node[0] ** 4 for node in rule.nodes]) @ np.array(rule.weights)
     assert abs(x4 - region_monomial_moment(region, (4, 0, 0))) > 1e-5
+
+
+def test_degree4_witness_on_a_pair_monomial():
+    # each quartic sums to 0.2 = L(x_i^4), but x1^2 x2^2 sums to 0 against 1/9
+    rule = CubatureRule(dim=2, nodes=np.array([[1.0, 0.0], [0.0, 1.0]]), weights=np.array([0.2, 0.2]))
+    witness = degree4_nonexactness(rule, RegionId(Region.CUBE, 2))
+    assert witness == Degree4Witness((2, 2), 1 / 9)
+
+
+@pytest.mark.parametrize("check", [degree4_nonexactness, classify_nodes])
+def test_degree4_and_classification_reject_a_rule_of_another_dimension(check):
+    with pytest.raises(DimensionMismatchError, match="rule has dim 3 but region has n = 4"):
+        check(build_rule(cube_spec(3)), RegionId(Region.CUBE, 4))
 
 
 @pytest.mark.parametrize("region", list(Region))
