@@ -8,10 +8,14 @@ default exactness gates are relative to the largest |moment| of degree
 SYMCUB_OUTPUT_DIR is set, relative --output and --output-dir paths are
 resolved against it.
 
-`verify` and `search` each build one report payload of the library's
-results.  --format json writes it with json.dumps(indent=2); text writes
-the same keys and values, one `key: value` line each.  A non-finite float
-in a report is written as null, so a JSON report is strict JSON.
+Every command builds one report payload of the library's results:
+`verify` and `search` write it to stdout or --output, `tables` to stdout,
+and `generate` writes its gate result to stderr beside the rule.  --format
+json writes a report with json.dumps(indent=2); text writes the same keys
+and values, one `key: value` line each, and `generate --format text` writes
+the rule in that layout too.  A non-finite float in a report is written as
+null, so a JSON report is strict JSON.  Every failure is one line on
+stderr, `error: ...` or `infeasible: ...`, with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; route everything to 1.
     def error(self, message):
-        raise _UsageError(f"{self.prog}: error: {message}")
+        raise _UsageError(message)
 
 
 def _parse_numbers(text: str) -> list[float]:
@@ -105,7 +109,7 @@ def _write_output(text: str, output: str | None) -> None:
 
 
 def _spec_from_args(args, dim_hint: int | None = None) -> tuple[SymmetricMomentSpec, RegionId | None]:
-    if getattr(args, "spec", None):
+    if args.spec:
         spec = load_spec(args.spec)
         if args.dim is not None and args.dim != spec.n:
             raise _UsageError(
@@ -120,24 +124,25 @@ def _spec_from_args(args, dim_hint: int | None = None) -> tuple[SymmetricMomentS
 
 
 def _split_from_args(args, spec: SymmetricMomentSpec) -> MassSplit:
-    compensation = bool(getattr(args, "compensate", False))
-    if getattr(args, "t", None):
+    compensation = args.compensate
+    if args.t:
         return MassSplit.from_t(_parse_numbers(args.t), spec, compensation)
-    if getattr(args, "mu", None):
+    if args.mu:
         return MassSplit(tuple(_parse_numbers(args.mu)), compensation)
     if compensation:
         return MassSplit(default_split(spec).masses, compensation=True)
     return default_split(spec)
 
 
-def _gate(args, rule, spec: SymmetricMomentSpec, relative: float):
-    """(report, tolerance, passed): --tolerance, or `relative` x the largest |moment|."""
+def _gate(args, rule, spec: SymmetricMomentSpec, relative: float) -> dict:
+    """The report's `pass`, `tolerance` and `exactness`: the rule's exactness
+    against --tolerance, or against `relative` x the largest |moment|."""
     report = check_exactness(rule, spec)
     tolerance = relative * spec.moment_scale if args.tolerance is None else args.tolerance
     # a NaN gate fails every rule and an infinite one passes every rule
     if not 0 <= tolerance < math.inf:
         raise ValueError(f"--tolerance must be finite and >= 0, got {tolerance}")
-    return report, tolerance, report.max_abs_error <= tolerance
+    return {"pass": report.max_abs_error <= tolerance, "tolerance": tolerance, "exactness": report}
 
 
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -196,27 +201,24 @@ def _text_lines(data, indent: str = "") -> list[str]:
     return lines
 
 
-def _write_report(payload: dict, args) -> None:
+def _render(payload, fmt: str) -> str:
+    """A report payload as JSON ("json") or as `key: value` lines ("text")."""
     data = _data(payload)  # a non-finite float that _data leaves is a ValueError below
-    text = (json.dumps(data, indent=2, allow_nan=False) if args.format == "json"
+    text = (json.dumps(data, indent=2, allow_nan=False) if fmt == "json"
             else "\n".join(_text_lines(data)))
-    _write_output(text + "\n", args.output)
+    return text + "\n"
 
 
 def _cmd_generate(args) -> int:
     spec, region = _spec_from_args(args)
     split = _split_from_args(args, spec)
     rule = build_rule(spec, split, region_label=region.label if region else "custom")
-    report, tolerance, passed = _gate(args, rule, spec, GENERATE_REL_TOLERANCE)
-    _write_output(ruleio.dumps(rule, args.format), args.output)
-    print(
-        f"generated {len(rule)} nodes (dim {rule.dim}); "
-        f"max abs exactness error = {report.max_abs_error:.3e} "
-        f"(tolerance {tolerance:.3e}) -> {'PASS' if passed else 'FAIL'}; "
-        f"sum of weights = {rule.total_weight()!r}",
-        file=sys.stderr,
-    )
-    return EXIT_OK if passed else EXIT_VERIFICATION
+    payload = _gate(args, rule, spec, GENERATE_REL_TOLERANCE)
+    payload.update(node_count=len(rule), total_weight=rule.total_weight())
+    rule_text = _render(rule, "text") if args.format == "text" else ruleio.dumps(rule, args.format)
+    _write_output(rule_text, args.output)
+    sys.stderr.write(_render(payload, "text"))
+    return EXIT_OK if payload["pass"] else EXIT_VERIFICATION
 
 
 def _cmd_verify(args) -> int:
@@ -226,14 +228,13 @@ def _cmd_verify(args) -> int:
         raise _UsageError(
             f"rule has dim {rule.dim} but moment spec has n = {spec.n}"
         )
-    report, tolerance, passed = _gate(args, rule, spec, VERIFY_REL_TOLERANCE)
-    payload = {"pass": passed, "tolerance": tolerance, "exactness": report}
+    payload = _gate(args, rule, spec, VERIFY_REL_TOLERANCE)
     if region is not None:
         witness = degree4_nonexactness(rule, region)
-        payload["exactness"] = dataclasses.replace(report, degree4_witness=witness)
+        payload["exactness"] = dataclasses.replace(payload["exactness"], degree4_witness=witness)
         payload["classification"] = classify_nodes(rule, region, args.boundary_tol)
-    _write_report(payload, args)
-    return EXIT_OK if passed else EXIT_VERIFICATION
+    _write_output(_render(payload, args.format), args.output)
+    return EXIT_OK if payload["pass"] else EXIT_VERIFICATION
 
 
 def _cmd_search(args) -> int:
@@ -245,7 +246,7 @@ def _cmd_search(args) -> int:
         max_evals=args.max_evals, boundary_tol=args.boundary_tol,
     )
     result = search_masses(spec, region, objective)
-    _write_report({
+    _write_output(_render({
         "satisfied": result.satisfied,
         "message": result.message,
         "evaluations": result.evaluations,
@@ -253,7 +254,7 @@ def _cmd_search(args) -> int:
         "masses": result.split.masses if result.split else None,
         "compensation": result.split.compensation if result.split else None,
         "rule": result.rule,
-    }, args)
+    }, args.format), args.output)
     return EXIT_OK if result.satisfied else EXIT_INFEASIBLE
 
 
@@ -262,23 +263,16 @@ def _cmd_tables(args) -> int:
     default = "" if os.environ.get(OUTPUT_DIR_ENV) else "tables"
     out_dir = _output_path(args.output_dir or default)
     out_dir.mkdir(parents=True, exist_ok=True)
-    all_ok = True
+    diffs = {}
     for name in reference.numbered_table_names():
-        spec_entry = reference.table_spec(name)
         regenerated = reference.regenerate_table(name)
         reference.write_table_csv(name, regenerated, out_dir / f"{name}.csv")
-        diff = compare_to_reference(
-            regenerated, reference.load_reference_rule(name), tol=spec_entry.tol
+        diffs[name] = compare_to_reference(
+            regenerated, reference.load_reference_rule(name), tol=reference.table_spec(name).tol
         )
-        status = "OK" if diff.passed else "MISMATCH"
-        all_ok = all_ok and diff.passed
-        print(
-            f"{name}: max node deviation {diff.max_node_distance:.3e}, "
-            f"max weight deviation {diff.max_weight_deviation:.3e} "
-            f"(tol {spec_entry.tol:g}) {status}"
-        )
-    print(f"wrote {len(reference.numbered_table_names())} tables to {out_dir}")
-    return EXIT_OK if all_ok else EXIT_VERIFICATION
+    passed = all(diff.passed for diff in diffs.values())
+    sys.stdout.write(_render({"pass": passed, "output_dir": str(out_dir), "tables": diffs}, "text"))
+    return EXIT_OK if passed else EXIT_VERIFICATION
 
 
 def _add_spec_source(parser: _Parser, require_dim: bool) -> None:
@@ -362,13 +356,10 @@ def main(argv=None) -> int:
         # a NaN or inf reaches the report and fails its gate; no warning
         with np.errstate(all="ignore"):
             return args.func(args)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
     except InfeasibleMomentError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (CubatureError, OSError, ValueError) as exc:
+    except (_UsageError, CubatureError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

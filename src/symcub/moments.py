@@ -303,7 +303,7 @@ def load_spec(path: str | Path) -> SymmetricMomentSpec:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InvalidMomentSpecError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidMomentSpecError(f"{path} must contain a JSON object")

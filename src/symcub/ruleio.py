@@ -1,12 +1,13 @@
-"""Rule serialization: JSON, CSV and aligned plain text.
+"""Rule serialization: JSON and CSV, the two formats the readers read.
 
 JSON schema: {"dim", "degree", "nodes": [[...]], "weights": [...],
 "metadata": {...}}.  CSV carries one node per line, n coordinate columns
 then the weight, under a header row.  Floats are written with the repr
 of plain Python floats (the arrays go through ``tolist``), so that CSV
 and JSON serializations of the same rule parse back to bit-identical
-arrays.  Readers convert each parsed document to the rule's arrays once.
-JSON is written by ``json.dumps(indent=2)``.
+arrays.  Readers convert each parsed document to the rule's arrays once,
+and end a malformed document in one CubatureError.  JSON is written by
+``json.dumps(indent=2)``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "loads_csv",
     "loads_json",
     "read_rule",
-    "render_text",
     "rule_from_json_dict",
     "rule_to_json_dict",
     "write_rule",
@@ -54,19 +54,26 @@ def _float_array(values) -> np.ndarray:
 
 
 def rule_from_json_dict(data: dict) -> CubatureRule:
+    """The rule of a JSON document: integer `dim` >= 1 and `degree`, at least
+    one node, and a `metadata` object."""
     try:
-        dim = int(data["dim"])
+        dim, degree = data["dim"], data.get("degree", 3)
+        metadata = data.get("metadata", {})
+        for key, value in (("dim", dim), ("degree", degree)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{key!r} must be an integer, got {value!r}")
+        if dim < 1:
+            raise ValueError(f"'dim' must be >= 1, got {dim}")
+        if not isinstance(metadata, dict):
+            raise TypeError(f"'metadata' must be an object, got {metadata!r}")
         nodes = _float_array(data["nodes"])
-        weights = _float_array(data["weights"])
+        if not len(nodes):
+            raise ValueError("the rule has no nodes")
+        rule = CubatureRule(dim=dim, nodes=nodes, weights=_float_array(data["weights"]),
+                            degree=degree, metadata=dict(metadata))
     except (KeyError, TypeError, ValueError) as exc:
         raise CubatureError(f"malformed rule document: {exc}") from exc
-    return CubatureRule(
-        dim=dim,
-        nodes=nodes,
-        weights=weights,
-        degree=int(data.get("degree", 3)),
-        metadata=dict(data.get("metadata", {})),
-    )
+    return rule
 
 
 def dumps_json(rule: CubatureRule) -> str:
@@ -76,7 +83,7 @@ def dumps_json(rule: CubatureRule) -> str:
 def loads_json(text: str) -> CubatureRule:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CubatureError(f"cannot parse rule JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise CubatureError("rule JSON must be an object")
@@ -127,28 +134,11 @@ def loads_csv(text: str) -> CubatureRule:
     return CubatureRule(dim=dim, nodes=np.array(nodes), weights=np.array(weights))
 
 
-def render_text(rule: CubatureRule) -> str:
-    """Aligned table for terminals, 14 decimals per entry."""
-    region = rule.metadata.get("region", "custom")
-    lines = [
-        f"degree-{rule.degree} cubature rule: dim={rule.dim}, "
-        f"{len(rule)} nodes, region={region}"
-    ]
-    header = "".join(f"{f'x{i + 1}':>19}" for i in range(rule.dim)) + f"{'weight':>19}"
-    lines.append(header)
-    for node, weight in zip(rule.nodes.tolist(), rule.weights.tolist()):
-        lines.append(
-            "".join(f"{x:>19.14f}" for x in node) + f"{weight:>19.14f}"
-        )
-    lines.append(f"sum of weights = {rule.total_weight()!r}")
-    return "\n".join(lines) + "\n"
-
-
-_DUMPS = {"json": dumps_json, "csv": dumps_csv, "text": render_text}
+_DUMPS = {"json": dumps_json, "csv": dumps_csv}
 
 
 def dumps(rule: CubatureRule, fmt: str) -> str:
-    """The rule serialized in format `fmt`: "json", "csv" or "text"."""
+    """The rule serialized in format `fmt`: "json" or "csv"."""
     if fmt not in _DUMPS:
         raise ValueError(f"unknown rule format {fmt!r}")
     return _DUMPS[fmt](rule)

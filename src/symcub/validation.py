@@ -26,7 +26,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -107,16 +107,18 @@ class NodeClassification:
 
 @dataclass(frozen=True)
 class RuleDiff:
-    """Order-insensitive deviation between two rules of equal size."""
+    """Order-insensitive deviation between two rules of equal size; `passed`
+    when both deviations are within `tol`."""
 
     max_node_distance: float
     max_weight_deviation: float
     tol: float
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self) -> bool:
+    def __post_init__(self):
         # a NaN deviation fails
-        return self.max_node_distance <= self.tol and self.max_weight_deviation <= self.tol
+        passed = self.max_node_distance <= self.tol and self.max_weight_deviation <= self.tol
+        object.__setattr__(self, "passed", bool(passed))
 
 
 @functools.lru_cache(maxsize=FULL_ENUMERATION_MAX_DIM)

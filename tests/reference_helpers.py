@@ -206,7 +206,7 @@ def strict_json(text: str):
 
 
 def parse_text_report(text: str):
-    """Read a `symcub verify` or `symcub search` text report back as JSON data.
+    """Read a symcub text report (or a `generate --format text` rule) back as JSON data.
 
     A dict item is a `key: value` line and a list item a `- value` line,
     with the value's strict JSON text (see :func:`strict_json`); a line

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import symcub
-from symcub import CubatureError, check_exactness, reference, region_spec, RegionId, Region
-from symcub.cli import build_parser, main
+from symcub import (
+    CubatureError, check_exactness, reference, region_spec, spec_from_dict, RegionId, Region,
+)
+from symcub.cli import GENERATE_REL_TOLERANCE, _data, build_parser, main
 from symcub.reference import load_reference_rule, numbered_table_names, reference_csv_text
 from symcub.ruleio import loads_csv, loads_json, read_rule
 from symcub.search import SearchResult
@@ -34,7 +36,7 @@ def test_generate_default_matches_table1(capsys):
     assert len(rule) == 6
     diff = compare_to_reference(rule, load_reference_rule("table1"))
     assert diff.max_node_distance <= 5e-9 and diff.max_weight_deviation <= 5e-9
-    assert "PASS" in err
+    assert parse_text_report(err)["pass"] is True
 
 
 def test_generate_compensated_table4(capsys):
@@ -80,7 +82,7 @@ def test_generate_custom_spec_at_extreme_scale(tmp_path, capsys, scale):
     code, out, err = _run(capsys, "generate", "--spec", str(spec_path))
     assert code == 0
     assert len(loads_json(out)) == 6
-    assert "PASS" in err
+    assert parse_text_report(err)["pass"] is True
 
 
 def test_dim_zero_is_a_given_dimension(tmp_path, capsys):
@@ -422,7 +424,7 @@ def test_generate_passes_tiny_mass_rules(capsys, region, dim):
     code, out, err = _run(capsys, "generate", "--region", region, "--dim", str(dim))
     assert code == 0
     assert len(loads_json(out)) == 2 * dim
-    assert "PASS" in err
+    assert parse_text_report(err)["pass"] is True
 
 
 @pytest.mark.parametrize(
@@ -461,11 +463,10 @@ def test_zero_tolerance_is_accepted(tmp_path, capsys, command):
     table_path.write_text(reference_csv_text("table1"))
     source = [str(table_path), "--format", "json"] if command == "verify" else ["--dim", "3"]
     code, out, err = _run(capsys, command, *source, "--region", "simplex", "--tolerance", "0")
-    assert code in (0, 3) and "error:" not in err
-    if command == "verify":
-        assert json.loads(out)["tolerance"] == 0.0
-    else:
-        assert "(tolerance 0.000e+00)" in err
+    # no error line: generate's stderr is its report, which names max_abs_error
+    assert code in (0, 3) and not err.startswith("error:")
+    report = json.loads(out) if command == "verify" else parse_text_report(err)
+    assert report["tolerance"] == 0.0 and report["pass"] is (code == 0)
 
 
 def test_csv_and_json_outputs_parse_identically(tmp_path, capsys):
@@ -554,6 +555,106 @@ def test_text_and_json_reports_carry_the_same_values(tmp_path, capsys, monkeypat
     assert parse_text_report(text_out) == json.loads(json_out)
 
 
+def _as_json(value):
+    # a payload as json.loads reads its report back: tuples become lists
+    return json.loads(json.dumps(_data(value)))
+
+
+@pytest.mark.parametrize("source, tolerance, expected", [
+    (("--region", "ball-sector", "--dim", "5"), None, 0),
+    (("--spec", "SPEC"), None, 0),
+    (("--region", "simplex", "--dim", "3"), "0", 3),
+], ids=["region", "spec", "failing"])
+def test_generate_report_is_its_gate_payload(tmp_path, capsys, source, tolerance, expected):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_CUBE_SPEC))
+    argv = ["generate", *(str(spec_path) if arg == "SPEC" else arg for arg in source)]
+    code, out, err = _run(capsys, *argv, *(["--tolerance", tolerance] if tolerance else []))
+    assert code == expected
+    rule = loads_json(out)
+    spec = (spec_from_dict(_CUBE_SPEC) if source[0] == "--spec"
+            else region_spec(RegionId(Region(source[1]), int(source[3]))))
+    exactness = check_exactness(rule, spec)
+    gate = GENERATE_REL_TOLERANCE * spec.moment_scale if tolerance is None else float(tolerance)
+    report = parse_text_report(err)
+    assert report == _as_json({
+        "pass": exactness.max_abs_error <= gate, "tolerance": gate, "exactness": exactness,
+        "node_count": len(rule), "total_weight": rule.total_weight(),
+    })
+    assert report["pass"] is (expected == 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--region", "simplex", "--dim", "3"),
+    ("--region", "cube", "--dim", "24"),  # the array build path
+    ("--region", "simplex", "--dim", "4", "--t", "104/75,3577/2775,9947/8880,49/60",
+     "--compensate"),
+], ids=["simplex-3", "cube-24", "compensated"])
+def test_generate_text_rule_is_lossless(capsys, argv):
+    # the text layout is the one `search --format text` writes under `rule:`
+    code, json_out, _ = _run(capsys, "generate", *argv, "--format", "json")
+    assert code == 0
+    code, text_out, _ = _run(capsys, "generate", *argv, "--format", "text")
+    assert code == 0
+    from_text, rule = parse_text_report(text_out), loads_json(json_out)
+    assert from_text == json.loads(json_out)
+    assert np.array_equal(np.array(from_text["nodes"]), rule.nodes)
+    assert np.array_equal(np.array(from_text["weights"]), rule.weights)
+
+
+# each case's argv (SPEC, RULE3 and the upper-case rule files name files)
+_USAGE_ERRORS = [
+    (),
+    ("generate", "--region", "simplex"),
+    ("generate", "--region", "nowhere", "--dim", "3"),
+    ("generate", "--dim", "3"),
+    ("generate", "--region", "simplex", "--dim", "3", "--t", "1,1"),
+    ("generate", "--region", "simplex", "--dim", "3", "--t", "1,1,2"),
+    ("generate", "--region", "simplex", "--dim", "3", "--t", "1e400,1,1"),
+    ("generate", "--region", "cube", "--dim", "3", "--t", "1,1,1", "--mu", "1/3,1/3,1/3"),
+    ("generate", "--region", "simplex", "--spec", "x.json", "--dim", "3"),
+    ("generate", "--region", "simplex", "--dim", "0"),
+    ("generate", "--region", "simplex", "--dim", "3", "--tolerance", "nan"),
+    ("generate", "--region", "cube", "--dim", "9", "--seed", "1"),
+    ("generate", "--spec", "SPEC", "--dim", "4"),
+    ("generate", "--spec", "DEEP"),
+    ("verify", "--region", "simplex"),
+    ("verify", "RULE3", "--region", "cube", "--dim", "4"),
+    ("verify", "RULE3", "--region", "cube", "--seed", "1"),
+    ("verify", "RULE3", "--region", "simplex", "--boundary-tol", "-0.5"),
+    ("verify", "BROKEN", "--region", "simplex"),
+    ("verify", "DEEP", "--region", "cube"),
+    ("verify", "METADATA", "--region", "cube"),
+    ("verify", "FLOAT_DIM", "--region", "cube"),
+    ("verify", "NEGATIVE_DIM", "--region", "cube"),
+    ("verify", "NO_NODES", "--region", "cube"),
+    ("search", "--spec", "SPEC"),
+    ("search", "--region", "simplex", "--dim", "3", "--seed", "1"),
+    ("search", "--region", "simplex", "--dim", "4", "--boundary-tol", "-0.05"),
+]
+
+
+@pytest.mark.parametrize("argv", _USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "no-command")
+def test_every_usage_error_is_one_error_line(tmp_path, capsys, argv):
+    files = {
+        "SPEC": json.dumps(_CUBE_SPEC),
+        "DEEP": "[" * 100000 + "]" * 100000,
+        "BROKEN": "{broken",
+        "METADATA": '{"dim": 3, "nodes": [[1, 2, 3]], "weights": [1], "metadata": [1, 2]}',
+        "FLOAT_DIM": '{"dim": 3.7, "nodes": [[1, 2, 3]], "weights": [1]}',
+        "NEGATIVE_DIM": '{"dim": -1, "nodes": [], "weights": []}',
+        "NO_NODES": '{"dim": 3, "nodes": [], "weights": []}',
+    }
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    paths["RULE3"] = tmp_path / "rule3.json"
+    _run(capsys, "generate", "--region", "cube", "--dim", "3", "--output", str(paths["RULE3"]))
+    code, out, err = _run(capsys, *(str(paths[arg]) if arg in paths else arg for arg in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("dim", [3, 16])
 def test_verify_of_huge_entries_fails_without_warnings(tmp_path, capsys, fmt, dim):
@@ -599,16 +700,25 @@ def test_search_with_spec_is_a_usage_error(tmp_path, capsys):
     spec_path.write_text(json.dumps(_CUBE_SPEC))
     code, out, err = _run(capsys, "search", "--spec", str(spec_path))
     assert (code, out) == (1, "")
-    assert err == "search needs --region; node placement is region-relative\n"
+    assert err == "error: search needs --region; node placement is region-relative\n"
 
 
 def test_tables_cli(tmp_path, capsys):
     out_dir = tmp_path / "tables"
-    code, out, _ = _run(capsys, "tables", "--output-dir", str(out_dir))
-    assert code == 0
+    code, out, err = _run(capsys, "tables", "--output-dir", str(out_dir))
+    assert (code, err) == (0, "")
     for i in range(1, 9):
         assert (out_dir / f"table{i}.csv").exists()
-    assert out.count("OK") == 8
+    # the report holds each table's diff, as compare_to_reference gives it
+    report = parse_text_report(out)
+    assert report["pass"] is True and report["output_dir"] == str(out_dir)
+    assert list(report["tables"]) == list(numbered_table_names()) and len(report["tables"]) == 8
+    for name, diff in report["tables"].items():
+        assert diff["passed"] is True
+        assert diff == _as_json(compare_to_reference(
+            reference.regenerate_table(name), load_reference_rule(name),
+            tol=reference.table_spec(name).tol,
+        ))
     regenerated = read_rule(out_dir / "table1.csv")
     diff = compare_to_reference(regenerated, load_reference_rule("table1"))
     assert diff.max_node_distance <= 5e-9
@@ -655,7 +765,7 @@ def test_output_dir_env_var(tmp_path, capsys, monkeypatch, argv):
     written = tmp_path / "out" / "sub" / "result"
     if argv[0] == "tables":
         # tables prints its report and writes one CSV per table
-        assert out.endswith(f"to {written}\n")
+        assert parse_text_report(out)["output_dir"] == str(written)
         assert (written / "table1.csv").read_text()
         assert not (tmp_path / "sub").exists()
     else:

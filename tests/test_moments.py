@@ -433,6 +433,14 @@ def test_load_spec_rejects_bad_json(tmp_path):
         load_spec(path)
 
 
+def test_load_spec_rejects_deep_nesting(tmp_path):
+    # the JSON decoder's RecursionError is a parse failure like any other
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(InvalidMomentSpecError, match="cannot parse"):
+        load_spec(path)
+
+
 def test_sector_moments_match_60_digit_values():
     # every sector moment that is a normal float, up to n = 340: the ratio of
     # double factorials must not be rounded as a subnormal before the

@@ -29,7 +29,6 @@ from symcub.ruleio import (
     loads_csv,
     loads_json,
     read_rule,
-    render_text,
     rule_to_json_dict,
     write_rule,
 )
@@ -69,14 +68,6 @@ def test_file_roundtrip_with_suffix_sniffing(tmp_path):
         assert np.array_equal(parsed.weights, rule.weights)
 
 
-def test_render_text_mentions_values():
-    rule = build_rule(simplex_spec(3), region_label="simplex")
-    text = render_text(rule)
-    assert "0.34240723692377" in text
-    assert "region=simplex" in text
-    assert "sum of weights" in text
-
-
 def test_malformed_inputs_raise():
     with pytest.raises(CubatureError):
         loads_json("{not json")
@@ -88,6 +79,26 @@ def test_malformed_inputs_raise():
         loads_csv("x1,weight\n")
     with pytest.raises(CubatureError):
         loads_csv("x1,x2,weight\n0.5,0.5,1.0\n0.5,1.0\n")
+
+
+_ONE_NODE = '"nodes": [[1, 2, 3]], "weights": [1]'
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"dim": 3, %s, "metadata": [1, 2]}' % _ONE_NODE, "'metadata' must be an object, got \\[1, 2\\]"),
+    ('{"dim": 3.7, %s}' % _ONE_NODE, "'dim' must be an integer, got 3.7"),
+    ('{"dim": 3, "degree": 2.5, %s}' % _ONE_NODE, "'degree' must be an integer, got 2.5"),
+    ('{"dim": true, "nodes": [[1]], "weights": [1]}', "'dim' must be an integer, got True"),
+    ('{"dim": -1, "nodes": [], "weights": []}', "'dim' must be >= 1, got -1"),
+    ('{"dim": 3, "nodes": [], "weights": []}', "the rule has no nodes"),
+    ("[" * 100000 + "]" * 100000, "cannot parse rule JSON"),
+], ids=["metadata-list", "float-dim", "float-degree", "bool-dim", "negative-dim", "no-nodes",
+        "deep-nesting"])
+def test_malformed_rule_documents_raise_one_named_error(text, message):
+    # none of these may be read silently, truncated or end in a raw
+    # TypeError, RecursionError, numpy ValueError or MemoryError
+    with pytest.raises(CubatureError, match=message):
+        loads_json(text)
 
 
 def test_csv_cells_parse_with_float_rules():
@@ -113,7 +124,7 @@ def test_unknown_format_rejected(tmp_path):
 
 def test_dumps_and_write_rule_give_the_serializers_text(tmp_path):
     rule = build_rule(sector_spec(4), MassSplit(default_split(sector_spec(4)).masses, True))
-    for fmt, serialize in (("json", dumps_json), ("csv", dumps_csv), ("text", render_text)):
+    for fmt, serialize in (("json", dumps_json), ("csv", dumps_csv)):
         assert dumps(rule, fmt) == serialize(rule)
         write_rule(rule, tmp_path / "rule.out", fmt)
         assert (tmp_path / "rule.out").read_text(encoding="utf-8") == serialize(rule)
@@ -126,8 +137,8 @@ def test_dumps_and_write_rule_give_the_serializers_text(tmp_path):
 def test_serializers_write_plain_float_reprs(spec, compensation):
     rule = build_rule(spec, MassSplit(default_split(spec).masses, compensation))
     nodes, weights = rule.nodes.tolist(), rule.weights.tolist()
-    as_json, as_csv, as_text = dumps_json(rule), dumps_csv(rule), render_text(rule)
-    for text in (as_json, as_csv, as_text):
+    as_json, as_csv = dumps_json(rule), dumps_csv(rule)
+    for text in (as_json, as_csv):
         assert "np." not in text and "float64" not in text
     data = json.loads(as_json)
     assert data["nodes"] == nodes and data["weights"] == weights
@@ -135,7 +146,6 @@ def test_serializers_write_plain_float_reprs(spec, compensation):
     assert rows == [
         ",".join(repr(x) for x in node) + f",{w!r}" for node, w in zip(nodes, weights)
     ]
-    assert as_text.splitlines()[-1] == f"sum of weights = {rule.total_weight()!r}"
     for parsed in (loads_json(as_json), loads_csv(as_csv)):
         assert np.array_equal(parsed.nodes, rule.nodes)
         assert np.array_equal(parsed.weights, rule.weights)
