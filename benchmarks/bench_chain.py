@@ -14,8 +14,11 @@ alone, one call per chain, and `solve_two_point_array` the same solves
 as one call on their (n, 4) array; `map_nodes` and `map_nodes_array`
 map their 2n node values to the (2n, n) node array; `least_mass` times
 the n least masses of the cube's chains on a search walk's node
-intervals at tau = -1, each chain with the mass ahead of it that the
-uniform split leaves.  `from_t` builds a compensated split from a list
+intervals at tau = -1 (from the test-side `reference_helpers`), each
+chain with the mass ahead of it that the uniform split leaves.  The
+search walk does the same operations inline, so `least_mass` is the
+reference the tests hold it to, and the bound that `build_rule` names
+for an infeasible chain.  `from_t` builds a compensated split from a list
 of n float t-values, as perfbench's build workload does.  `build_rule`
 adds the constants and the chain moments to the solves and the node
 map, on the uniform split and on a compensated one, and
@@ -30,6 +33,8 @@ take the constants from outside.
 """
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,9 +52,13 @@ from symcub import (
     solve_two_point,
 )
 from symcub.decomposition import (
-    chain_moment_array, least_mass, map_nodes, map_nodes_array, solve_two_point_array,
+    chain_moment_array, chain_moments, least_mass, map_nodes, map_nodes_array,
+    solve_two_point_array,
 )
 from symcub.search import _walker
+
+sys.path.insert(0, str(Path(__file__).parents[1] / "tests"))
+from reference_helpers import walk_interval  # noqa: E402
 
 SIZES = [3, 8, 16, 20, 24, 28, 32, 128, 512]
 
@@ -151,9 +160,11 @@ def test_from_t(benchmark, n):
 @pytest.mark.parametrize("n", SIZES)
 def test_least_mass(benchmark, n):
     # chain k with the mass a uniform split leaves ahead of it
-    walker = _walker(cube_spec(n), RegionId(Region.CUBE, n))
+    spec = cube_spec(n)
+    walker = _walker(spec, RegionId(Region.CUBE, n))
+    moments = chain_moments(spec.ldexp(-walker.scale))  # in the walk's units
     args = [
-        (*walker.moments(k, walker.m_1 * (n - k + 1) / n), *walker.interval(k, -1.0))
+        (*moments(k, walker.m_1 * (n - k + 1) / n), *walk_interval(walker, k, -1.0))
         for k in range(1, n + 1)
     ]
     least = benchmark(lambda: [least_mass(*a) for a in args])

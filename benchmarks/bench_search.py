@@ -1,4 +1,4 @@
-"""Timing of one `search_masses` call per region at n = 3, 8, 32 and 128.
+"""Timing of one `search_masses` call, and of one walk, per region at n = 3, 8, 32 and 128.
 
 The file name does not match `test_*.py`, so the test suite does not
 collect it and timing noise cannot fail the suite.  Run it by path:
@@ -15,6 +15,11 @@ that weight go negative (17, 14 and 12 walks in all).  Each
 entry's `extra_info["walks"]` is the walk count of one call, which is
 the same on every call.
 
+`test_walk` times one walk of a search at the fixed margin tau = -1,
+the bracket's first, without compensation: every chain takes its least
+mass in turn, and at the cube's n = 32 and 128 the walk runs to chain n
+and fails there.  It finds the walk table built.
+
 A process builds each (spec, region)'s walk table, each spec's
 decomposition constants, chain moment table and map, and each size's
 node-map runs once.  The warm entry times a call that finds them built;
@@ -26,11 +31,11 @@ moments, which the CLI also computes, are made outside the timed call).
 import pytest
 
 from symcub import Region, RegionId, SearchMode, SearchObjective, region_spec, search_masses
-from symcub.decomposition import _chain_table, _run_table, chain_moments, compute_constants
+from symcub.decomposition import _run_table, chain_moments, chain_table, compute_constants
 from symcub.search import _walker
 
 # every per-process cache that search_masses reaches
-_CACHES = (_walker, chain_moments, _chain_table, compute_constants, _run_table)
+_CACHES = (_walker, chain_moments, chain_table, compute_constants, _run_table)
 
 
 def _clear_caches():
@@ -74,3 +79,13 @@ def test_search_masses_compensated(benchmark, region, n):
 @pytest.mark.parametrize("region, n", COMPENSATED, ids=lambda x: getattr(x, "value", x))
 def test_search_masses_compensated_cold(benchmark, region, n):
     _search(benchmark, region, n, cold=True, compensation=True)
+
+
+@pytest.mark.parametrize("n", [3, 8, 32, 128])
+@pytest.mark.parametrize("region", list(Region), ids=lambda r: r.value)
+def test_walk(benchmark, region, n):
+    rid = RegionId(region, n)
+    walker = _walker(region_spec(rid), rid)
+    masses, failure, _ = benchmark(walker.walk, -1.0, None)
+    # the walk reaches chain n
+    assert masses is not None or failure[0] == n

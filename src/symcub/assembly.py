@@ -72,6 +72,8 @@ __all__ = [
 # 1.02x at 20, 0.87x at 24, 0.75x at 28 and 0.67x at 32.
 ARRAY_MIN_N = 24
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 @dataclass(frozen=True, eq=False)
 class CubatureRule:
@@ -91,8 +93,12 @@ class CubatureRule:
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
+        nodes, weights = self.nodes, self.weights
+        # a float64 ndarray is kept as it is; asarray would return it unchanged
+        if type(nodes) is not np.ndarray or nodes.dtype is not _FLOAT64:
+            nodes = np.asarray(nodes, dtype=np.float64)
+        if type(weights) is not np.ndarray or weights.dtype is not _FLOAT64:
+            weights = np.asarray(weights, dtype=np.float64)
         if nodes.size == 0:
             nodes = nodes.reshape(0, self.dim)
         if nodes.ndim != 2 or nodes.shape[1] != self.dim:
@@ -105,8 +111,10 @@ class CubatureRule:
             )
         nodes.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        if nodes is not self.nodes:
+            object.__setattr__(self, "nodes", nodes)
+        if weights is not self.weights:
+            object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:
         return len(self.weights)

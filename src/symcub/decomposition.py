@@ -72,11 +72,13 @@ from .errors import (
 from .moments import SymmetricMomentSpec
 
 __all__ = [
+    "ChainTable",
     "DecompositionConstants",
     "MassSplit",
     "add_exact",
     "chain_moment_array",
     "chain_moments",
+    "chain_table",
     "compute_constants",
     "default_split",
     "least_mass",
@@ -126,6 +128,14 @@ class MassSplit:
         object.__setattr__(self, "masses", tuple(map(float, self.masses)))
 
     @classmethod
+    def _of_floats(cls, masses: tuple[float, ...], compensation: bool) -> "MassSplit":
+        """The split of `masses`, already a tuple of floats, without converting them again."""
+        split = object.__new__(cls)
+        object.__setattr__(split, "masses", masses)
+        object.__setattr__(split, "compensation", compensation)
+        return split
+
+    @classmethod
     def from_t(
         cls,
         t_values: Sequence[float | str],
@@ -151,7 +161,7 @@ class MassSplit:
             masses.append(tk * m_1 / n)
         if len(masses) != n:
             raise InvalidSplitError(f"expected {n} t-parameters, got {len(masses)}")
-        return cls(masses, compensation)
+        return cls._of_floats(tuple(masses), compensation)
 
 
 @functools.lru_cache(maxsize=32)
@@ -174,7 +184,7 @@ def compute_constants(spec: SymmetricMomentSpec) -> DecompositionConstants:
 
 def default_split(spec: SymmetricMomentSpec) -> MassSplit:
     """The uniform split mu_k = m_1 / n (all t-parameters equal to 1)."""
-    return MassSplit((spec.m_1 / spec.n,) * spec.n, compensation=False)
+    return MassSplit._of_floats((spec.m_1 / spec.n,) * spec.n, False)
 
 
 def validate_split(split: MassSplit, spec: SymmetricMomentSpec) -> None:
@@ -199,7 +209,11 @@ def validate_split(split: MassSplit, spec: SymmetricMomentSpec) -> None:
 
 
 def add_exact(partials: list[float], x: float) -> None:
-    """Add x to the exact sum held as non-overlapping partials (Shewchuk)."""
+    """Add x to the exact sum held as non-overlapping partials (Shewchuk).
+
+    The search walk does these operations inline, and the tests hold it to
+    this function.
+    """
     i = 0
     for y in partials:
         if abs(x) < abs(y):
@@ -213,7 +227,7 @@ def add_exact(partials: list[float], x: float) -> None:
     partials[i:] = [x]
 
 
-class _ChainTable(NamedTuple):
+class ChainTable(NamedTuple):
     """The coefficients of every chain's moments for one spec; see :func:`chain_moments`."""
 
     first: tuple[float, float, float]  # chain 1
@@ -235,8 +249,11 @@ def _overflow(k: int, j: int, detail: str) -> InvalidMomentSpecError:
 
 
 @functools.lru_cache(maxsize=32)
-def _chain_table(spec: SymmetricMomentSpec) -> _ChainTable:
+def chain_table(spec: SymmetricMomentSpec) -> ChainTable:
     """The chain-moment coefficients of `spec`, built once per spec per process.
+
+    :func:`chain_moments`, :func:`chain_moment_array` and the search's walk
+    table all read this one table.
 
     A coefficient past the largest float raises :class:`InvalidMomentSpecError`
     naming the chain moment it belongs to.
@@ -277,7 +294,7 @@ def _chain_table(spec: SymmetricMomentSpec) -> _ChainTable:
         raise _overflow(i + 2, j + 1, f"its constant term is {offsets[j, i]!r}")
     if not math.isfinite(last[1]):
         raise _overflow(n, 2, f"m_xx - m_xy = {d2!r}")
-    return _ChainTable(first, last, np.array(powers)[:, None], offsets)
+    return ChainTable(first, last, np.array(powers)[:, None], offsets)
 
 
 @functools.lru_cache(maxsize=32)
@@ -293,14 +310,16 @@ def chain_moments(spec: SymmetricMomentSpec) -> Callable[[int, float], tuple[flo
 
     with f2 = (n - k + 1)(n - k + 2), d2 = L(x1^2 - x1 x2) and e3 =
     -L(x1^3 - 3 x1^2 x2 + 2 x1 x2 x3).  Chain 1, chain n, the offsets and
-    the powers of c_mid form one table per spec, which
-    :func:`chain_moment_array` reads too, so a call is three multiply-adds.
-    The map is built once per spec per process: assembly and the search's
-    walk table read the same one.  A coefficient that overflows float64
-    raises :class:`InvalidMomentSpecError` naming its chain moment.
+    the powers of c_mid form one table per spec, :func:`chain_table`, which
+    :func:`chain_moment_array` and the search's walk table read too, so a
+    call is three multiply-adds.  The map is built once per spec per
+    process.  The search walk does its multiply-adds inline, in the same
+    order, and the tests hold the walk to this map.  A coefficient that
+    overflows float64 raises :class:`InvalidMomentSpecError` naming its
+    chain moment.
     """
     n = spec.n
-    table = _chain_table(spec)
+    table = chain_table(spec)
     first, last = table.first, table.last
     cm, cm2, cm3 = table.powers.ravel().tolist()
     # list position k is middle chain k
@@ -370,7 +389,7 @@ def chain_moment_array(spec: SymmetricMomentSpec, split: MassSplit) -> np.ndarra
     unbalanced total without compensation.  The caller then walks the
     chains with :func:`reduced_moment_chain`, which validates the split.
     """
-    table = _chain_table(spec)
+    table = chain_table(spec)
     n = spec.n
     if not len(split.masses) == n < _MAX_WORDS_N:
         return None
@@ -492,6 +511,8 @@ def least_mass(
     mu, so the admissible masses form one interval, and this is its least
     element.  An unbounded [a, b] leaves the Hankel bound m1^2 / m2 (inf
     when m2 <= 0), the least mass that makes the chain solvable at all.
+    The search walk does these operations inline, in the same order, and
+    the tests hold it to this function bit for bit.
     """
     if a > b:
         return math.inf

@@ -38,9 +38,17 @@ first walks once at the objective's threshold with that weight >= 0.
 If that walk fails, no such split keeps every node inside the
 threshold, so the first pass could only miss the objective and the
 search skips it; if it succeeds, the first pass runs as before.  The
-walk table of a (spec, region), its chain moments and
-distinct margins, is built once per process and only read after
-that.  Nothing is random: the same input gives the same split.
+walk table of a (spec, region) holds one row per chain, its cap, its
+distinct moving margins and its chain-moment coefficients; it is built
+once per process and only read after that.  A walk is one loop over
+those rows that computes each chain's node interval, chain moments,
+least mass and running exact sum of the masses inline, in the
+operations of :func:`~symcub.decomposition.chain_moments`,
+:func:`~symcub.decomposition.least_mass` and
+:func:`~symcub.decomposition.add_exact`, with no call per chain.  A
+failed walk returns a record of its failing chain, and the search words
+the message of its result from one such record, once.  Nothing is
+random: the same input gives the same split.
 """
 
 from __future__ import annotations
@@ -53,12 +61,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import CubatureRule, build_rule
-from .decomposition import (
-    MassSplit, add_exact, chain_moments, compute_constants, least_mass, map_nodes_array,
-)
+from .decomposition import MassSplit, chain_table, compute_constants, map_nodes_array
 from .errors import InvalidSplitError
 from .moments import RegionId, SymmetricMomentSpec
-from .validation import BOUNDARY_TOL, NodeClass, node_class, node_margins
+from .validation import BOUNDARY_TOL, node_margins
 
 __all__ = ["SearchMode", "SearchObjective", "SearchResult", "search_masses"]
 
@@ -105,41 +111,50 @@ class SearchResult:
     message: str
 
 
-# the node classes each mode accepts
-_ACCEPTED = {
-    SearchMode.INTERIOR: (NodeClass.INTERIOR,),
-    SearchMode.INTERIOR_OR_BOUNDARY: (NodeClass.INTERIOR, NodeClass.BOUNDARY),
-    SearchMode.FEASIBLE: tuple(NodeClass),
-}
-
-
 def _score_candidate(
     rule: CubatureRule, region: RegionId, mode: SearchMode, tol: float
 ) -> tuple[float, float, float]:
-    """(nodes the mode rejects, negative weights, -least margin), from one margin pass."""
+    """(nodes the mode rejects, negative weights, -least margin), from one margin pass.
+
+    A node is rejected by the thresholds of :func:`~symcub.validation.node_class`,
+    counted in one comparison: interior means a least margin above tol, and
+    exterior one below -tol or NaN.
+    """
     least = node_margins(region, rule.nodes).min(axis=1)
-    accepted = _ACCEPTED[mode]
-    violations = sum(node_class(margin, tol) not in accepted for margin in least.tolist())
+    if mode is SearchMode.INTERIOR:
+        violations = np.count_nonzero(~(least > tol))
+    elif mode is SearchMode.INTERIOR_OR_BOUNDARY:
+        violations = np.count_nonzero(~(least >= -tol))
+    else:
+        violations = 0
     negative = (rule.weights < 0).sum()
     return (float(violations), float(negative), -float(least.min()))
 
 
 class _ChainWalk:
-    """The chain moments and distinct margin coefficients of (spec, region).
+    """The walk table of (spec, region): one row per chain, and the walk over them.
 
-    Read-only once built: a walk keeps its state in locals, so one table
-    serves every search of the same (spec, region).
+    Row k - 1 is chain k's (cap, margins, moments, offset2, offset3): the
+    least of its margins constant in t (inf if none), its distinct moving
+    margins as (A, B, C) triples, and its chain moments, a fixed (m1, m2,
+    m3) for chains 1 and n and None for a middle chain, whose moments with
+    mass r ahead are (c_mid r, offset2 + c_mid^2 r, offset3 + c_mid^3 r)
+    with `powers` = (c_mid, c_mid^2, c_mid^3), the coefficients of
+    :func:`~symcub.decomposition.chain_table`.  Read-only once built: a
+    walk keeps its state in locals, so one table serves every search of
+    the same (spec, region).
     """
 
     def __init__(self, spec: SymmetricMomentSpec, region: RegionId):
         n = self.n = spec.n
         # Least masses are homogeneous of degree 1 in the spec, so the walk
         # runs on the spec scaled by m_1's power of two, which is exact:
-        # no product in least_mass underflows however small L(1) is.
+        # no product in a least mass underflows however small L(1) is.
         self.scale = math.frexp(spec.m_1)[1]
         unit = spec.ldexp(-self.scale)
         self.m_1 = unit.m_1
-        self.moments = chain_moments(unit)
+        table = chain_table(unit)
+        self.powers = tuple(table.powers.ravel().tolist())
         # every margin along chain k is A + B t + C t^2: read it at t = -1, 0, 1
         consts = compute_constants(spec)
         nodes = map_nodes_array(np.tile((-1.0, 0.0, 1.0), (n, 1)), consts)
@@ -150,7 +165,7 @@ class _ChainWalk:
         # a margin constant in t (the gamma block) only caps tau: chain k admits
         # no t once tau passes the least of them, and none moves [a, b] below that
         const = (B == 0) & (C == 0)
-        self.caps = np.where(const, A, math.inf).min(axis=1).tolist()
+        caps = np.where(const, A, math.inf).min(axis=1).tolist()
         # chain k keeps its distinct moving margins only; max and min ignore their
         # order.  A chain's coordinates come in runs, so dropping each triple equal
         # to the one before it leaves a few per chain before any becomes a float.
@@ -158,32 +173,13 @@ class _ChainWalk:
         keep[:, 1:] &= (A[:, 1:] != A[:, :-1]) | (B[:, 1:] != B[:, :-1]) | (C[:, 1:] != C[:, :-1])
         kept = list(zip(A[keep].tolist(), B[keep].tolist(), C[keep].tolist()))
         ends = np.cumsum(keep.sum(axis=1)).tolist()
-        self.margins = [list(dict.fromkeys(kept[i:j])) for i, j in zip([0] + ends, ends)]
-
-    def interval(self, k: int, tau: float) -> tuple[float, float]:
-        """The interval [a, b] of t keeping every margin along chain k >= tau."""
-        if tau > self.caps[k - 1]:  # a constant margin below tau
-            return math.inf, -math.inf
-        a, b = -math.inf, math.inf
-        for A, B, C in self.margins[k - 1]:
-            A -= tau
-            if C < 0:
-                disc = B * B - 4.0 * C * A
-                if disc < 0:  # a concave margin below tau everywhere
-                    return math.inf, -math.inf
-                root = math.sqrt(disc)
-                lo, hi = (root - B) / (2.0 * C), (-root - B) / (2.0 * C)
-                if lo > a:
-                    a = lo
-                if hi < b:
-                    b = hi
-            elif B > 0:
-                if -A / B > a:
-                    a = -A / B
-            elif B < 0:
-                if -A / B < b:
-                    b = -A / B
-        return a, b
+        margins = [tuple(dict.fromkeys(kept[i:j])) for i, j in zip([0] + ends, ends)]
+        moments = [table.first, *[None] * (n - 2), table.last]
+        offsets = [(0.0, 0.0), *zip(*table.offsets[1:].tolist()), (0.0, 0.0)]
+        self.rows = [
+            (cap, margin, fixed, *offset)
+            for cap, margin, fixed, offset in zip(caps, margins, moments, offsets)
+        ]
 
     def walk(self, tau: float, slack: float | None):
         """The walk's masses at margin tau, or None and why it fails, and chain n's surplus.
@@ -192,26 +188,129 @@ class _ChainWalk:
         `slack`: None without compensation, else the compensation weight's
         floor below 0.  The surplus is the mass left to chain n less its least
         mass, negative when chain n runs short, and None when there is no such
-        least mass (an earlier chain fails, or chain n admits none).
+        least mass (an earlier chain fails, or chain n admits none).  Why a
+        walk fails is the record (k, tau, least, available) of its failing
+        chain k: least and available are None when chain k admits no mass,
+        else chain n's least and available mass in the spec's own units;
+        :func:`_message` words it.
+
+        Each chain takes its node interval [a, b], its moments with the mass
+        ahead and its least mass in [a, b] inline, in the operations of
+        :func:`~symcub.decomposition.chain_moments` and
+        :func:`~symcub.decomposition.least_mass`, and the mass ahead comes
+        from a running exact sum of the masses, as
+        :func:`~symcub.decomposition.add_exact` keeps it.
         """
-        moments, interval, n, m_1 = self.moments, self.interval, self.n, self.m_1
+        inf, sqrt, fsum = math.inf, math.sqrt, math.fsum
+        m_1, n = self.m_1, self.n
+        cm, cm2, cm3 = self.powers
         masses, peeled, remaining = [], [], m_1  # peeled: exact sum of masses
-        for k in range(1, n + 1):
-            least = least_mass(*moments(k, remaining), *interval(k, tau))
-            if not 0 < least < math.inf:
-                return None, f"chain {k} admits no mass > 0 at margin {tau:.6g}", None
+        for k, (cap, margins, fixed, offset2, offset3) in enumerate(self.rows, 1):
+            # [a, b]: every margin along chain k >= tau; a constant one below tau
+            # or a concave one below it everywhere leaves none
+            if tau > cap:
+                return None, (k, tau, None, None), None
+            a, b = -inf, inf
+            for A, B, C in margins:
+                A -= tau
+                if C < 0:
+                    disc = B * B - 4.0 * C * A
+                    if disc < 0:
+                        return None, (k, tau, None, None), None
+                    root = sqrt(disc)
+                    lo, hi = (root - B) / (2.0 * C), (-root - B) / (2.0 * C)
+                    if lo > a:
+                        a = lo
+                    if hi < b:
+                        b = hi
+                elif B > 0:
+                    if -A / B > a:
+                        a = -A / B
+                elif B < 0:
+                    if -A / B < b:
+                        b = -A / B
+            if a > b:
+                return None, (k, tau, None, None), None
+            if fixed is None:
+                m1, m2, m3 = cm * remaining, offset2 + cm2 * remaining, offset3 + cm3 * remaining
+            else:
+                m1, m2, m3 = fixed
+            # the least mass of [least, most], which each end e of [a, b] cuts by
+            # least_mass's conditions p mu + q >= 0: D(e) >= 0, then the vertex
+            # on the inner side of e
+            least, most = m1 * m1 / m2 if m2 > 0 else inf, inf
+            det = m1 * m3 - m2 * m2
+            if -inf < a < inf:
+                p, q = m2 * a * a - m3 * a, det + m1 * m2 * a - m1 * m1 * a * a
+                if p > 0:
+                    if -q / p > least:
+                        least = -q / p
+                elif p < 0:
+                    if -q / p < most:
+                        most = -q / p
+                elif q < 0:
+                    return None, (k, tau, None, None), None
+                p, q = m3 - 2.0 * a * m2, 2.0 * a * m1 * m1 - m1 * m2
+                if p > 0:
+                    if -q / p > least:
+                        least = -q / p
+                elif p < 0:
+                    if -q / p < most:
+                        most = -q / p
+                elif q < 0:
+                    return None, (k, tau, None, None), None
+            if -inf < b < inf:
+                p, q = m2 * b * b - m3 * b, det + m1 * m2 * b - m1 * m1 * b * b
+                if p > 0:
+                    if -q / p > least:
+                        least = -q / p
+                elif p < 0:
+                    if -q / p < most:
+                        most = -q / p
+                elif q < 0:
+                    return None, (k, tau, None, None), None
+                p, q = -(m3 - 2.0 * b * m2), -(2.0 * b * m1 * m1 - m1 * m2)
+                if p > 0:
+                    if -q / p > least:
+                        least = -q / p
+                elif p < 0:
+                    if -q / p < most:
+                        most = -q / p
+                elif q < 0:
+                    return None, (k, tau, None, None), None
+            if not (0 < least <= most and least < inf):
+                return None, (k, tau, None, None), None
             if k == n:
                 break
             masses.append(least)
-            add_exact(peeled, least)
-            remaining = m_1 - math.fsum(peeled)
+            # add the mass to the partials of the exact running sum (Shewchuk)
+            x, i = least, 0
+            for y in peeled:
+                if abs(x) < abs(y):
+                    x, y = y, x
+                s = x + y
+                e = y - (s - x)
+                if e:
+                    peeled[i] = e
+                    i += 1
+                x = s
+            peeled[i:] = [x]
+            remaining = m_1 - fsum(peeled)
         available = remaining + (slack or 0.0)
         surplus = available - least
         if least > available:
-            least, available = (math.ldexp(x, self.scale) for x in (least, available))
-            return None, f"chain {n} needs mu >= {least:.9g} but {available:.9g} remains", surplus
+            least, available = math.ldexp(least, self.scale), math.ldexp(available, self.scale)
+            return None, (n, tau, least, available), surplus
         masses.append(remaining if slack is None else least)
         return tuple(masses), None, surplus
+
+
+def _message(failure: tuple) -> str:
+    """The words of a failed walk's record (k, tau, least, available)."""
+    k, tau, least, available = failure
+    if least is None:
+        return f"chain {k} admits no mass > 0 at margin {tau:.6g}"
+    return f"chain {k} needs mu >= {least:.9g} but {available:.9g} remains"
 
 
 @functools.lru_cache(maxsize=32)
@@ -325,5 +424,7 @@ def search_masses(
         _, why, _ = walker.walk(side * objective.boundary_tol, slack)
         evaluations += 1
     if why is None:
-        why = f"best split violates objective at {int(score[0])} node(s)"
-    return SearchResult(split, rule, False, score, evaluations, why)
+        message = f"best split violates objective at {int(score[0])} node(s)"
+    else:
+        message = _message(why)
+    return SearchResult(split, rule, False, score, evaluations, message)

@@ -361,7 +361,8 @@ def compare_to_reference(
     for i, x in enumerate(rule.nodes):
         distance[i] = np.sqrt(((reference.nodes - x) ** 2).sum(axis=1))
     cols = distance.argmin(axis=1)
-    if np.unique(cols).size == len(cols):
+    # no nearest node shared; np.unique would import numpy.ma on its first call
+    if np.bincount(cols).max() <= 1:
         node_dev = float(distance.min(axis=1).max())
     else:
         node_dev = np.inf

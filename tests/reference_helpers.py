@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from symcub import ExactnessReport, SymmetricMomentSpec, compute_constants
+from symcub.decomposition import add_exact, chain_moments, least_mass
 from symcub.errors import DegreeOutOfRangeError
 from symcub.moments import PATTERN_TO_FIELD, _as_exponents
 
@@ -166,6 +167,68 @@ def closure_chain_moments(spec: SymmetricMomentSpec):
         )
 
     return moments
+
+
+def walk_interval(walker, k: int, tau: float) -> tuple[float, float]:
+    """The interval [a, b] of t keeping every margin along chain k >= tau.
+
+    The search walk's node interval as one call per chain, read from row
+    k - 1 of the walk table: its cap, then its moving (A, B, C) margins.
+    """
+    cap, margins = walker.rows[k - 1][:2]
+    if tau > cap:  # a constant margin below tau
+        return math.inf, -math.inf
+    a, b = -math.inf, math.inf
+    for A, B, C in margins:
+        A -= tau
+        if C < 0:
+            disc = B * B - 4.0 * C * A
+            if disc < 0:  # a concave margin below tau everywhere
+                return math.inf, -math.inf
+            root = math.sqrt(disc)
+            lo, hi = (root - B) / (2.0 * C), (-root - B) / (2.0 * C)
+            if lo > a:
+                a = lo
+            if hi < b:
+                b = hi
+        elif B > 0:
+            if -A / B > a:
+                a = -A / B
+        elif B < 0:
+            if -A / B < b:
+                b = -A / B
+    return a, b
+
+
+def reference_walk(walker, spec: SymmetricMomentSpec, tau: float, slack):
+    """The search walk of `walker`, the walk table of `spec`, as calls per chain.
+
+    Returns (masses, message, surplus): the masses, or None and the words of
+    why the walk fails, and chain n's surplus, all as the search walk gives
+    them once its failure record is worded.  Each chain makes one call each
+    to walk_interval, chain_moments, least_mass and add_exact, and a failing
+    walk words its failure at once: the walk the inlined one must equal bit
+    for bit.
+    """
+    moments = chain_moments(spec.ldexp(-walker.scale))
+    n, m_1 = walker.n, walker.m_1
+    masses, peeled, remaining = [], [], m_1  # peeled: exact sum of masses
+    for k in range(1, n + 1):
+        least = least_mass(*moments(k, remaining), *walk_interval(walker, k, tau))
+        if not 0 < least < math.inf:
+            return None, f"chain {k} admits no mass > 0 at margin {tau:.6g}", None
+        if k == n:
+            break
+        masses.append(least)
+        add_exact(peeled, least)
+        remaining = m_1 - math.fsum(peeled)
+    available = remaining + (slack or 0.0)
+    surplus = available - least
+    if least > available:
+        least, available = (math.ldexp(x, walker.scale) for x in (least, available))
+        return None, f"chain {n} needs mu >= {least:.9g} but {available:.9g} remains", surplus
+    masses.append(remaining if slack is None else least)
+    return tuple(masses), None, surplus
 
 
 def reference_node(k: int, t: float, consts) -> tuple[float, ...]:

@@ -415,6 +415,28 @@ def test_rule_from_sequences_validates_shapes():
         CubatureRule(dim=2, nodes=((0.0, 1.0),), weights=(1.0, 2.0))
 
 
+def test_rule_takes_float64_arrays_over_and_converts_the_rest():
+    # a float64 array, contiguous or not, is kept without a copy and marked
+    # read-only; lists and other dtypes are converted once to float64
+    nodes = np.arange(12.0).reshape(4, 3)[:, ::2]
+    weights = np.arange(8.0)[::2]
+    assert not nodes.flags.c_contiguous and not weights.flags.c_contiguous
+    rule = CubatureRule(dim=2, nodes=nodes, weights=weights)
+    assert rule.nodes is nodes and rule.weights is weights
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    for other in (
+        CubatureRule(dim=2, nodes=nodes.tolist(), weights=weights.tolist()),
+        CubatureRule(dim=2, nodes=nodes.astype(np.float32), weights=weights.astype(">f8")),
+    ):
+        assert other.nodes.dtype == np.float64 and other.weights.dtype == np.float64
+        assert np.array_equal(other.nodes, nodes) and np.array_equal(other.weights, weights)
+        assert not other.nodes.flags.writeable and not other.weights.flags.writeable
+    with pytest.raises(ValueError):
+        CubatureRule(dim=3, nodes=nodes, weights=weights)
+    with pytest.raises(ValueError):
+        CubatureRule(dim=2, nodes=nodes, weights=weights[1:])
+
+
 def test_infeasible_middle_chain_reports_chain_and_bound():
     # every middle chain: the error's mass bound is the search's least mass
     # over an unbounded node interval, bit for bit

@@ -275,6 +275,21 @@ def test_split_from_string_t_equals_split_from_float_t(n, compensation):
     assert MassSplit.from_t([1] * n, spec).masses == default_split(spec).masses
 
 
+def test_split_masses_are_a_tuple_of_floats():
+    # from_t and default_split make their floats once; the constructor
+    # converts lists, ints and numpy floats
+    spec = simplex_spec(3)
+    splits = (
+        MassSplit([1, 2, 3]), MassSplit(np.array([1.0, 2.0, 3.0])),
+        MassSplit.from_t([1, 2, 3], spec, True), default_split(spec),
+    )
+    for split in splits:
+        assert type(split.masses) is tuple and all(type(mu) is float for mu in split.masses)
+    assert splits[0] == splits[1] == MassSplit((1.0, 2.0, 3.0))
+    assert splits[2].compensation is True and default_split(spec).compensation is False
+    assert MassSplit.from_t([1, 1, 1], spec) == default_split(spec) == MassSplit([spec.m_1 / 3] * 3)
+
+
 @pytest.mark.parametrize("t, name, cause", [
     (["1/0", "1", "1"], "t_1", ZeroDivisionError),
     (["1", "abc", "1"], "t_2", ValueError),

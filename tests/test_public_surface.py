@@ -92,3 +92,18 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_tables_loads_no_numpy_ma(tmp_path):
+    # a cold `symcub tables` pays no numpy.ma import: np.unique would load it
+    src = str(Path(symcub.__file__).parents[1])
+    code = (
+        "import sys, symcub.cli; "
+        f"code = symcub.cli.main(['tables', '--output-dir', {str(tmp_path)!r}]); "
+        "print(code, sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines()[-1] == "0 []"

@@ -1,6 +1,7 @@
 """Per-chain mass bounds and the deterministic chain walk."""
 
 import copy
+import functools
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -31,10 +32,12 @@ from symcub.assembly import build_rule
 from symcub.decomposition import add_exact, chain_moments, least_mass, map_nodes
 from symcub.reference import load_reference_rule
 from symcub.search import (
-    _WALKS_PER_PASS, _ChainWalk, _bracket, _score_candidate, _walker,
+    _WALKS_PER_PASS, _ChainWalk, _bracket, _message, _score_candidate, _walker,
 )
-from symcub.validation import BOUNDARY_TOL, node_margins
-from reference_helpers import Feasibility, closure_chain_moments, hankel_feasibility
+from symcub.validation import BOUNDARY_TOL, NodeClass, node_class, node_margins
+from reference_helpers import (
+    Feasibility, closure_chain_moments, hankel_feasibility, reference_walk, walk_interval,
+)
 
 
 def _least_unbounded(spec, prefix):
@@ -114,7 +117,7 @@ def test_least_mass_puts_both_nodes_in_the_node_interval():
 
 def _reference_intervals(spec, rid, consts, tau):
     # every chain's node interval at once, vectorised over the full (n, 2n)
-    # margin arrays: the reference that _ChainWalk.interval must equal exactly
+    # margin arrays: the reference that the walk table's rows must give exactly
     n = spec.n
     nodes = map_nodes([(k, (-1.0, 0.0, 1.0)) for k in range(1, n + 1)], consts)
     g_lo, A, g_hi = node_margins(rid, nodes).reshape(n, 3, -1).transpose(1, 0, 2)
@@ -139,14 +142,14 @@ def test_interval_matches_the_full_margin_arrays(region, n):
     walker = _ChainWalk(spec, rid)
     # a chain's cap is the least of its constant margins: equal to it the
     # chain still admits t, just above it no t
-    caps = [cap for cap in walker.caps if cap < math.inf]
+    caps = [cap for cap, *_ in walker.rows if cap < math.inf]
     assert len(caps) >= n - 2  # at least chains 3 .. n have a gamma block
     capped = [tau for cap in caps for tau in (cap, math.nextafter(cap, math.inf))]
     empty = 0
     for tau in (-1.0, -0.2, 0.0, 1e-9, 0.05, 0.3, 0.9, *capped):
         a, b = _reference_intervals(spec, rid, consts, tau)
         for k in range(1, n + 1):
-            assert walker.interval(k, tau) == (a[k - 1], b[k - 1]), (tau, k)
+            assert walk_interval(walker, k, tau) == (a[k - 1], b[k - 1]), (tau, k)
             empty += a[k - 1] > b[k - 1]
     # the grid reaches margins that no node of some chain keeps
     assert empty > 0
@@ -158,7 +161,7 @@ def test_chains_keep_at_most_six_margins(region):
     rid = RegionId(region, 64)
     spec = region_spec(rid)
     walker = _ChainWalk(spec, rid)
-    assert max(len(margins) for margins in walker.margins) <= 6
+    assert max(len(margins) for _, margins, *_ in walker.rows) <= 6
 
 
 @pytest.mark.parametrize("region", list(Region))
@@ -169,13 +172,14 @@ def test_mass_left_after_least_mass_never_decreases(region, n):
     rid = RegionId(region, n)
     spec = region_spec(rid)
     walker = _ChainWalk(spec, rid)
-    masses_ahead = np.linspace(-walker.m_1, 2 * walker.m_1, 301)  # in the walk's units
+    moments = chain_moments(spec.ldexp(-walker.scale))  # in the walk's units
+    masses_ahead = np.linspace(-walker.m_1, 2 * walker.m_1, 301)
     for tau in (-0.2, -0.05, 0.0, 0.05, 0.1):
         for k in range(2, n):
-            a, b = walker.interval(k, tau)
+            a, b = walk_interval(walker, k, tau)
             left = []
             for r in masses_ahead:
-                least = least_mass(*walker.moments(k, r), a, b)
+                least = least_mass(*moments(k, r), a, b)
                 left.append(r - least if 0 < least < math.inf else -math.inf)
             left = np.array(left)
             placed = np.isfinite(left)
@@ -206,6 +210,53 @@ def test_walk_success_is_monotone_in_tau(region, n):
         taus = np.union1d(np.linspace(-1.0, 1.0, 201), max(reached) + np.linspace(-1e-9, 1e-9, 50))
         succeeded = [walker.walk(tau, slack)[0] is not None for tau in taus.tolist()]
         assert succeeded == sorted(succeeded, reverse=True), slack
+
+
+def _walk_outcomes(spec, rid):
+    # the one-loop walk against the walk making one call to each of the
+    # interval, chain moments, least mass and running sum per chain: the
+    # same masses, surplus and message, bit for bit, at the margins where
+    # walks change, each chain's cap among them
+    walker = _ChainWalk(spec, rid)
+    caps = [cap for cap, *_ in walker.rows if cap < math.inf]
+    outcomes = set()
+    for tau in (-1.0, -0.3, 0.0, 1e-9, -1e-9, 0.5, *caps):
+        for slack in (None, 0.0, walker.m_1):
+            masses, failure, surplus = walker.walk(tau, slack)
+            message = None if failure is None else _message(failure)
+            expected = reference_walk(walker, spec, tau, slack)
+            assert (masses, message) == expected[:2], (tau, slack)
+            assert repr(surplus) == repr(expected[2]), (tau, slack)
+            if masses is not None:
+                assert [mu.hex() for mu in masses] == [mu.hex() for mu in expected[0]]
+            if failure is not None:
+                assert failure[:2] == (int(message.split()[1]), tau)
+            outcomes.add((tau, slack, "ok" if message is None else message.split()[2]))
+    return outcomes
+
+
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 16, 33])
+def test_walk_matches_the_walk_by_calls(region, n):
+    rid = RegionId(region, n)
+    outcomes = {outcome for *_, outcome in _walk_outcomes(region_spec(rid), rid)}
+    # the grid reaches walks that succeed and walks that fail
+    assert outcomes >= {"ok", "admits"}, outcomes
+
+
+def test_walk_matches_the_walk_by_calls_at_a_binding_cap():
+    # no built-in region's walk at n <= 40 gets past a chain at tau equal to
+    # its cap; this functional's (three cube points, symmetrised, rounded)
+    # gets past chain 3, so the walk must let a margin equal to tau pass
+    spec = SymmetricMomentSpec(
+        n=3, m_1=2.282287, m_x=0.348382, m_xx=0.177698, m_xy=0.012497,
+        m_xxx=0.110837, m_xxy=0.003, m_xyz=0.000676,
+    )
+    rid = RegionId(Region.CUBE, 3)
+    walker = _ChainWalk(spec, rid)
+    cap = walker.rows[2][0]
+    outcomes = _walk_outcomes(spec, rid)
+    assert {(cap, slack, "ok") for slack in (None, 0.0, walker.m_1)} <= outcomes
 
 
 MODES = [SearchMode.FEASIBLE, SearchMode.INTERIOR, SearchMode.INTERIOR_OR_BOUNDARY]
@@ -423,32 +474,12 @@ def test_feasible_search_at_tiny_mass(n):
     assert check_exactness(result.rule, spec).max_rel_error <= 1e-13
 
 
-def _bisect_walk(walker, tau, slack):
-    # the walk as it was before it returned chain n's surplus
-    masses, peeled, remaining = [], [], walker.m_1
-    for k in range(1, walker.n + 1):
-        least = least_mass(*walker.moments(k, remaining), *walker.interval(k, tau))
-        if not 0 < least < math.inf:
-            return None, f"chain {k} admits no mass > 0 at margin {tau:.6g}"
-        if k == walker.n:
-            available = remaining + (slack or 0.0)
-            if least > available:
-                least, available = (math.ldexp(x, walker.scale) for x in (least, available))
-                return None, f"chain {k} needs mu >= {least:.9g} but {available:.9g} remains"
-            if slack is None:
-                least = remaining
-        masses.append(least)
-        add_exact(peeled, least)
-        remaining = walker.m_1 - math.fsum(peeled)
-    return tuple(masses), None
-
-
 def _bisect(walker, slack, budget):
     # the plain bisection of tau the bracket search replaced
     best, ok, bad, why = None, None, 1.0, None
     tau, walks = -1.0, 0
     while walks < budget and (ok is None or ok < tau < bad):
-        masses, failure = _bisect_walk(walker, tau, slack)
+        masses, failure, _ = walker.walk(tau, slack)
         walks += 1
         if masses is None:
             bad, why = tau, failure
@@ -507,19 +538,19 @@ def test_search_under_a_cut_budget(region, n, compensation):
 
 
 def _illinois_walk(walker, tau, slack):
-    # the walk as it was before it read the precomputed chain moment table
+    # the walk as it was before it read the precomputed chain moment table,
+    # a failure given as the record the search words
     masses, peeled, remaining = [], [], walker.m_1
     for k in range(1, walker.n + 1):
         least = least_mass(*walker.moments(k, remaining), *walker.interval(k, tau))
         if not 0 < least < math.inf:
-            return None, f"chain {k} admits no mass > 0 at margin {tau:.6g}", None
+            return None, (k, tau, None, None), None
         if k == walker.n:
             available = remaining + (slack or 0.0)
             surplus = available - least
             if least > available:
                 least, available = (math.ldexp(x, walker.scale) for x in (least, available))
-                why = f"chain {k} needs mu >= {least:.9g} but {available:.9g} remains"
-                return None, why, surplus
+                return None, (k, tau, least, available), surplus
             if slack is None:
                 least = remaining
         masses.append(least)
@@ -534,7 +565,7 @@ def _illinois_walker(spec, region):
     unit = spec.ldexp(-walker.scale)
     reference = SimpleNamespace(
         n=walker.n, m_1=walker.m_1, scale=walker.scale,
-        interval=walker.interval, moments=closure_chain_moments(unit),
+        interval=functools.partial(walk_interval, walker), moments=closure_chain_moments(unit),
     )
     reference.walk = lambda tau, slack: _illinois_walk(reference, tau, slack)
     return reference
@@ -626,9 +657,11 @@ def _search_without_threshold_walk(spec, region, objective):
         _, why, _ = walker.walk(side * objective.boundary_tol, slack)
         evaluations += 1
     if why is None:
-        why = f"best split violates objective at {int(score[0])} node(s)"
+        message = f"best split violates objective at {int(score[0])} node(s)"
+    else:
+        message = _message(why)
     return SimpleNamespace(split=split, rule=rule, satisfied=False, score=score,
-                           evaluations=evaluations, message=why)
+                           evaluations=evaluations, message=message)
 
 
 @pytest.mark.parametrize("region", list(Region))
@@ -692,11 +725,9 @@ def test_walks_leave_the_walk_table_unchanged():
     rid = RegionId(Region.SIMPLEX, 9)
     spec = region_spec(rid)
     walker = _walker(spec, rid)
-    masses_ahead = [0.0, walker.m_1, -0.5 * walker.m_1, 1e-300, -1e300]
 
     def table():
-        moments = [walker.moments(k, r) for k in range(1, walker.n + 1) for r in masses_ahead]
-        return walker.n, walker.m_1, walker.scale, walker.margins, walker.caps, moments
+        return walker.n, walker.m_1, walker.scale, walker.powers, walker.rows
 
     before = copy.deepcopy(table())
     rng = np.random.default_rng(9)
@@ -760,3 +791,25 @@ def test_score_counts_the_nodes_each_mode_rejects(table, n):
         score = _score_candidate(rule, rid, mode, BOUNDARY_TOL)
         assert score == (float(count), float(classes.negative_weights), margin), mode
 
+
+@pytest.mark.parametrize("tol", [BOUNDARY_TOL, 1e-3, 0.0])
+def test_score_counts_by_the_node_class_thresholds(tol, monkeypatch):
+    # the score's one vector comparison rejects what node_class rejects, on
+    # the margins where a threshold decides
+    near = [tol * (1 + 2.0**-52), tol * (1 - 2.0**-52)]
+    margins = [0.0, tol, -tol, *near, *(-x for x in near), math.inf, -math.inf, math.nan]
+    least = np.array(margins)
+    rule = SimpleNamespace(nodes=None, weights=np.ones(len(margins)))
+    monkeypatch.setattr(symcub.search, "node_margins", lambda region, nodes: least[:, None])
+    accepted = {
+        SearchMode.INTERIOR: {NodeClass.INTERIOR},
+        SearchMode.INTERIOR_OR_BOUNDARY: {NodeClass.INTERIOR, NodeClass.BOUNDARY},
+        SearchMode.FEASIBLE: set(NodeClass),
+    }
+    for mode in MODES:
+        rejected = sum(node_class(m, tol) not in accepted[mode] for m in margins)
+        score = _score_candidate(rule, None, mode, tol)
+        assert score[0] == rejected, mode
+        assert score[1] == 0.0 and math.isnan(score[2])
+    # each mode rejects a different count here
+    assert len({_score_candidate(rule, None, mode, tol)[0] for mode in MODES}) == 3
